@@ -1066,7 +1066,7 @@ let e14 () =
      between a scope's service sleep and its timeout timer is bounded
      by the batch's slice count, not by n.  Everything is deterministic
      (service times from a splitmix-hashed stream, schedule from
-     Tree_order), so the cancelled/completed split is a fixed property
+     Round_robin), so the cancelled/completed split is a fixed property
      of (n, deadline).
 
      Measured from the run's Obs.Metrics histograms:
@@ -1422,15 +1422,26 @@ let () =
   let selected =
     match args with [] | [ "all" ] -> List.map fst experiments | picks -> picks
   in
-  print_endline "pcont benchmark harness (Hieb & Dybvig, PPoPP 1990 reproduction)";
-  if !quick then print_endline "(quick mode: reduced sizes)";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
+  (* Refuse bad arguments before any experiment runs: an unknown name,
+     or a --json file that cannot be written. *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) selected with
+  | [] -> ()
+  | bad ->
+      List.iter
+        (fun name ->
           Printf.eprintf "unknown experiment %S (have: %s)\n" name
             (String.concat ", " (List.map fst experiments)))
-    selected;
+        bad;
+      exit 2);
+  (match !json_file with
+  | None -> ()
+  | Some path -> (
+      try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
+      with Sys_error msg ->
+        Printf.eprintf "bench: %s\n" msg;
+        exit 2));
+  print_endline "pcont benchmark harness (Hieb & Dybvig, PPoPP 1990 reproduction)";
+  if !quick then print_endline "(quick mode: reduced sizes)";
+  List.iter (fun name -> (List.assoc name experiments) ()) selected;
   write_json ();
   exit (compare_baseline ())

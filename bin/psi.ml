@@ -99,6 +99,14 @@ let print_analysis events =
         (Pcont_obs.Analysis.Report.of_run (Pcont_obs.Trace.reconstruct run)))
     (Pcont_obs.Trace.runs events)
 
+(* Open an output file named on the command line, or report why not and
+   exit 2 before anything runs. *)
+let open_output path =
+  try open_out_bin path
+  with Sys_error msg ->
+    Printf.eprintf "psi: %s\n" msg;
+    exit 2
+
 let run file expr concurrent seed replay no_prelude fuel quantum strategy stats trace
     trace_out trace_format summary analyze flight sample backend =
   (match backend with
@@ -222,7 +230,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
       (match trace_out with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
+          let oc = open_output path in
           cleanups := (fun () -> close_out oc) :: !cleanups;
           let write = Obs.Sink.of_channel oc in
           let sink =
@@ -246,6 +254,8 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
       (match flight with
       | None -> ()
       | Some path ->
+          (* the window is written only when dumped; check the path now *)
+          close_out (open_output path);
           let dump body =
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_string oc body)

@@ -135,8 +135,9 @@ let run_gen scheduler seed workload faults out flight ring_cap =
     Option.map (fun (_, rb) o -> Obs.attach o (Obs.Sink.ring_sink rb)) ring
   in
   let r =
-    Explore.Replay.record ~policy:(Explore.Seeded (Int64.of_int seed)) ~faults
-      ?attach target
+    Explore.Replay.record
+      ~policy:(Pcont_sched.Sched.Randomized (Int64.of_int seed))
+      ~faults ?attach target
   in
   (match out with
   | None -> print_string r.Explore.Replay.rec_trace

@@ -2,7 +2,7 @@
 
    Everything here leans on two properties the schedulers already have:
 
-   - under [Driven]/[Driven_pids] every scheduling decision runs exactly
+   - under [Driven_pids] every scheduling decision runs exactly
      one fiber/branch for one slice, so the trace's slice-begin stream
      and the decision stream are the same sequence;
    - all remaining nondeterminism (virtual clock, pid/label/channel-id
@@ -198,11 +198,9 @@ end
 (* Targets.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type policy = Default | Seeded of int64 | Fixed of (int array -> int)
-
 type target = {
   tg_name : string;
-  tg_run : policy -> Fault.t list -> Obs.t option -> string;
+  tg_run : Sched.policy -> Fault.t list -> Obs.t option -> string;
 }
 
 let native_target tg_name (prog : unit -> string) =
@@ -210,12 +208,6 @@ let native_target tg_name (prog : unit -> string) =
     tg_name;
     tg_run =
       (fun policy faults obs ->
-        let policy =
-          match policy with
-          | Default -> Sched.Tree_order
-          | Seeded s -> Sched.Randomized s
-          | Fixed f -> Sched.Driven_pids f
-        in
         let inject =
           match faults with [] -> None | fs -> Some (Fault.to_inject fs)
         in
@@ -239,15 +231,9 @@ let pstack_target tg_name src =
              faults (the outcome stays deterministic either way). *)
           "error: fault injection is not supported on pstack targets"
         else
-          let sched =
-            match policy with
-            | Default -> Concur.Round_robin
-            | Seeded s -> Concur.Randomized s
-            | Fixed f -> Concur.Driven_pids f
-          in
           let t = Interp.create () in
           ignore (Interp.take_output ());
-          let results = Interp.eval_string ~mode:(Interp.Concurrent sched) ?obs t src in
+          let results = Interp.eval_string ~mode:(Interp.Concurrent policy) ?obs t src in
           let out = Interp.take_output () in
           let body = String.concat "; " (List.map Interp.result_to_string results) in
           if out = "" then body else body ^ " | output: " ^ out);
@@ -286,7 +272,7 @@ module Replay = struct
     rec_schedule : Schedule.t;
   }
 
-  let record ?(policy = Default) ?(faults = []) ?attach target =
+  let record ?(policy = Sched.Round_robin) ?(faults = []) ?attach target =
     let buf = Buffer.create 4096 in
     let o = Obs.create () in
     Obs.attach o (Obs.Sink.jsonl (Buffer.add_string buf));
@@ -303,7 +289,7 @@ module Replay = struct
 
   let replay target (sched : Schedule.t) =
     let pick, div = driver sched in
-    let r = record ~policy:(Fixed pick) ~faults:sched.faults target in
+    let r = record ~policy:(Sched.Driven_pids pick) ~faults:sched.faults target in
     (r, div ())
 
   let lines s = String.split_on_char '\n' s
@@ -388,7 +374,7 @@ module Dpor = struct
       log := (Array.copy pids, pids.(idx)) :: !log;
       idx
     in
-    let outcome = target.tg_run (Fixed pick) faults (Some o) in
+    let outcome = target.tg_run (Sched.Driven_pids pick) faults (Some o) in
     Obs.close o;
     {
       x_trace = Buffer.contents buf;
@@ -730,7 +716,7 @@ module Dpor = struct
           | _ -> ())
     in
     for s = 1 to seeds do
-      let clean = Replay.record ~policy:(Seeded (Int64.of_int s)) target in
+      let clean = Replay.record ~policy:(Sched.Randomized (Int64.of_int s)) target in
       consider s clean;
       (* The randomized-fault baseline: one seed-derived fault placement
          per seed, drawn over the clean run's slice count.  This is what
@@ -744,7 +730,7 @@ module Dpor = struct
           let at = (s * 2654435761) land max_int mod nslices in
           let r =
             Replay.record
-              ~policy:(Seeded (Int64.of_int s))
+              ~policy:(Sched.Randomized (Int64.of_int s))
               ~faults:[ { Fault.at; kind } ]
               target
           in

@@ -2,7 +2,7 @@
 
     The paper's point is that scheduling is a program-level object; this
     library makes it a {e file}.  Both schedulers already route every
-    scheduling decision through their policy ([Driven]/[Driven_pids]) and
+    scheduling decision through their policy ([Driven_pids]) and
     stamp traces with a deterministic virtual clock, so:
 
     - {b record}: run a program once under any policy with a JSONL sink
@@ -98,14 +98,9 @@ end
     plumbing.  [tg_run] must be self-contained and deterministic modulo
     the policy — every call starts from fresh state. *)
 
-type policy =
-  | Default  (** [Tree_order] / [Round_robin] *)
-  | Seeded of int64  (** [Randomized] *)
-  | Fixed of (int array -> int)  (** [Driven_pids] *)
-
 type target = {
   tg_name : string;
-  tg_run : policy -> Fault.t list -> Obs.t option -> string;
+  tg_run : Pcont_sched.Sched.policy -> Fault.t list -> Obs.t option -> string;
       (** Run once, injecting the given faults; the result is a
           human-readable outcome string (value, error, or deadlock
           diagnosis). *)
@@ -146,7 +141,7 @@ module Replay : sig
   }
 
   val record :
-    ?policy:policy ->
+    ?policy:Pcont_sched.Sched.policy ->
     ?faults:Fault.t list ->
     ?attach:(Obs.t -> unit) ->
     target ->
@@ -160,7 +155,10 @@ module Replay : sig
   (** Re-run pinned to the schedule, re-injecting its faults. *)
 
   val check_roundtrip :
-    ?policy:policy -> ?faults:Fault.t list -> target -> (recording, string) result
+    ?policy:Pcont_sched.Sched.policy ->
+    ?faults:Fault.t list ->
+    target ->
+    (recording, string) result
   (** Record, replay, and require byte-identical traces, identical
       outcomes and no divergence; the error says what differed first. *)
 end

@@ -348,7 +348,7 @@ let finish acc name req outcome t4 =
       acc.a_crashed <- acc.a_crashed + 1;
       marker name "/crashed"
 
-let run ?obs ?(policy = Sched.Tree_order) p ~seed scen =
+let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
   let o = match obs with Some o -> o | None -> Obs.create () in
   (* Live process-tree node census: every spawn (individually or
      batched) adds a node, exits and cancel sweeps remove them.  The

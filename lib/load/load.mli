@@ -118,7 +118,7 @@ val run :
     events flow to its sinks and the per-scenario series
     [load.<scenario>.{latency,queue,service,wake,join}] land in its
     metrics; otherwise a private handle is created (peak-fiber
-    accounting needs one).  Default policy: [Tree_order]. *)
+    accounting needs one).  Default policy: [Round_robin]. *)
 
 val stats_to_json : stats -> Pcont_obs.Obs.Json.t
 (** Deterministic field order; quantiles rendered at p50/p99/p999. *)

@@ -1,21 +1,13 @@
 open Types
+module Core = Pcont_sched_core.Sched_core
 module Counters = Pcont_util.Counters
-module Xorshift = Pcont_util.Xorshift
 module Obs = Pcont_obs.Obs
 module E = Pcont_obs.Obs.Event
 
-type sched =
+type sched = Core.policy =
   | Round_robin
   | Randomized of int64
-  | Driven of (int -> int)
-      (* each scheduling decision steps exactly one runnable branch:
-         [pick n] receives the number of runnable branches and returns the
-         index of the one to step (reduced modulo the runnable count) —
-         systematic schedule exploration *)
   | Driven_pids of (int array -> int)
-      (* as Driven, but the decision function sees the runnable branches'
-         node ids in queue order — the hook record/replay needs to pin a
-         recorded schedule by pid rather than by position *)
 
 type outcome =
   | Value of Types.value
@@ -31,36 +23,10 @@ let outcome_to_string = function
   | Out_of_fuel -> "OUT-OF-FUEL"
   | Deadlock msg -> "DEADLOCK " ^ msg
 
-(* The live process tree.  A node is a leaf (a branch with its own local
-   stack), a fork created by pcall, or done (its value delivered to the
-   parent fork).  Captured subtrees are converted to the immutable
-   [Types.ptree] form and their nodes discarded. *)
-type node = { nid : int; mutable parent : parent; mutable body : body }
-
-and parent = Ptop | Pfut of future_cell | Pchild of node * int
-
-and body = Nleaf of state | Nfork of nfork | Nparked of parked | Ndone
-
-and nfork = {
-  trunk : segment list;
-  children : node array;
-  results : value option array;
-  mutable pending : int;
-}
-
-(* A branch parked on a pending touch.  The branch keeps its machine
-   state (re-enqueueing it re-applies the touch, which now finds the
-   cell resolved); [pk_live] is cleared when the branch is woken or when
-   a capture prunes it into a process continuation, so a stale wake
-   thunk left on the cell does nothing.  [pk_round] is the scheduling
-   round the branch parked in, for the park-latency histogram. *)
-and parked = {
-  pk_node : node;
-  pk_st : state;
-  mutable pk_live : bool;
-  pk_round : int;
-  pk_res : string;  (* resource class ("future", "timer") for diagnostics *)
-}
+(* A process-tree node: a branch's leaf is its machine state, and a fork
+   waits over its children with the trunk (the process stack below the
+   pcall) as its extra state. *)
+type node = (state, segment list, value) Core.node
 
 let control_points ptree =
   let count_roots segs =
@@ -104,245 +70,100 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
   (match obs with
   | None -> ()
   | Some o -> cfg.Machine.metrics <- Some (Obs.metrics o));
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    !next_id
-  in
-  (* The current scheduling round, for the park-latency histogram. *)
-  let rounds = ref 0 in
-  (* Virtual time: advanced by the fuel each slice charges (at least 1),
-     with or without a trace handle, so [sleep] never depends on whether
-     the run is observed.  Kept in lockstep with [Obs.advance]. *)
+  (* Virtual time: advanced by the fuel each slice charges, with or
+     without a trace handle, so [sleep] never depends on whether the run
+     is observed. *)
   let vclock = ref 0 in
-  (* Sleeping branches, sorted by deadline (FIFO among equal deadlines).
-     Entries are ordinary [parked] records, so a capture that prunes a
-     sleeper invalidates it here exactly as it would on a future's
-     waitset — the grafted branch then resumes (early) from its sleep. *)
-  let timers = ref [] in
-  let insert_timer deadline p =
-    let rec ins = function
-      | [] -> [ (deadline, p) ]
-      | (d, _) :: _ as l when deadline < d -> (deadline, p) :: l
-      | e :: rest -> e :: ins rest
-    in
-    timers := ins !timers
-  in
-  (* Causal-span context.  [cur_span] is the span the branch being
-     stepped is inside (-1 = none); it is loaded from [node_span] at
-     slice begin and stored back at slice end, so a span follows its
-     branch across slices.  Children inherit the spawning branch's span
-     at fork/future/graft.  Span ids are program-visible ([span-begin]
-     returns one), so without a trace handle they come from a local
-     counter and the program behaves identically. *)
+  (* Causal-span context: the span the branch being stepped is inside
+     (-1 = none).  Span ids are program-visible ([span-begin] returns
+     one), so without a trace handle they come from a local counter and
+     the program behaves identically. *)
   let cur_span = ref (-1) in
-  let node_span : (int, int) Hashtbl.t = Hashtbl.create 32 in
   let span_parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let span_ctr = ref 0 in
-  let inherit_span nid =
-    if !cur_span >= 0 then Hashtbl.replace node_span nid !cur_span
+  (* A fork resumes as a leaf applying the first child's value to the
+     rest in the trunk. *)
+  let resume trunk vs =
+    match Array.to_list vs with
+    | op :: args -> { control = Capply (op, args); pstack = trunk }
+    | [] -> assert false
   in
-  (* Virtual time each branch was last woken, consumed at its next slice
-     begin for the wake-to-run latency distribution. *)
-  let wake_ts : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  (* Hot-path distributions, resolved to their views once per run; the
-     throwaway table when unobserved is never fed (every observation
-     site is guarded on [obs]). *)
-  let smx =
-    match obs with Some o -> Obs.metrics o | None -> Obs.Metrics.create ()
+  let c =
+    Core.create ?obs ~counters ~prefix:"concur" ~nouns:("branches", "branch(es)")
+      ~clock:vclock ~span:cur_span ~resume sched
+      (Machine.initial (Resolve.toplevel genv ir))
   in
-  let s_fuel = Obs.Metrics.series smx "concur.slice.fuel" in
-  let s_runq = Obs.Metrics.series smx "concur.runq.depth" in
-  let s_park = Obs.Metrics.series smx "concur.park.rounds" in
-  let s_wake_run = Obs.Metrics.series smx "concur.wake.run" in
-  let root =
-    {
-      nid = 0;
-      parent = Ptop;
-      body = Nleaf (Machine.initial (Resolve.toplevel genv ir));
-    }
-  in
-  (match obs with
-  | None -> ()
-  | Some o -> Obs.emit o (E.Spawn { pid = 0; parent = -1; kind = "root" }));
-  (* The run queue: runnable leaves of the whole forest (Section 8's main
-     tree plus one tree per future), maintained incrementally in tree
-     order.  Entries go stale when a capture prunes them out of the live
-     tree; they are dropped by the [attached] filter at the start of each
-     round, so a round costs O(runnable), not O(forest). *)
-  let queue = ref [ root ] in
-  (* Newly runnable leaves produced by the step in progress, in tree
-     order; spliced into the queue at the stepped node's position. *)
-  let born = ref [] in
-  (* Future trees planted this round; appended after all existing trees. *)
-  let new_trees = ref [] in
   let live_futures = ref 0 in
-  let final = ref None in
   let failure = ref None in
   let fuel_left = ref fuel in
-  (* Every parked record ever created this run (live or invalidated),
-     for the deadlock diagnosis; [n_parked] counts the live ones. *)
-  let all_parked = ref [] in
-  let n_parked = ref 0 in
-  let rng =
-    match sched with
-    | Round_robin | Driven _ | Driven_pids _ -> None
-    | Randomized seed -> Some (Xorshift.create seed)
+
+  let fork_of (n : node) = match n.body with Core.Nwait f -> f | _ -> assert false in
+
+  (* Wake the branches parked on a delivered future's cell, in park
+     (FIFO) order: [fwaiters] is newest-first. *)
+  let deliver_future cell v =
+    cell.fvalue <- Some v;
+    decr live_futures;
+    match cell.fwaiters with
+    | [] -> ()
+    | ws ->
+        cell.fwaiters <- [];
+        List.iter (fun wake -> wake ()) (List.rev ws);
+        Core.flush_woken c
   in
-
-  (* A node is attached iff following parent links reaches the live root
-     through matching child slots.  Nodes pruned into a process continuation
-     fail this test and are skipped by the scheduler. *)
-  let rec attached_walk n =
-    match n.parent with
-    | Ptop -> n == root
-    | Pfut _ -> ( match n.body with Ndone -> false | _ -> true)
-    | Pchild (p, i) -> (
-        match p.body with
-        | Nfork f -> i < Array.length f.children && f.children.(i) == n && attached_walk p
-        | _ -> false)
-  in
-
-  (* Only captures ever detach a node from the live tree (grafts reuse
-     captured, already-detached trees), so until one has happened every
-     non-[Ndone] node is attached and the parent-chain walk can be skipped.  (A finished root reports detached
-     here where the walk would not, but callers always guard with
-     [is_leaf], which is false for [Ndone].) *)
-  let prunes = ref 0 in
-  let attached n =
-    if !prunes = 0 then match n.body with Ndone -> false | _ -> true
-    else attached_walk n
-  in
-
-  let rec collect_leaves acc n =
-    match n.body with
-    | Nleaf _ -> n :: acc
-    | Nparked _ | Ndone -> acc
-    | Nfork f -> Array.fold_left collect_leaves acc f.children
-  in
-
-  let fork_of n = match n.body with Nfork f -> f | _ -> assert false in
-
-  (* Deliver a branch's final value to its parent fork; when the fork's last
-     child completes, the fork resumes as a leaf applying the first value to
-     the rest in the trunk. *)
-  let deliver n v =
-    (match obs with
-    | None -> ()
-    | Some o -> Obs.emit o (E.Exit { pid = n.nid }));
-    n.body <- Ndone;
-    match n.parent with
-    | Ptop -> final := Some v
-    | Pfut cell ->
-        cell.fvalue <- Some v;
-        decr live_futures;
-        (* Wake the branches parked on this cell, in park (FIFO) order:
-           [fwaiters] is newest-first and the thunks prepend to [born],
-           so iterating in place leaves the oldest waiter first in the
-           queue; the wake events are then emitted in that same park
-           order, the order the branches will actually run in. *)
-        (match cell.fwaiters with
-        | [] -> ()
-        | ws ->
-            cell.fwaiters <- [];
-            let pids = List.filter_map (fun wake -> wake ()) ws in
-            (match obs with
-            | None -> ()
-            | Some o ->
-                List.iter
-                  (fun pid ->
-                    Hashtbl.replace wake_ts pid !vclock;
-                    Obs.emit o (E.Wake { pid; resource = "future" }))
-                  (List.rev pids)))
-    | Pchild (p, slot) ->
-        let f = fork_of p in
-        f.results.(slot) <- Some v;
-        f.pending <- f.pending - 1;
-        if f.pending = 0 then begin
-          let vs = Array.to_list (Array.map Option.get f.results) in
-          match vs with
-          | op :: args ->
-              p.body <- Nleaf { control = Capply (op, args); pstack = f.trunk };
-              born := [ p ]
-          | [] -> assert false
-        end
 
   (* pcall: turn this leaf into a fork; every subexpression becomes a child
      branch with a fresh local stack. *)
-  and do_fork n st exprs env' =
+  let do_fork n st exprs env' =
     Counters.incr counters "concur.fork";
-    let k = List.length exprs in
-    let f =
-      {
-        trunk = st.pstack;
-        children = Array.make k n;
-        results = Array.make k None;
-        pending = k;
-      }
-    in
-    n.body <- Nfork f;
-    List.iteri
-      (fun i e ->
-        f.children.(i) <-
-          {
-            nid = fresh_id ();
-            parent = Pchild (n, i);
-            body = Nleaf { control = Ceval (e, env'); pstack = Machine.initial_pstack };
-          })
-      exprs;
-    Array.iter (fun c -> inherit_span c.nid) f.children;
-    (match obs with
-    | None -> ()
-    | Some o ->
-        Array.iter
-          (fun c -> Obs.emit o (E.Spawn { pid = c.nid; parent = n.nid; kind = "branch" }))
-          f.children);
-    born := Array.to_list f.children
+    Core.fork c n st.pstack "branch"
+      (fun e -> { control = Ceval (e, env'); pstack = Machine.initial_pstack })
+      exprs
+  in
 
   (* Controller application whose root is not in the invoking branch's local
      stack: climb the tree for the nearest trunk containing the root, prune
      the subtree of stacks it delimits, and apply the controller's argument
      to the packaged process continuation in the remaining trunk. *)
-  and do_capture n st l body_fn =
+  let do_capture (n : node) st l body_fn =
     (* Every stack that ends up aliased by the packaged [Pktree] must be
        pinned: segments are mutable records and a multi-shot continuation
        can graft the same records back twice, so the machine has to
        copy-on-write rather than mutate them (and never pool them). *)
-    let rec ptree_of m =
+    let rec ptree_of (m : node) =
       if m == n then (
         Machine.pin_segments st.pstack;
         Phole st.pstack)
       else
         match m.body with
-        | Nleaf s ->
+        | Core.Nleaf s ->
             Machine.pin_segments s.pstack;
             Pleaf s
         | Nparked p ->
-            (* Pruning a parked waiter: invalidate its wake thunk (the
-               cell may resolve while the subtree is captured) and
-               capture it as an ordinary suspended leaf; on graft the
-               rebuilt branch re-applies its pending touch, which either
-               finds the cell resolved or parks again. *)
-            p.pk_live <- false;
-            decr n_parked;
-            Machine.pin_segments p.pk_st.pstack;
-            Pleaf p.pk_st
+            (* Pruning a parked waiter: invalidate its entry (the cell
+               may resolve while the subtree is captured) and capture it
+               as an ordinary suspended leaf; on graft the rebuilt branch
+               re-applies its pending touch, which either finds the cell
+               resolved or parks again. *)
+            Core.release c p;
+            Machine.pin_segments p.e_leaf.pstack;
+            Pleaf p.e_leaf
         | Ndone -> Pdone
-        | Nfork f ->
-            Machine.pin_segments f.trunk;
+        | Nwait f ->
+            Machine.pin_segments f.wx;
             Pfork
               {
-                pf_trunk = f.trunk;
+                pf_trunk = f.wx;
                 pf_children = Array.map ptree_of f.children;
                 pf_results = Array.copy f.results;
               }
     in
-    let rec climb cur =
+    let rec climb (cur : node) =
       match cur.parent with
       | Ptop | Pfut _ -> None
       | Pchild (p, _) -> (
           let f = fork_of p in
-          match Machine.split_at_spawn_label l f.trunk with
+          match Machine.split_at_spawn_label l f.wx with
           | Some (above_incl, below) -> Some (p, f, above_incl, below)
           | None -> climb p)
     in
@@ -353,7 +174,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
         | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label = l }));
         failure := Some (invalid_controller l)
     | Some (p, f, above_incl, below) ->
-        incr prunes;
+        Core.prune c;
         Counters.incr counters "concur.capture";
         Counters.incr counters "sync.lock";
         Machine.pin_segments above_incl;
@@ -377,14 +198,14 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
               (E.Capture
                  { pid = n.nid; label = l; root_pid = p.nid; control_points = cp; size }));
         let pk = Pktree { pkt_label = l; pkt_tree = tree } in
-        p.body <- Nleaf { control = Capply (body_fn, [ pk ]); pstack = below };
-        born := [ p ]
+        Core.become_leaf c p { control = Capply (body_fn, [ pk ]); pstack = below }
+  in
 
   (* Invoke a tree-shaped process continuation: graft the saved subtree onto
      the invoking branch.  The saved trunk is spliced on top of the invoking
      branch's stack, every saved leaf is rebuilt as a fresh node, and the
      continuation's argument is returned at the saved hole. *)
-  and do_graft n st pkt v =
+  let do_graft (n : node) st pkt v =
     Counters.incr counters "concur.graft";
     (match obs with
     | None -> ()
@@ -392,71 +213,22 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
         Obs.emit o
           (E.Reinstate
              { pid = n.nid; label = pkt.pkt_label; size = tree_segments pkt.pkt_tree }));
-    let rec rebuild parent pt =
-      let m = { nid = fresh_id (); parent; body = Ndone } in
-      (* reinstated branches run under the reinstating fiber's span *)
-      inherit_span m.nid;
-      (match pt with
-      | Phole segs -> m.body <- Nleaf { control = Creturn v; pstack = segs }
-      | Pleaf s -> m.body <- Nleaf s
-      | Pdone -> m.body <- Ndone
-      | Pfork pf ->
-          let k = Array.length pf.pf_children in
-          let f =
-            {
-              trunk = pf.pf_trunk;
-              children = Array.make k m;
-              results = Array.copy pf.pf_results;
-              pending = Array.fold_left (fun c r -> if r = None then c + 1 else c) 0 pf.pf_results;
-            }
-          in
-          m.body <- Nfork f;
-          Array.iteri (fun i child -> f.children.(i) <- rebuild (Pchild (m, i)) child) pf.pf_children);
-      m
-    in
     match pkt.pkt_tree with
     | Pfork pf ->
-        let k = Array.length pf.pf_children in
-        let f =
-          {
-            trunk = pf.pf_trunk @ st.pstack;
-            children = Array.make k n;
-            results = Array.copy pf.pf_results;
-            pending = Array.fold_left (fun c r -> if r = None then c + 1 else c) 0 pf.pf_results;
-          }
-        in
-        n.body <- Nfork f;
-        Array.iteri (fun i child -> f.children.(i) <- rebuild (Pchild (n, i)) child) pf.pf_children;
-        born := List.rev (collect_leaves [] n);
-        (match obs with
-        | None -> ()
-        | Some o ->
-            (* Announce every rebuilt node (forks included) in one batch
-               event, parents before children, so trace consumers never
-               see a pid whose spawn was skipped — one event instead of
-               one per rebuilt node. *)
-            let acc = ref [] in
-            let rec collect parent m =
-              acc := (m.nid, parent) :: !acc;
-              match m.body with
-              | Nfork f -> Array.iter (collect m.nid) f.children
-              | Nleaf _ | Nparked _ | Ndone -> ()
-            in
-            Array.iter (collect n.nid) f.children;
-            let nodes = Array.of_list (List.rev !acc) in
-            Obs.emit o (E.Spawn_batch { pid = n.nid; kind = "graft"; nodes }))
+        Core.graft c n (pf.pf_trunk @ st.pstack) pf.pf_children pf.pf_results (function
+          | Phole segs -> Core.Sleaf { control = Creturn v; pstack = segs }
+          | Pleaf s -> Sleaf s
+          | Pdone -> Sdone
+          | Pfork pf -> Swait (pf.pf_trunk, pf.pf_children, pf.pf_results))
     | Phole _ | Pleaf _ | Pdone ->
         (* Captures always package a fork at the top. *)
         assert false
   in
 
   (* Step one branch for up to [quantum] transitions, or until it blocks on
-     a scheduler-level event. *)
-  let step_leaf n =
-    (* [failure] can only be set by this branch's own handlers, which all
-       terminate the loop, so it is checked once at entry rather than per
-       step.  Fork/future interceptions consume quantum but no fuel, as a
-       fresh leaf takes their place. *)
+     a scheduler-level event.  Fork/future interceptions consume quantum
+     but no fuel, as a fresh leaf takes their place. *)
+  let step (n : node) st =
     let rec go st q =
       if q = 0 || !fuel_left <= 0 then n.body <- Nleaf st
       else
@@ -473,79 +245,24 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                    future. *)
                 Counters.incr counters "concur.future";
                 let cell = { fvalue = None; fwaiters = [] } in
-                let fnode =
-                  {
-                    nid = fresh_id ();
-                    parent = Pfut cell;
-                    body =
-                      Nleaf { control = Ceval (e, env'); pstack = Machine.initial_pstack };
-                  }
-                in
-                inherit_span fnode.nid;
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    Obs.emit o
-                      (E.Spawn { pid = fnode.nid; parent = n.nid; kind = "future" }));
-                new_trees := fnode :: !new_trees;
+                Core.plant c n
+                  { control = Ceval (e, env'); pstack = Machine.initial_pstack }
+                  (deliver_future cell);
                 incr live_futures;
                 go { st with control = Creturn (Future cell) } (q - 1)
             | Machine.Esc_touch cell ->
-                (* Still pending: park the branch on the cell's waitset
-                   and take it out of the run queue.  Parking consumes no
-                   fuel — a blocked branch takes no machine transitions —
-                   and the branch keeps its state, so the wake-up re-step
-                   re-applies the touch against the now-resolved cell.
-                   (Before parked waiters this retried — and was charged —
-                   every round: a spinning fuel leak.) *)
-                Counters.incr counters "concur.park";
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    Obs.emit o (E.Park { pid = n.nid; resource = "future" }));
-                let p =
-                  { pk_node = n; pk_st = st; pk_live = true; pk_round = !rounds;
-                    pk_res = "future" }
-                in
-                n.body <- Nparked p;
-                incr n_parked;
-                all_parked := p :: !all_parked;
-                cell.fwaiters <-
-                  (fun () ->
-                    if p.pk_live then begin
-                      p.pk_live <- false;
-                      decr n_parked;
-                      Counters.incr counters "concur.wake";
-                      (match obs with
-                      | None -> ()
-                      | Some _ ->
-                          Obs.Metrics.observe_series s_park (!rounds - p.pk_round));
-                      p.pk_node.body <- Nleaf p.pk_st;
-                      born := p.pk_node :: !born;
-                      Some p.pk_node.nid
-                    end
-                    else None)
-                  :: cell.fwaiters
+                (* Still pending: park the branch on the cell.  Parking
+                   consumes no fuel — a blocked branch takes no machine
+                   transitions — and the branch keeps its state, so the
+                   wake-up re-step re-applies the touch against the
+                   now-resolved cell. *)
+                let e = Core.park c n ~res:"future" st in
+                cell.fwaiters <- (fun () -> Core.wake c e) :: cell.fwaiters
             | Machine.Esc_sleep d ->
-                (* Park on the timer wheel until the virtual clock reaches
-                   the deadline.  The saved state returns 0 from the sleep
-                   call, so a woken — or captured-and-grafted — sleeper
-                   resumes past it (a grafted sleeper wakes early, like
-                   any pruned parked waiter).  No fuel: a sleeping branch
-                   takes no machine transitions. *)
-                Counters.incr counters "concur.park";
-                (match obs with
-                | None -> ()
-                | Some o -> Obs.emit o (E.Park { pid = n.nid; resource = "timer" }));
-                let p =
-                  { pk_node = n;
-                    pk_st = { st with control = Creturn (Int 0) };
-                    pk_live = true; pk_round = !rounds; pk_res = "timer" }
-                in
-                n.body <- Nparked p;
-                incr n_parked;
-                all_parked := p :: !all_parked;
-                insert_timer (!vclock + max d 0) p
+                (* The saved state returns 0 from the sleep call, so a
+                   woken — or captured-and-grafted — sleeper resumes past
+                   it.  No fuel, like any park. *)
+                Core.sleep c n { st with control = Creturn (Int 0) } d
             | Machine.Esc_span_begin name ->
                 (* The id is program-visible, so it is allocated whether
                    or not a trace handle is attached (from the handle so
@@ -576,7 +293,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
             | _ -> (
                 decr fuel_left;
                 match s with
-                | Machine.Final v -> deliver n v
+                | Machine.Final v -> Core.deliver c n v
                 | Machine.Err msg -> failure := Some msg
                 | Machine.Esc_control (l, body_fn) -> do_capture n st l body_fn
                 | Machine.Esc_pktree (pkt, v) -> do_graft n st pkt v
@@ -585,237 +302,17 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                 | Machine.Esc_span_begin _ | Machine.Esc_span_end _ ->
                     assert false))
     in
-    match n.body with
-    | Nleaf st ->
-        if !failure = None then begin
-          (* A run slice: everything the branch does before the
-             scheduler moves on.  The virtual clock advances by the
-             fuel charged (at least 1, so zero-fuel interception
-             slices still have visible extent) whether or not a trace
-             handle is attached, which keeps timestamps — and timer
-             behavior — deterministic and independent of observation,
-             and makes Chrome-trace slice widths proportional to
-             machine work. *)
-          cur_span :=
-            (match Hashtbl.find_opt node_span n.nid with Some s -> s | None -> -1);
-          (match obs with
-          | None -> ()
-          | Some o -> (
-              Obs.emit o (E.Slice_begin { pid = n.nid });
-              match Hashtbl.find_opt wake_ts n.nid with
-              | Some w ->
-                  Hashtbl.remove wake_ts n.nid;
-                  Obs.Metrics.observe_series s_wake_run (!vclock - w)
-              | None -> ()));
-          let fuel0 = !fuel_left in
-          go st quantum;
-          if !cur_span >= 0 then Hashtbl.replace node_span n.nid !cur_span
-          else Hashtbl.remove node_span n.nid;
-          let used = fuel0 - !fuel_left in
-          vclock := !vclock + (if used > 0 then used else 1);
-          match obs with
-          | None -> ()
-          | Some o ->
-              Obs.advance o (if used > 0 then used else 1);
-              Obs.Metrics.observe_series s_fuel used;
-              Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
-        end
-    | Nfork _ | Nparked _ | Ndone -> ()
+    (* The slice is charged the fuel its machine transitions used, so
+       Chrome-trace slice widths are proportional to machine work. *)
+    Core.slice_begin c n;
+    let fuel0 = !fuel_left in
+    go st quantum;
+    Core.slice_end c n (fuel0 - !fuel_left);
+    if !failure <> None || !fuel_left <= 0 then Core.halt c
   in
 
-  let is_leaf n = match n.body with Nleaf _ -> true | _ -> false in
-
-  (* The nodes that take the stepped node's place in the queue: itself if
-     it is still a runnable leaf, then whatever the step made runnable
-     (fork children, a resumed parent, a grafted subtree's leaves).
-     Because a subtree's leaves are contiguous in tree order, splicing
-     them at the stepped node's position keeps the queue in the same
-     order a full forest walk would produce. *)
-  let successors n =
-    match !born with
-    | [] ->
-        (* No fork, capture, graft or delivery happened, so the node's
-           attachment is unchanged from the pre-step check; skip the
-           parent-chain walk. *)
-        if is_leaf n then [ n ] else []
-    | b -> if is_leaf n && attached n then n :: b else b
-  in
-
-  (* One scheduling round over the compacted queue of live leaves.  Cost
-     is O(runnable), not O(forest): stale entries (pruned by a capture,
-     or no longer leaves) are dropped up front, and each processed
-     position is replaced by its successors. *)
-  let round () =
-    incr rounds;
-    (match obs with
-    | None -> ()
-    | Some _ ->
-        (* Queue length may include entries gone stale since the last
-           compaction; it is the work the round is about to look at. *)
-        Obs.Metrics.observe_series s_runq (List.length !queue));
-    new_trees := [];
-    (match sched with
-    | (Driven _ | Driven_pids _) as driven ->
-        (* Systematic exploration: one decision, one branch, one quantum.
-           The pick contract needs the exact live count, so compact the
-           queue up front. *)
-        let live = List.filter (fun n -> is_leaf n && attached n) !queue in
-        let arr = Array.of_list live in
-        let count = Array.length arr in
-        if count = 0 then queue := []
-        else begin
-          let raw =
-            match driven with
-            | Driven pick -> pick count
-            | Driven_pids pick -> pick (Array.map (fun n -> n.nid) arr)
-            | Round_robin | Randomized _ -> assert false
-          in
-          (* Out-of-range picks are reduced modulo the runnable count
-             (mirrors sched.ml) so a decision function written against
-             one schedule stays total when the run diverges. *)
-          let idx = ((raw mod count) + count) mod count in
-          let n = arr.(idx) in
-          born := [];
-          if !failure = None && !fuel_left > 0 && attached n then step_leaf n;
-          let before = Array.to_list (Array.sub arr 0 idx) in
-          let after = Array.to_list (Array.sub arr (idx + 1) (count - idx - 1)) in
-          queue := before @ successors n @ after
-        end
-    | Round_robin ->
-        (* Single fused pass: compact lazily while stepping, replacing
-           each stepped position by its successors in place.  One queue
-           traversal and no intermediate arrays per round. *)
-        let rec go acc = function
-          | [] -> queue := List.rev acc
-          | n :: rest ->
-              if is_leaf n && attached n then
-                if !failure = None && !fuel_left > 0 then begin
-                  born := [];
-                  step_leaf n;
-                  (* [successors] inlined to avoid building the singleton
-                     list on the common nothing-born path. *)
-                  match !born with
-                  | [] -> if is_leaf n then go (n :: acc) rest else go acc rest
-                  | b ->
-                      let acc =
-                        if is_leaf n && attached n then List.rev_append b (n :: acc)
-                        else List.rev_append b acc
-                      in
-                      go acc rest
-                end
-                else go (n :: acc) rest
-              else go acc rest
-        in
-        go [] !queue
-    | Randomized _ ->
-        (* The shuffle must range over exactly the live leaves (the same
-           permutation a fresh forest walk would be dealt), so compact
-           first.  Only the processing order is shuffled; each node's
-           successors still land in its tree-order bucket. *)
-        let live = List.filter (fun n -> is_leaf n && attached n) !queue in
-        let arr = Array.of_list live in
-        let count = Array.length arr in
-        let buckets = Array.make (max count 1) [] in
-        let order = Array.init count (fun i -> i) in
-        (match rng with None -> () | Some g -> Xorshift.shuffle g order);
-        Array.iter
-          (fun i ->
-            let n = arr.(i) in
-            born := [];
-            if is_leaf n && attached n then
-              if !failure = None && !fuel_left > 0 then begin
-                step_leaf n;
-                buckets.(i) <- successors n
-              end
-              else buckets.(i) <- [ n ]
-            else
-              (* Detached or resolved since the compaction at the top of
-                 the round (a sibling's step pruned or completed it):
-                 drop it, exactly as the Round_robin pass does. *)
-              buckets.(i) <- [])
-          order;
-        queue := List.concat (Array.to_list buckets));
-    if !new_trees <> [] then queue := !queue @ List.rev !new_trees
-  in
-
-  (* Quiescence = deadlock: the queue only ever loses a node without a
-     delivery when the node parks, so an empty queue with no final value
-     and no failure means every remaining branch is parked on a future
-     that no runnable branch can resolve. *)
-  let deadlock_msg () =
-    let live = List.filter (fun p -> p.pk_live) (List.rev !all_parked) in
-    match live with
-    | [] -> "no runnable branches"
-    | _ ->
-        (* Root-to-leaf path through the process tree for each blocked
-           branch, so the diagnostic names where in the computation it
-           hangs, not just what it waits on. *)
-        let path n =
-          let rec climb acc m =
-            match m.parent with
-            | Ptop | Pfut _ -> m.nid :: acc
-            | Pchild (p, _) -> climb (m.nid :: acc) p
-          in
-          climb [] n |> List.map string_of_int |> String.concat ">"
-        in
-        let tally = Hashtbl.create 7 in
-        List.iter
-          (fun p ->
-            let ps = try Hashtbl.find tally p.pk_res with Not_found -> [] in
-            Hashtbl.replace tally p.pk_res (path p.pk_node :: ps))
-          live;
-        let parts =
-          Hashtbl.fold (fun res ps acc -> (res, List.rev ps) :: acc) tally []
-          |> List.sort compare
-          |> List.map (fun (res, ps) ->
-                 Printf.sprintf "%d on %s (paths %s)" (List.length ps) res
-                   (String.concat ", " ps))
-        in
-        Printf.sprintf "%d branch(es) parked: %s" (List.length live)
-          (String.concat ", " parts)
-  in
-
-  (* Wake every live timer whose deadline has arrived.  Expiry happens
-     between rounds, so appending to the queue is safe (the driven
-     branch's queue snapshot has already been written back). *)
-  let expire_due () =
-    let rec split acc = function
-      | (d, p) :: rest when d <= !vclock -> split (p :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let due, rest = split [] !timers in
-    timers := rest;
-    let woken = ref [] in
-    List.iter
-      (fun p ->
-        if p.pk_live then begin
-          p.pk_live <- false;
-          decr n_parked;
-          Counters.incr counters "concur.wake";
-          (match obs with
-          | None -> ()
-          | Some o ->
-              Obs.Metrics.observe_series s_park (!rounds - p.pk_round);
-              Hashtbl.replace wake_ts p.pk_node.nid !vclock;
-              Obs.emit o (E.Wake { pid = p.pk_node.nid; resource = "timer" }));
-          p.pk_node.body <- Nleaf p.pk_st;
-          woken := p.pk_node :: !woken
-        end)
-      due;
-    if !woken <> [] then queue := !queue @ List.rev !woken
-  in
-  (* Quiescent with timers pending: jump the virtual clock to the
-     earliest deadline instead of declaring deadlock, so timeouts stay a
-     liveness backstop even when every branch is blocked. *)
-  let jump_clock_to d =
-    let delta = d - !vclock in
-    vclock := d;
-    match obs with
-    | Some o when delta > 0 -> Obs.advance o delta
-    | _ -> ()
-  in
   let rec drive () =
-    match (!final, !failure) with
+    match (Core.final c, !failure) with
     | _, Some msg -> Error msg
     | Some v, None ->
         (* Join-on-exit: finish the remaining independent trees so futures
@@ -825,42 +322,12 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
            queue, and spinning on it would never terminate — but a tree
            that is merely sleeping is not quiescent: the clock jumps and
            the drain continues. *)
-        if drain_futures && !live_futures > 0 && !fuel_left > 0 then begin
-          expire_due ();
-          if !queue <> [] then begin
-            round ();
-            drive ()
-          end
-          else begin
-            timers := List.filter (fun (_, p) -> p.pk_live) !timers;
-            match !timers with
-            | (d, _) :: _ ->
-                jump_clock_to d;
-                drive ()
-            | [] -> Value v
-          end
-        end
+        if drain_futures && !live_futures > 0 && !fuel_left > 0 && Core.advance c step
+        then drive ()
         else Value v
     | None, None ->
         if !fuel_left <= 0 then Out_of_fuel
-        else begin
-          expire_due ();
-          if !queue = [] then begin
-            timers := List.filter (fun (_, p) -> p.pk_live) !timers;
-            match !timers with
-            | (d, _) :: _ ->
-                jump_clock_to d;
-                drive ()
-            | [] ->
-                (match obs with
-                | None -> ()
-                | Some o -> Obs.emit o (E.Deadlock { parked = !n_parked }));
-                Deadlock (deadlock_msg ())
-          end
-          else begin
-            round ();
-            drive ()
-          end
-        end
+        else if Core.advance c step then drive ()
+        else Deadlock (Core.deadlock_msg c)
   in
   Fun.protect ~finally:(fun () -> cfg.Machine.metrics <- saved_metrics) drive

@@ -26,26 +26,13 @@
     sibling branches or trunk segments (suspension of a branch is not an
     exit, and the 1994 Subcontinuations semantics is sequential). *)
 
-type sched =
+type sched = Pcont_sched_core.Sched_core.policy =
   | Round_robin  (** deterministic: branches step in tree order *)
   | Randomized of int64  (** seeded shuffle of the branch order each round *)
-  | Driven of (int -> int)
-      (** systematic schedule exploration: each scheduling decision steps
-          exactly one runnable branch (for one quantum); [pick n] receives
-          the number of runnable branches and chooses which.  The returned
-          index is reduced modulo the runnable count ([((i mod n) + n) mod
-          n]), so any integer is a valid decision and a decision function
-          computed against one schedule stays total if the run diverges —
-          the same contract as [Pcont_sched.Sched.Driven].  Combine with
-          [~quantum:1] for the finest interleavings. *)
   | Driven_pids of (int array -> int)
-      (** like {!Driven}, but the decision function receives the runnable
-          branches' pids (node ids as they appear in the event stream) in
-          queue order and returns the index of the one to step, reduced
-          modulo the array length.  This is the record/replay hook: a
-          schedule extracted from a trace is a pid sequence, and matching
-          on pids rather than queue positions makes the replay robust to
-          how the queue happens to be ordered. *)
+      (** one branch per decision, chosen by pid (see
+          {!Pcont_sched_core.Sched_core.policy}); combine with
+          [~quantum:1] for the finest interleavings *)
 
 type outcome =
   | Value of Types.value

@@ -55,12 +55,11 @@ and pair = { mutable car : value; mutable cdr : value }
 
 and future_cell = {
   mutable fvalue : value option;
-  mutable fwaiters : (unit -> int option) list;
+  mutable fwaiters : (unit -> unit) list;
       (* wake thunks registered (newest first) by the concurrent
-         scheduler for branches parked on a pending touch; run once,
-         when the cell's value is delivered, returning the woken
-         branch's node id ([None] when the entry was invalidated by a
-         capture) so the scheduler can emit wake events in park order *)
+         scheduler for branches parked on a pending touch; run once, in
+         park order, when the cell's value is delivered (a thunk whose
+         branch a capture pruned does nothing) *)
 }
 
 (* The runtime environment is a chain of flat "rib" frames: one value

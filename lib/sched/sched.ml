@@ -1,7 +1,7 @@
 open Effect
 open Effect.Deep
+module Core = Pcont_sched_core.Sched_core
 module Univ = Pcont_util.Univ
-module Xorshift = Pcont_util.Xorshift
 module Obs = Pcont_obs.Obs
 module E = Pcont_obs.Obs.Event
 
@@ -16,16 +16,10 @@ exception Deadlock of string
 exception Injected_crash
 (* delivered at a fiber's suspension point by the [Fcrash] fault *)
 
-type policy =
-  | Tree_order
+type policy = Core.policy =
+  | Round_robin
   | Randomized of int64
-  | Driven of (int -> int)
-      (* systematic exploration: each decision steps exactly one fiber;
-         the index is reduced modulo the runnable count *)
   | Driven_pids of (int array -> int)
-      (* as Driven, but the decision function sees the runnable fibers'
-         node ids in queue order — the hook record/replay needs to pin a
-         recorded schedule by pid rather than by position *)
 
 (* Deterministic fault injection: [run ?inject] consults the hook with
    the global slice index before every slice.  Faults are scheduler
@@ -38,14 +32,40 @@ type fault =
   | Fdrop of int  (* silently drop one buffered element from the channel *)
 
 (* ------------------------------------------------------------------ *)
-(* Untyped scheduler core: every fiber computes a Univ.t.              *)
+(* Untyped scheduler: every fiber computes a Univ.t.                   *)
 (* ------------------------------------------------------------------ *)
 
 type step_result = Sdone of Univ.t | Ssuspended
 
-type fiber_step = unit -> step_result
-
 type fiber_k = (Univ.t, step_result) continuation
+
+(* A runnable fiber: a body not yet started, or a suspended fiber to
+   continue with a value or to raise an exception into. *)
+type leaf =
+  | Start of (unit -> Univ.t)
+  | Resume of fiber_k * Univ.t
+  | Raise of fiber_k * exn
+
+(* A wait node's suspended fiber and what it waits for: the return of a
+   spawned process (a labeled root), the completion of pcall branches
+   (combined by the join), or the value of a controller body evaluated
+   after a capture. *)
+type wx =
+  | Wroot of int * fiber_k
+  | Wfork of fiber_k * (Univ.t array -> Univ.t)
+  | Wbody of fiber_k
+
+(* The live process tree: fibers at the leaves. *)
+type node = (leaf, wx, Univ.t) Core.node
+
+type entry = (leaf, wx, Univ.t) Core.entry
+
+(* A waitset owns the fibers parked on one blocking resource (a future
+   cell, a channel's senders, a channel's receivers).  Entries are
+   invalidated — never removed eagerly — when a capture prunes the
+   parked node into a process continuation; the wake sweep skips dead
+   entries. *)
+type waitset = { ws_name : string; mutable ws_parked : entry list }
 
 type request =
   | Rspawn of int * (unit -> Univ.t)  (* root label, process body *)
@@ -58,7 +78,7 @@ type request =
   | Ryield
   | Rsleep of int
       (* park the fiber until the run's virtual clock reaches now+d; the
-         timer wheel wakes due sleepers in deadline order, and quiescence
+         timer heap wakes due sleepers in deadline order, and quiescence
          jumps the clock to the earliest pending deadline instead of
          declaring deadlock *)
   | Rabort of int * string * (unit -> Univ.t)
@@ -74,65 +94,15 @@ type request =
   | Rwake of waitset  (* make every fiber parked on the waitset runnable *)
 
 (* A captured subtree.  [PHole] marks the fiber that invoked the
-   controller; it receives the process continuation's argument on graft. *)
+   controller; it receives the process continuation's argument on graft.
+   [PWait] keeps a wait's state, children and results so far. *)
 and upk = { upk_label : int; upk_tree : ptree; mutable upk_taken : bool }
 
 and ptree =
-  | PLeaf of fiber_step
+  | PLeaf of leaf
   | PHole of fiber_k
   | PDone
-  | PWait of pwait
-
-and pwait = {
-  pw_kind : wkind;
-  pw_children : ptree array;
-  pw_results : Univ.t option array;
-  pw_resume : fiber_k;
-  pw_join : Univ.t array -> Univ.t;
-}
-
-(* What a suspended fiber waits for: the return of a spawned process
-   (a labeled root), the completion of pcall branches, or the value of a
-   controller body evaluated after a capture. *)
-and wkind = Wroot of int | Wfork | Wbody
-
-(* ------------------------------------------------------------------ *)
-(* The live process tree.                                              *)
-(* ------------------------------------------------------------------ *)
-
-and node = { nid : int; mutable parent : parent; mutable body : body }
-
-and parent = Ptop | Pfuture of Univ.t option ref * waitset | Pchild of node * int
-
-and body =
-  | Nleaf of fiber_step
-  | Nwait of nwait
-  | Nparked of wentry  (* blocked on a waitset; not runnable, not stepped *)
-  | Ndone
-
-and nwait = {
-  wk : wkind;
-  children : node array;
-  results : Univ.t option array;
-  mutable pending : int;
-  resume : fiber_k;
-  join : Univ.t array -> Univ.t;
-}
-
-(* A waitset owns the fibers parked on one blocking resource (a future
-   cell, a channel's senders, a channel's receivers).  Entries are
-   invalidated — never removed eagerly — when a capture prunes the
-   parked node into a process continuation; the wake sweep skips dead
-   entries. *)
-and waitset = { ws_name : string; mutable ws_parked : wentry list }
-
-and wentry = {
-  we_ws : waitset;
-  we_node : node;
-  we_k : fiber_k;
-  mutable we_live : bool;
-  we_round : int;  (* scheduling round at park, for the latency histogram *)
-}
+  | PWait of wx * ptree array * Univ.t option array
 
 type _ Effect.t += Sched : request -> Univ.t Effect.t
 
@@ -193,15 +163,17 @@ let register_dropper id f = droppers := (id, f) :: !droppers
    subtree — the quantities the paper's complexity claim is stated in. *)
 let rec ptree_control_points = function
   | PLeaf _ | PHole _ | PDone -> 0
-  | PWait w ->
-      (match w.pw_kind with Wroot _ -> 2 | Wfork | Wbody -> 1)
-      + Array.fold_left (fun n t -> n + ptree_control_points t) 0 w.pw_children
+  | PWait (x, children, _) ->
+      (match x with Wroot _ -> 2 | Wfork _ | Wbody _ -> 1)
+      + Array.fold_left (fun n t -> n + ptree_control_points t) 0 children
 
 let rec ptree_size = function
   | PLeaf _ | PHole _ | PDone -> 1
-  | PWait w -> 1 + Array.fold_left (fun n t -> n + ptree_size t) 0 w.pw_children
+  | PWait (_, children, _) -> 1 + Array.fold_left (fun n t -> n + ptree_size t) 0 children
 
-let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) : a
+let start body = Start body
+
+let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a) : a
     =
   let obs = obs_arg in
   (* Install the observability context; restored on every exit path so
@@ -229,281 +201,101 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
   in
   let inj_a, prj_a = Univ.embed () in
   let pending_request : (request * fiber_k) option ref = ref None in
-  (* An injected crash for the fiber about to step: consumed by the
-     step wrappers below, so the exception materializes at the fiber's
+  (* An injected crash for the fiber about to step: consumed by
+     [run_leaf] below, so the exception materializes at the fiber's
      suspension point (catchable by its own try/with); a fiber that has
      never run yet crashes before its body — spawn-failure semantics. *)
   let pending_crash : exn option ref = ref None in
-  let make_step (body : unit -> Univ.t) : fiber_step =
-   fun () ->
-    match_with
-      (fun () ->
-        (match !pending_crash with
+  let handler : (Univ.t, step_result) handler =
+    {
+      retc = (fun v -> Sdone v);
+      exnc = raise;
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Sched req ->
+              Some
+                (fun (k : (b, step_result) continuation) ->
+                  pending_request := Some (req, k);
+                  Ssuspended)
+          | _ -> None);
+    }
+  in
+  let run_leaf = function
+    | Start body ->
+        match_with
+          (fun () ->
+            (match !pending_crash with
+            | Some e ->
+                pending_crash := None;
+                raise e
+            | None -> ());
+            body ())
+          () handler
+    | Resume (k, v) -> (
+        match !pending_crash with
+        | None -> continue k v
         | Some e ->
             pending_crash := None;
-            raise e
-        | None -> ());
-        body ())
-      ()
-      {
-        retc = (fun v -> Sdone v);
-        exnc = raise;
-        effc =
-          (fun (type b) (eff : b Effect.t) ->
-            match eff with
-            | Sched req ->
-                Some
-                  (fun (k : (b, step_result) continuation) ->
-                    pending_request := Some (req, k);
-                    Ssuspended)
-            | _ -> None);
-      }
+            discontinue k e)
+    | Raise (k, exn) -> discontinue k exn
   in
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    !next_id
+  let resume x vs =
+    match x with
+    | Wroot (_, k) | Wbody k -> Resume (k, vs.(0))
+    | Wfork (k, join) -> Resume (k, join vs)
   in
-  let root =
-    { nid = 0; parent = Ptop; body = Nleaf (make_step (fun () -> inj_a (main ()))) }
+  (* The native scheduler does not meter fiber work: a slice runs the
+     fiber to its next request and is charged one unit of virtual
+     time. *)
+  let c =
+    Core.create ?obs ~prefix:"sched" ~nouns:("fibers", "fiber(s)") ~clock:cur_clock
+      ~span:cur_span ~resume policy
+      (Start (fun () -> inj_a (main ())))
   in
-  (match obs with
-  | None -> ()
-  | Some o -> Obs.emit o (E.Spawn { pid = 0; parent = -1; kind = "root" }));
-  (* The run queue: runnable leaves of the whole forest (the main tree
-     plus one independent tree per future), in tree order.  Maintained
-     incrementally: nodes are enqueued when they become leaves and
-     lazily validated against [attached] at the start of each round, so
-     a round is O(runnable fibers) rather than a walk of the forest. *)
-  let queue = ref [ root ] in
-  (* Newly runnable leaves produced by the step in progress, in tree
-     order; spliced into the queue at the stepped node's position. *)
-  let born = ref [] in
-  (* Future trees planted this round; appended after all existing trees. *)
-  let new_trees = ref [] in
-  let final = ref None in
   let failure = ref None in
-  (* Every entry ever parked this run (live or invalidated), for the
-     deadlock diagnosis; [n_parked] counts the live ones. *)
-  let all_parked = ref [] in
-  let n_parked = ref 0 in
-  let rounds = ref 0 in
   (* Global slice index, the unit fault placements are expressed in. *)
   let nslices = ref 0 in
-  (* The timer wheel: sleeping fibers ordered by (deadline, park order).
-     Entries are ordinary waitset entries (on a dedicated "timer" set
-     that is never woken collectively), so capture invalidation works on
-     sleepers unchanged: a pruned sleeper is re-captured as a runnable
-     leaf and its remaining delay is forgotten on graft.
-
-     Stored as a binary min-heap keyed (deadline, insertion seq) — the
-     seq tiebreak reproduces the sorted-list FIFO order among equal
-     deadlines, so wake order and hence traces are unchanged, while
-     insert/pop drop from O(n) to O(log n).  The load scenarios park
-     ~10^5 concurrent sleepers; a sorted-list insert is quadratic
-     there. *)
-  let timer_ws = { ws_name = "timer"; ws_parked = [] } in
-  let theap : (int * int * wentry) option array ref = ref (Array.make 64 None) in
-  let theap_n = ref 0 in
-  let theap_seq = ref 0 in
-  (* Per-node span context and wake stamps (for causal spans and the
-     wake-to-run latency metric).  Entries appear only for fibers with
-     an open span / a pending wake, so the no-handle, no-span path does
-     not touch these tables. *)
-  let node_span : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let wake_ts : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let inherit_span nid =
-    if !cur_span >= 0 then Hashtbl.replace node_span nid !cur_span
-  in
-  let th_less a i j =
-    match (a.(i), a.(j)) with
-    | Some (di, si, _), Some (dj, sj, _) -> di < dj || (di = dj && si < sj)
-    | _ -> assert false
-  in
-  let th_swap a i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let insert_timer deadline e =
-    let n = !theap_n in
-    if n = Array.length !theap then begin
-      let b = Array.make (2 * n) None in
-      Array.blit !theap 0 b 0 n;
-      theap := b
-    end;
-    let a = !theap in
-    a.(n) <- Some (deadline, !theap_seq, e);
-    incr theap_seq;
-    theap_n := n + 1;
-    let i = ref n in
-    while !i > 0 && th_less a !i ((!i - 1) / 2) do
-      th_swap a !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  in
-  let th_peek () =
-    match !theap.(0) with Some (d, _, e) -> (d, e) | None -> assert false
-  in
-  let th_pop () =
-    let a = !theap in
-    let r = match a.(0) with Some (_, _, e) -> e | None -> assert false in
-    let n = !theap_n - 1 in
-    theap_n := n;
-    a.(0) <- a.(n);
-    a.(n) <- None;
-    let i = ref 0 in
-    let break = ref false in
-    while not !break do
-      let l = (2 * !i) + 1 and r_ = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < n && th_less a l !m then m := l;
-      if r_ < n && th_less a r_ !m then m := r_;
-      if !m <> !i then begin
-        th_swap a !i !m;
-        i := !m
-      end
-      else break := true
-    done;
-    r
-  in
-  let rng =
-    match policy with
-    | Tree_order | Driven _ | Driven_pids _ -> None
-    | Randomized seed -> Some (Xorshift.create seed)
-  in
-
-  let rec attached_walk n =
-    match n.parent with
-    | Ptop -> n == root
-    | Pfuture _ -> ( match n.body with Ndone -> false | _ -> true)
-    | Pchild (p, i) -> (
-        match p.body with
-        | Nwait w ->
-            i < Array.length w.children && w.children.(i) == n && attached_walk p
-        | _ -> false)
-  in
-  (* Only captures ever detach a node from the live forest (grafts reuse
-     captured, already-detached trees), so until one has happened every
-     non-[Ndone] node is attached and the parent-chain walk can be
-     skipped.  (A finished root reports detached here where the walk
-     would not, but callers always guard with [is_leaf], which is false
-     for [Ndone].) *)
-  let prunes = ref 0 in
-  let attached n =
-    if !prunes = 0 then match n.body with Ndone -> false | _ -> true
-    else attached_walk n
-  in
-
-  let rec collect_leaves acc n =
-    match n.body with
-    | Nleaf _ -> n :: acc
-    | Nparked _ | Ndone -> acc
-    | Nwait w -> Array.fold_left collect_leaves acc w.children
-  in
-
-  let resume_step k v : fiber_step =
-   fun () ->
-    match !pending_crash with
-    | None -> continue k v
-    | Some e ->
-        pending_crash := None;
-        discontinue k e
-  in
-  let raise_step k exn : fiber_step = fun () -> discontinue k exn in
 
   (* Re-enqueue every live fiber parked on [ws], in park (FIFO) order:
-     oldest waiter first both in the queue and in the emitted wake
-     events, so the trace shows the order the fibers will actually run
-     in.  [ws_parked] is newest-first, so walk it reversed and prepend
-     the woken nodes to an accumulator, which reverses them back to
-     park order before they are spliced into [born]. *)
+     [ws_parked] is newest-first. *)
   let wake_ws ws =
     match ws.ws_parked with
     | [] -> ()
     | entries ->
         ws.ws_parked <- [];
-        let woken = ref [] in
-        List.iter
-          (fun e ->
-            if e.we_live then begin
-              e.we_live <- false;
-              decr n_parked;
-              e.we_node.body <- Nleaf (resume_step e.we_k u_unit);
-              woken := e.we_node :: !woken;
-              match obs with
-              | None -> ()
-              | Some o ->
-                  Obs.observe o "sched.park.rounds" (!rounds - e.we_round);
-                  Hashtbl.replace wake_ts e.we_node.nid !cur_clock;
-                  Obs.emit o
-                    (E.Wake { pid = e.we_node.nid; resource = e.we_ws.ws_name })
-            end)
-          (List.rev entries);
-        born := List.rev_append !woken !born
+        List.iter (Core.wake c) (List.rev entries);
+        Core.flush_woken c
   in
 
-  let deliver n v =
-    n.body <- Ndone;
-    (match obs with
-    | None -> ()
-    | Some o -> Obs.emit o (E.Exit { pid = n.nid }));
-    match n.parent with
-    | Ptop -> final := Some v
-    | Pfuture (cell, ws) ->
-        cell := Some v;
-        wake_ws ws
-    | Pchild (p, slot) -> (
-        match p.body with
-        | Nwait w ->
-            w.results.(slot) <- Some v;
-            w.pending <- w.pending - 1;
-            if w.pending = 0 then begin
-              let vs = Array.map Option.get w.results in
-              p.body <- Nleaf (resume_step w.resume (w.join vs));
-              born := [ p ]
-            end
-        | _ -> assert false)
-  in
-
-  (* Suspend [n]'s fiber as a wait node over freshly spawned children. *)
-  let make_wait n k wk bodies join =
-    let count = List.length bodies in
-    let w =
-      {
-        wk;
-        children = Array.make count n;
-        results = Array.make count None;
-        pending = count;
-        resume = k;
-        join;
-      }
+  (* The nearest root labeled [label] above [n] with its wait and
+     waiting fiber, or else a dead controller: raised inside the invoking
+     fiber so user code can observe Dead_controller, mirroring the
+     direct-style embedding. *)
+  let find_root (n : node) k label =
+    let rec climb (cur : node) =
+      match cur.parent with
+      | Ptop | Pfut _ -> None
+      | Pchild (p, _) -> (
+          match p.body with
+          | Nwait ({ wx = Wroot (l, root_k); _ } as w) when l = label -> Some (p, w, root_k)
+          | _ -> climb p)
     in
-    n.body <- Nwait w;
-    let kind =
-      match wk with Wroot _ -> "process" | Wfork -> "branch" | Wbody -> "controller"
-    in
-    List.iteri
-      (fun i body ->
-        let child =
-          { nid = fresh_id (); parent = Pchild (n, i); body = Nleaf (make_step body) }
-        in
-        inherit_span child.nid;
-        w.children.(i) <- child;
-        match obs with
+    match climb n with
+    | Some _ as r -> r
+    | None ->
+        (match obs with
         | None -> ()
-        | Some o ->
-            Obs.emit o (E.Spawn { pid = child.nid; parent = n.nid; kind }))
-      bodies;
-    if count = 0 then n.body <- Nleaf (resume_step k (join [||]))
-    else born := Array.to_list w.children
+        | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label }));
+        n.body <- Nleaf (Raise (k, Dead_controller));
+        None
   in
 
   (* Prune the subtree delimited by the nearest root labeled [label] above
      the invoking fiber and hand it, as a process continuation, to the
      controller's body, which runs in the root's former position. *)
   let do_capture n k label body_fn =
-    let rec ptree_of m =
+    let rec ptree_of (m : node) =
       if m == n then PHole k
       else
         match m.body with
@@ -514,38 +306,15 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
                capture it as a runnable leaf, so that on graft it resumes
                and re-checks its blocking condition — parking is always a
                re-check loop, so a spurious wake-up is harmless. *)
-            e.we_live <- false;
-            decr n_parked;
-            PLeaf (resume_step e.we_k u_unit)
+            Core.release c e;
+            PLeaf e.e_leaf
         | Ndone -> PDone
-        | Nwait w ->
-            PWait
-              {
-                pw_kind = w.wk;
-                pw_children = Array.map ptree_of w.children;
-                pw_results = Array.copy w.results;
-                pw_resume = w.resume;
-                pw_join = w.join;
-              }
+        | Nwait w -> PWait (w.wx, Array.map ptree_of w.children, Array.copy w.results)
     in
-    let rec climb cur =
-      match cur.parent with
-      | Ptop | Pfuture _ -> None
-      | Pchild (p, _) -> (
-          match p.body with
-          | Nwait w when w.wk = Wroot label -> Some (p, w)
-          | _ -> climb p)
-    in
-    match climb n with
-    | None ->
-        (* Raise inside the invoking fiber so user code can observe
-           Dead_controller, mirroring the direct-style embedding. *)
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label }));
-        n.body <- Nleaf (raise_step k Dead_controller)
-    | Some (p, w) ->
-        incr prunes;
+    match find_root n k label with
+    | None -> ()
+    | Some (p, w, root_k) ->
+        Core.prune c;
         let tree = ptree_of w.children.(0) in
         (match obs with
         | None -> ()
@@ -558,28 +327,7 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
               (E.Capture
                  { pid = n.nid; label; root_pid = p.nid; control_points = cp; size }));
         let upk = { upk_label = label; upk_tree = tree; upk_taken = false } in
-        let body = make_step (fun () -> body_fn upk) in
-        let w' =
-          {
-            wk = Wbody;
-            children = [||];
-            results = [| None |];
-            pending = 1;
-            resume = w.resume;
-            join = (fun vs -> vs.(0));
-          }
-        in
-        let child =
-          { nid = fresh_id (); parent = Pchild (p, 0); body = Nleaf body }
-        in
-        inherit_span child.nid;
-        p.body <- Nwait { w' with children = [| child |] };
-        (match obs with
-        | None -> ()
-        | Some o ->
-            Obs.emit o
-              (E.Spawn { pid = child.nid; parent = p.nid; kind = "controller" }));
-        born := [ child ]
+        Core.fork c p (Wbody root_k) "controller" start [ (fun () -> body_fn upk) ]
   in
 
   (* Cancellation as declined reinstatement: capture the subtree under
@@ -590,36 +338,22 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
      replacement body runs in the root's former position and its value
      becomes the root's. *)
   let do_abort n k label reason replacement =
-    let rec climb cur =
-      match cur.parent with
-      | Ptop | Pfuture _ -> None
-      | Pchild (p, _) -> (
-          match p.body with
-          | Nwait w when w.wk = Wroot label -> Some (p, w)
-          | _ -> climb p)
-    in
-    match climb n with
-    | None ->
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label }));
-        n.body <- Nleaf (raise_step k Dead_controller)
-    | Some (p, w) ->
-        ignore k;
-        incr prunes;
+    match find_root n k label with
+    | None -> ()
+    | Some (p, w, root_k) ->
+        Core.prune c;
         (* Pre-order sweep of the discarded subtree: collect live pids
            (the Cancel event's payload — exactly what an invariant
            checker must mark dead) and release parked entries.  The
            invoking fiber's body is its already-consumed leaf step, so
            the Nleaf case covers it. *)
         let cancelled = ref [] in
-        let rec sweep m =
+        let rec sweep (m : node) =
           match m.body with
           | Ndone -> ()
           | Nleaf _ -> cancelled := m.nid :: !cancelled
           | Nparked e ->
-              e.we_live <- false;
-              decr n_parked;
+              Core.release c e;
               cancelled := m.nid :: !cancelled
           | Nwait wc ->
               cancelled := m.nid :: !cancelled;
@@ -632,34 +366,14 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
         | Some o ->
             Obs.observe o "sched.cancel.pids" (Array.length pids);
             Obs.emit o (E.Cancel { pid = n.nid; scope = p.nid; reason; pids }));
-        let body = make_step replacement in
-        let w' =
-          {
-            wk = Wbody;
-            children = [||];
-            results = [| None |];
-            pending = 1;
-            resume = w.resume;
-            join = (fun vs -> vs.(0));
-          }
-        in
-        let child =
-          { nid = fresh_id (); parent = Pchild (p, 0); body = Nleaf body }
-        in
-        inherit_span child.nid;
-        p.body <- Nwait { w' with children = [| child |] };
-        (match obs with
-        | None -> ()
-        | Some o ->
-            Obs.emit o (E.Spawn { pid = child.nid; parent = p.nid; kind = "cancel" }));
-        born := [ child ]
+        Core.fork c p (Wbody root_k) "cancel" start [ replacement ]
   in
 
   (* Graft a captured subtree onto the invoking fiber: the fiber waits (as
      a reinstated root) for the subtree's result; the capture point inside
      receives [v]; every captured branch becomes runnable. *)
-  let do_graft n k upk v =
-    if upk.upk_taken then n.body <- Nleaf (raise_step k Expired_pk)
+  let do_graft (n : node) k upk v =
+    if upk.upk_taken then n.body <- Nleaf (Raise (k, Expired_pk))
     else begin
       upk.upk_taken <- true;
       (match obs with
@@ -668,73 +382,19 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
           Obs.emit o
             (E.Reinstate
                { pid = n.nid; label = upk.upk_label; size = ptree_size upk.upk_tree }));
-      let rec rebuild parent pt =
-        let m = { nid = fresh_id (); parent; body = Ndone } in
-        (* rebuilt fibers adopt the reinstating fiber's span: the graft
-           is what made them runnable again, so their work is causally
-           part of the reinstating request *)
-        inherit_span m.nid;
-        (match pt with
-        | PHole hole_k -> m.body <- Nleaf (resume_step hole_k v)
-        | PLeaf s -> m.body <- Nleaf s
-        | PDone -> m.body <- Ndone
-        | PWait pw ->
-            let count = Array.length pw.pw_children in
-            let w =
-              {
-                wk = pw.pw_kind;
-                children = Array.make count m;
-                results = Array.copy pw.pw_results;
-                pending =
-                  Array.fold_left (fun c r -> if r = None then c + 1 else c) 0 pw.pw_results;
-                resume = pw.pw_resume;
-                join = pw.pw_join;
-              }
-            in
-            m.body <- Nwait w;
-            Array.iteri
-              (fun i child -> w.children.(i) <- rebuild (Pchild (m, i)) child)
-              pw.pw_children);
-        m
-      in
-      let w =
-        {
-          wk = Wroot upk.upk_label;
-          children = [||];
-          results = [| None |];
-          pending = 1;
-          resume = k;
-          join = (fun vs -> vs.(0));
-        }
-      in
-      let child_holder = { w with children = [| root (* placeholder *) |] } in
-      n.body <- Nwait child_holder;
-      child_holder.children.(0) <- rebuild (Pchild (n, 0)) upk.upk_tree;
-      born := List.rev (collect_leaves [] n);
-      match obs with
-      | None -> ()
-      | Some o ->
-          (* Announce every rebuilt node (waits included) in one batch
-             event, parents before children, so trace consumers never see
-             a pid whose spawn was skipped — one event instead of one per
-             rebuilt node. *)
-          let acc = ref [] in
-          let rec collect parent m =
-            acc := (m.nid, parent) :: !acc;
-            match m.body with
-            | Nwait w -> Array.iter (collect m.nid) w.children
-            | Nleaf _ | Nparked _ | Ndone -> ()
-          in
-          collect n.nid child_holder.children.(0);
-          let nodes = Array.of_list (List.rev !acc) in
-          Obs.emit o (E.Spawn_batch { pid = n.nid; kind = "graft"; nodes })
+      Core.graft c n (Wroot (upk.upk_label, k)) [| upk.upk_tree |] [| None |]
+        (function
+          | PHole hole_k -> Core.Sleaf (Resume (hole_k, v))
+          | PLeaf s -> Sleaf s
+          | PDone -> Sdone
+          | PWait (x, children, results) -> Swait (x, children, results))
     end
   in
 
   (* Apply one injected fault just before the slice it targets.  The
      marker event precedes the slice's begin event, so a schedule
      re-extracted from the trace re-injects at the same slice index. *)
-  let apply_fault n fault =
+  let apply_fault (n : node) fault =
     match fault with
     | Fcrash ->
         (match obs with
@@ -745,26 +405,9 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
         (match obs with
         | None -> ()
         | Some o -> Obs.emit o (E.Crash { pid = -1; fault = "inject:wake:" ^ res }));
-        (* spurious wake: every live fiber parked on the named resource
-           becomes runnable, in park order.  Parking is a re-check loop,
-           so correct waiters re-park; anything that stays woken revealed
-           a missing re-check. *)
-        let woken = ref [] in
-        List.iter
-          (fun e ->
-            if e.we_live && e.we_ws.ws_name = res then begin
-              e.we_live <- false;
-              decr n_parked;
-              e.we_node.body <- Nleaf (resume_step e.we_k u_unit);
-              woken := e.we_node :: !woken;
-              match obs with
-              | None -> ()
-              | Some o ->
-                  Hashtbl.replace wake_ts e.we_node.nid !cur_clock;
-                  Obs.emit o (E.Wake { pid = e.we_node.nid; resource = res })
-            end)
-          (List.rev !all_parked);
-        born := List.rev_append !woken !born
+        (* Parking is a re-check loop, so correct waiters re-park;
+           anything that stays woken revealed a missing re-check. *)
+        Core.wake_resource c res
     | Fdrop chan -> (
         (match obs with
         | None -> ()
@@ -778,338 +421,61 @@ let run ?(policy = Tree_order) ?obs:obs_arg ?inject (type a) (main : unit -> a) 
             | None -> ()
             | Some ws -> wake_ws ws))
   in
-  let step_leaf n step =
+  let step (n : node) leaf =
     pending_request := None;
     cur_pid := n.nid;
-    cur_span :=
-      (match Hashtbl.find_opt node_span n.nid with Some s -> s | None -> -1);
     (match inject with
     | None -> ()
     | Some f -> (
         match f !nslices with None -> () | Some fault -> apply_fault n fault));
     incr nslices;
-    (match obs with
-    | None -> ()
-    | Some o ->
-        Obs.emit o (E.Slice_begin { pid = n.nid });
-        (* latency from the wake that made this fiber runnable to the
-           slice that actually runs it — the runqueue delay *)
-        match Hashtbl.find_opt wake_ts n.nid with
-        | Some w ->
-            Hashtbl.remove wake_ts n.nid;
-            Obs.observe o "sched.wake.run" (!cur_clock - w)
-        | None -> ());
-    let finish_slice () =
-      (* The native scheduler does not meter fiber work: a slice runs
-         the fiber to its next request and is charged one unit of
-         virtual time (advanced with or without a trace handle, so the
-         timer wheel never depends on tracing). *)
-      incr cur_clock;
-      (* an unconsumed crash (the target delivered or raised before its
-         suspension point was resumed) must not leak to the next slice *)
-      pending_crash := None;
-      match obs with
-      | None -> ()
-      | Some o ->
-          Obs.advance o 1;
-          Obs.observe o "sched.slice.fuel" 1;
-          Obs.emit o (E.Slice_end { pid = n.nid; fuel = 1 })
-    in
-    (match step () with
-    | Sdone v -> deliver n v
+    Core.slice_begin c n;
+    (match run_leaf leaf with
+    | Sdone v -> Core.deliver c n v
     | Ssuspended -> (
         match !pending_request with
         | None -> assert false
         | Some (req, k) -> (
             match req with
-            | Ryield -> n.body <- Nleaf (resume_step k u_unit)
+            | Ryield -> n.body <- Nleaf (Resume (k, u_unit))
             | Rsleep d ->
-                (* Park on the timer wheel.  The entry joins [all_parked]
-                   and the deadline list but NOT [timer_ws.ws_parked]:
-                   timers are never woken collectively, only by expiry
-                   (or discarded by capture/cancel, which flips
-                   [we_live] like any other park). *)
-                let e =
-                  { we_ws = timer_ws; we_node = n; we_k = k; we_live = true;
-                    we_round = !rounds }
-                in
-                all_parked := e :: !all_parked;
-                incr n_parked;
-                n.body <- Nparked e;
-                insert_timer (!cur_clock + max d 0) e;
-                (match obs with
-                | None -> ()
-                | Some o -> Obs.emit o (E.Park { pid = n.nid; resource = "timer" }))
+                (* Timers are never woken collectively, only by expiry
+                   (or discarded by capture/cancel, like any park). *)
+                Core.sleep c n (Resume (k, u_unit)) d
             | Rabort (label, reason, replacement) ->
                 do_abort n k label reason replacement
-            | Rspawn (label, body) ->
-                make_wait n k (Wroot label) [ body ] (fun vs -> vs.(0))
-            | Rpcall (thunks, join) -> make_wait n k Wfork thunks join
+            | Rspawn (label, body) -> Core.fork c n (Wroot (label, k)) "process" start [ body ]
+            | Rpcall ([], join) -> n.body <- Nleaf (Resume (k, join [||]))
+            | Rpcall (thunks, join) -> Core.fork c n (Wfork (k, join)) "branch" start thunks
             | Rblock ws ->
-                let e =
-                  { we_ws = ws; we_node = n; we_k = k; we_live = true;
-                    we_round = !rounds }
-                in
-                ws.ws_parked <- e :: ws.ws_parked;
-                all_parked := e :: !all_parked;
-                incr n_parked;
-                n.body <- Nparked e;
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    Obs.emit o (E.Park { pid = n.nid; resource = ws.ws_name }))
+                let e = Core.park c n ~res:ws.ws_name (Resume (k, u_unit)) in
+                ws.ws_parked <- e :: ws.ws_parked
             | Rwake ws ->
                 wake_ws ws;
-                n.body <- Nleaf (resume_step k u_unit)
+                n.body <- Nleaf (Resume (k, u_unit))
             | Rfuture (body, cell, ws) ->
-                let fnode =
-                  {
-                    nid = fresh_id ();
-                    parent = Pfuture (cell, ws);
-                    body = Nleaf (make_step body);
-                  }
-                in
-                (* Prepended here, reversed at round end: future trees
-                   keep their creation order at the back of the forest
-                   without an O(n) append per registration. *)
-                new_trees := fnode :: !new_trees;
-                inherit_span fnode.nid;
-                n.body <- Nleaf (resume_step k u_unit);
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    Obs.emit o
-                      (E.Spawn { pid = fnode.nid; parent = n.nid; kind = "future" }))
+                Core.plant c n (Start body) (fun v ->
+                    cell := Some v;
+                    wake_ws ws);
+                n.body <- Nleaf (Resume (k, u_unit))
             | Rcontrol (label, body_fn) -> do_capture n k label body_fn
             | Rgraft (upk, v) -> do_graft n k upk v))
     | exception e -> failure := Some e);
-    (* store back whatever span context the slice left open *)
-    if !cur_span >= 0 then Hashtbl.replace node_span n.nid !cur_span
-    else Hashtbl.remove node_span n.nid;
-    finish_slice ()
+    Core.slice_end c n 1;
+    (* an unconsumed crash (the target delivered or raised before its
+       suspension point was resumed) must not leak to the next slice *)
+    pending_crash := None;
+    if Option.is_some (Core.final c) || Option.is_some !failure then Core.halt c
   in
 
-  let is_leaf n = match n.body with Nleaf _ -> true | _ -> false in
-
-  (* The nodes that take the stepped node's place in the queue: itself if
-     it is still a runnable leaf, then whatever the step made runnable
-     (pcall children, a resumed parent, a grafted subtree's leaves).
-     A subtree's leaves are contiguous in tree order, so splicing them at
-     the stepped node's position keeps the queue in exactly the order a
-     full forest walk would produce next round. *)
-  let successors n =
-    match !born with
-    | [] ->
-        (* No spawn, capture, graft or delivery happened, so the node's
-           attachment is unchanged from the pre-step check; skip the
-           parent-chain walk. *)
-        if is_leaf n then [ n ] else []
-    | b -> if is_leaf n && attached n then n :: b else b
-  in
-
-  (* One scheduling round over the compacted queue of live leaves; stale
-     entries (pruned into a process continuation, or no longer leaves)
-     are dropped by the filter, so the round is O(runnable). *)
-  let round () =
-    incr rounds;
-    (match obs with
-    | None -> ()
-    | Some o -> Obs.observe o "sched.runq.depth" (List.length !queue));
-    new_trees := [];
-    (match policy with
-    | (Driven _ | Driven_pids _) as driven ->
-        (* The pick contract needs the exact live count, so compact the
-           queue up front. *)
-        let live = List.filter (fun n -> is_leaf n && attached n) !queue in
-        let arr = Array.of_list live in
-        let count = Array.length arr in
-        if count = 0 then queue := []
-        else begin
-          let raw =
-            match driven with
-            | Driven pick -> pick count
-            | Driven_pids pick -> pick (Array.map (fun n -> n.nid) arr)
-            | Tree_order | Randomized _ -> assert false
-          in
-          (* Out-of-range picks are reduced modulo the runnable count
-             (mirrors concur.ml) so a decision function written against
-             one schedule stays total when the run diverges. *)
-          let idx = ((raw mod count) + count) mod count in
-          let n = arr.(idx) in
-          born := [];
-          (if !final = None && !failure = None && attached n then
-             match n.body with
-             | Nleaf s -> step_leaf n s
-             | Nwait _ | Nparked _ | Ndone -> ());
-          let before = Array.to_list (Array.sub arr 0 idx) in
-          let after = Array.to_list (Array.sub arr (idx + 1) (count - idx - 1)) in
-          queue := before @ successors n @ after
-        end
-    | Tree_order ->
-        (* Single fused pass: compact lazily while stepping, replacing
-           each stepped position by its successors in place.  One queue
-           traversal and no intermediate arrays per round. *)
-        let rec go acc = function
-          | [] -> queue := List.rev acc
-          | n :: rest -> (
-              match n.body with
-              | Nleaf s when attached n ->
-                  if !final = None && !failure = None then begin
-                    born := [];
-                    step_leaf n s;
-                    (* [successors] inlined to avoid building the singleton
-                       list on the common nothing-born path. *)
-                    match !born with
-                    | [] -> if is_leaf n then go (n :: acc) rest else go acc rest
-                    | b ->
-                        let acc =
-                          if is_leaf n && attached n then List.rev_append b (n :: acc)
-                          else List.rev_append b acc
-                        in
-                        go acc rest
-                  end
-                  else go (n :: acc) rest
-              | _ -> go acc rest)
-        in
-        go [] !queue
-    | Randomized _ ->
-        (* The shuffle must range over exactly the live leaves (the same
-           permutation a fresh forest walk would be dealt), so compact
-           first.  Only the processing order is shuffled; each node's
-           successors still land in its tree-order bucket. *)
-        let live = List.filter (fun n -> is_leaf n && attached n) !queue in
-        let arr = Array.of_list live in
-        let count = Array.length arr in
-        let buckets = Array.make (max count 1) [] in
-        let order = Array.init count (fun i -> i) in
-        (match rng with None -> () | Some g -> Xorshift.shuffle g order);
-        Array.iter
-          (fun i ->
-            let n = arr.(i) in
-            born := [];
-            match n.body with
-            | Nleaf s when attached n ->
-                if !final = None && !failure = None then begin
-                  step_leaf n s;
-                  buckets.(i) <- successors n
-                end
-                else buckets.(i) <- [ n ]
-            | _ ->
-                (* Detached or resolved since the compaction at the top of
-                   the round (a sibling's step pruned or completed it):
-                   drop it, exactly as the Tree_order pass does. *)
-                buckets.(i) <- [])
-          order;
-        queue := List.concat (Array.to_list buckets));
-    if !new_trees <> [] then queue := !queue @ List.rev !new_trees
-  in
-
-  (* Quiescence = deadlock: the queue only ever loses a node without a
-     delivery when the node parks, so an empty queue with no final value
-     and no failure means every remaining fiber is parked on a resource
-     nobody left can signal. *)
-  let deadlock_msg () =
-    let live = List.filter (fun e -> e.we_live) (List.rev !all_parked) in
-    match live with
-    | [] -> "deadlock: no runnable fibers"
-    | _ ->
-        (* Root-to-fiber path through the process tree, so the diagnostic
-           names not just the resource but where in the computation each
-           blocked fiber hangs. *)
-        let path n =
-          let rec climb acc m =
-            match m.parent with
-            | Ptop -> m.nid :: acc
-            | Pfuture _ -> m.nid :: acc
-            | Pchild (p, _) -> climb (m.nid :: acc) p
-          in
-          climb [] n
-          |> List.map string_of_int
-          |> String.concat ">"
-        in
-        let tally = Hashtbl.create 7 in
-        List.iter
-          (fun e ->
-            let name = e.we_ws.ws_name in
-            let ps = try Hashtbl.find tally name with Not_found -> [] in
-            Hashtbl.replace tally name (path e.we_node :: ps))
-          live;
-        let parts =
-          Hashtbl.fold (fun name ps acc -> (name, List.rev ps) :: acc) tally []
-          |> List.sort compare
-          |> List.map (fun (name, ps) ->
-                 Printf.sprintf "%d on %s (paths %s)" (List.length ps) name
-                   (String.concat ", " ps))
-        in
-        Printf.sprintf "deadlock: %d fiber(s) parked: %s" (List.length live)
-          (String.concat ", " parts)
-  in
-
-  (* Wake every live timer whose deadline has been reached.  Expiry
-     happens between rounds (never inside [step_leaf]), so appending to
-     the queue is safe: the driven branch's queue snapshot has already
-     been written back. *)
-  let expire_due () =
-    let woken = ref [] in
-    while !theap_n > 0 && fst (th_peek ()) <= !cur_clock do
-      let e = th_pop () in
-      if e.we_live then begin
-        e.we_live <- false;
-        decr n_parked;
-        e.we_node.body <- Nleaf (resume_step e.we_k u_unit);
-        woken := e.we_node :: !woken;
-        match obs with
-        | None -> ()
-        | Some o ->
-            Obs.observe o "sched.park.rounds" (!rounds - e.we_round);
-            Hashtbl.replace wake_ts e.we_node.nid !cur_clock;
-            Obs.emit o (E.Wake { pid = e.we_node.nid; resource = "timer" })
-      end
-    done;
-    if !woken <> [] then queue := !queue @ List.rev !woken
-  in
   let rec drive () =
-    match (!final, !failure) with
+    match (Core.final c, !failure) with
     | Some v, _ -> (
         match prj_a v with Some a -> a | None -> assert false)
     | None, Some e -> raise e
     | None, None ->
-        expire_due ();
-        if !queue = [] then begin
-          (* Discard dead (captured/cancelled) sleepers at the top of
-             the heap so the peek below sees the earliest *live*
-             deadline; dead entries deeper down are dropped lazily when
-             they surface. *)
-          while
-            !theap_n > 0 && not (let _, e = th_peek () in e.we_live)
-          do
-            ignore (th_pop ())
-          done;
-          if !theap_n > 0 then begin
-            (* Quiescent but a timer is pending: jump the virtual clock
-               to the earliest deadline instead of declaring deadlock.
-               This is what makes timeouts usable as a liveness
-               backstop — a fully blocked system still makes progress
-               in virtual time. *)
-            let d, _ = th_peek () in
-            let delta = d - !cur_clock in
-            cur_clock := d;
-            (match obs with
-            | None -> ()
-            | Some o -> if delta > 0 then Obs.advance o delta);
-            drive ()
-          end
-          else begin
-            (match obs with
-            | None -> ()
-            | Some o -> Obs.emit o (E.Deadlock { parked = !n_parked }));
-            raise (Deadlock (deadlock_msg ()))
-          end
-        end
-        else begin
-          round ();
-          drive ()
-        end
+        if Core.advance c step then drive ()
+        else raise (Deadlock ("deadlock: " ^ Core.deadlock_msg c))
   in
   Fun.protect ~finally:restore drive
 
@@ -1214,7 +580,7 @@ module Waitset = struct
 
   let name ws = ws.ws_name
 
-  let parked ws = List.length (List.filter (fun e -> e.we_live) ws.ws_parked)
+  let parked ws = List.length (List.filter (fun (e : entry) -> e.e_live) ws.ws_parked)
 end
 
 let block ws = ignore (perform_sched (Rblock ws))

@@ -51,25 +51,12 @@ exception Injected_crash
     escaped exception — unless a supervisor ({!Pcont_resil}) converts it
     into a restart. *)
 
-type policy =
-  | Tree_order  (** deterministic: branches run in process-tree order *)
+type policy = Pcont_sched_core.Sched_core.policy =
+  | Round_robin  (** deterministic: branches run in process-tree order *)
   | Randomized of int64  (** seeded shuffle of branch order each round *)
-  | Driven of (int -> int)
-      (** systematic schedule exploration: each scheduling decision runs
-          exactly one fiber until its next suspension; [pick n] receives
-          the number of runnable fibers and chooses which.  The returned
-          index is reduced modulo the runnable count ([((i mod n) + n) mod
-          n]), so any integer is a valid decision and a decision function
-          computed against one schedule stays total if the run diverges —
-          the same contract as [Pcont_pstack.Concur.Driven]. *)
   | Driven_pids of (int array -> int)
-      (** like {!Driven}, but the decision function receives the runnable
-          fibers' pids (node ids as they appear in the event stream) in
-          queue order and returns the index of the one to step, reduced
-          modulo the array length.  This is the record/replay hook: a
-          schedule extracted from a trace is a pid sequence, and matching
-          on pids rather than queue positions makes the replay robust to
-          how the queue happens to be ordered. *)
+      (** one fiber per decision, run until its next suspension and
+          chosen by pid (see {!Pcont_sched_core.Sched_core.policy}) *)
 
 type fault =
   | Fcrash

@@ -415,7 +415,9 @@ let explore_schedules ?(alphabet = 2) ?(depth = 9) src =
         | top :: rest -> (
             match
               Interp.eval_top
-                ~mode:(Interp.Concurrent (Concur.Driven pick))
+                ~mode:
+                  (Interp.Concurrent
+                     (Concur.Driven_pids (fun pids -> pick (Array.length pids))))
                 ~fuel:200_000 ~quantum:1 t top
             with
             | Interp.Error m -> Hashtbl.replace outcomes ("error: " ^ m) ()

@@ -48,28 +48,31 @@ let pstack_src = "(pcall + 1 (touch (future 2)) 3)"
 
 (* ---------------- Driven modulo contract (satellite: out-of-range) -- *)
 
+(* A decision on the runnable count alone. *)
+let by_count f = Sched.Driven_pids (fun pids -> f (Array.length pids))
+
 let test_driven_modulo_native () =
   (* pick n = n is out of range and must behave exactly like pick 0;
      pick -1 must behave like pick (n - 1). *)
-  let v0, t0 = native_trace (Sched.Driven (fun _ -> 0)) native_prog in
-  let vn, tn = native_trace (Sched.Driven (fun n -> n)) native_prog in
+  let v0, t0 = native_trace (by_count (fun _ -> 0)) native_prog in
+  let vn, tn = native_trace (by_count (fun n -> n)) native_prog in
   Alcotest.(check int) "value: pick n = pick 0" v0 vn;
   Alcotest.(check string) "trace: pick n = pick 0" t0 tn;
-  let vl, tl = native_trace (Sched.Driven (fun n -> n - 1)) native_prog in
-  let vm, tm = native_trace (Sched.Driven (fun _ -> -1)) native_prog in
+  let vl, tl = native_trace (by_count (fun n -> n - 1)) native_prog in
+  let vm, tm = native_trace (by_count (fun _ -> -1)) native_prog in
   Alcotest.(check int) "value: pick -1 = pick (n-1)" vl vm;
   Alcotest.(check string) "trace: pick -1 = pick (n-1)" tl tm
 
 let test_driven_modulo_pstack () =
-  let r0, t0 = pstack_trace (Concur.Driven (fun _ -> 0)) pstack_src in
-  let rn, tn = pstack_trace (Concur.Driven (fun n -> n)) pstack_src in
+  let r0, t0 = pstack_trace (by_count (fun _ -> 0)) pstack_src in
+  let rn, tn = pstack_trace (by_count (fun n -> n)) pstack_src in
   Alcotest.(check string) "result: pick n = pick 0" r0 rn;
   Alcotest.(check string) "trace: pick n = pick 0" t0 tn;
   (* before the modulo contract, an out-of-range pick was an Error
      outcome here (and an exception on the native side) *)
   Alcotest.(check bool) "no error outcome" false (starts_with ~prefix:"error" rn);
-  let rl, tl = pstack_trace (Concur.Driven (fun n -> n - 1)) pstack_src in
-  let rm, tm = pstack_trace (Concur.Driven (fun _ -> -1)) pstack_src in
+  let rl, tl = pstack_trace (by_count (fun n -> n - 1)) pstack_src in
+  let rm, tm = pstack_trace (by_count (fun _ -> -1)) pstack_src in
   Alcotest.(check string) "result: pick -1 = pick (n-1)" rl rm;
   Alcotest.(check string) "trace: pick -1 = pick (n-1)" tl tm
 
@@ -85,7 +88,7 @@ let test_driven_pids_alignment () =
         chosen := pids.(i) :: !chosen;
         i
       in
-      let r = X.Replay.record ~policy:(X.Fixed pick) target in
+      let r = X.Replay.record ~policy:(Sched.Driven_pids pick) target in
       let log = Array.of_list (List.rev !chosen) in
       Alcotest.(check (array int))
         (target.X.tg_name ^ ": decision log = trace schedule")
@@ -134,12 +137,12 @@ let roundtrip_under name policy =
             (reports r2.X.Replay.rec_trace))
     roundtrip_targets
 
-let test_roundtrip_default () = roundtrip_under "default" X.Default
-let test_roundtrip_seeded () = roundtrip_under "randomized" (X.Seeded 7L)
+let test_roundtrip_default () = roundtrip_under "default" Sched.Round_robin
+let test_roundtrip_seeded () = roundtrip_under "randomized" (Sched.Randomized 7L)
 
 let test_roundtrip_driven () =
   (* a third, distinct schedule source: always step the last runnable *)
-  roundtrip_under "driven" (X.Fixed (fun pids -> Array.length pids - 1))
+  roundtrip_under "driven" (Sched.Driven_pids (fun pids -> Array.length pids - 1))
 
 (* ---------------- exploration finds injected bugs ------------------ *)
 
@@ -196,7 +199,7 @@ let test_wake_fifo_order () =
   (* park order = wake order, pinned: three fibers park on one waitset,
      a fourth wakes them all *)
   let _, trace =
-    native_trace Sched.Tree_order (fun () ->
+    native_trace Sched.Round_robin (fun () ->
         let ws = Sched.Waitset.create "event" in
         let waiter () = Sched.block ws in
         let waker () =
@@ -225,7 +228,7 @@ let test_channel_close_wake_order () =
   (* Channel.close wakes parked senders in park order; replay fidelity
      requires that order to be deterministic *)
   let v, trace =
-    native_trace Sched.Tree_order (fun () ->
+    native_trace Sched.Round_robin (fun () ->
         let c = Channel.create ~capacity:1 () in
         let sender x () =
           try
@@ -260,20 +263,20 @@ let test_channel_close_wake_order () =
 (* ---------------- Randomized vs global Random (satellite: PRNG) ---- *)
 
 let test_randomized_ignores_global_random () =
-  let t1 = X.Replay.record ~policy:(X.Seeded 5L) (X.Workloads.racing 2) in
+  let t1 = X.Replay.record ~policy:(Sched.Randomized 5L) (X.Workloads.racing 2) in
   Random.init 123;
   ignore (Random.bits ());
-  let t2 = X.Replay.record ~policy:(X.Seeded 5L) (X.Workloads.racing 2) in
+  let t2 = X.Replay.record ~policy:(Sched.Randomized 5L) (X.Workloads.racing 2) in
   Random.init 98765;
   ignore (Random.float 1.0);
-  let t3 = X.Replay.record ~policy:(X.Seeded 5L) (X.Workloads.racing 2) in
+  let t3 = X.Replay.record ~policy:(Sched.Randomized 5L) (X.Workloads.racing 2) in
   Alcotest.(check string) "native trace unaffected by Random.init"
     t1.X.Replay.rec_trace t2.X.Replay.rec_trace;
   Alcotest.(check string) "…twice" t1.X.Replay.rec_trace t3.X.Replay.rec_trace;
-  let p1 = X.Replay.record ~policy:(X.Seeded 5L) X.Workloads.gen_pstack in
+  let p1 = X.Replay.record ~policy:(Sched.Randomized 5L) X.Workloads.gen_pstack in
   Random.init 4242;
   ignore (Random.bits ());
-  let p2 = X.Replay.record ~policy:(X.Seeded 5L) X.Workloads.gen_pstack in
+  let p2 = X.Replay.record ~policy:(Sched.Randomized 5L) X.Workloads.gen_pstack in
   Alcotest.(check string) "pstack trace unaffected by Random.init"
     p1.X.Replay.rec_trace p2.X.Replay.rec_trace
 
@@ -292,8 +295,8 @@ let test_cross_scheduler_same_seed_aligned () =
      surface); Diff must find no divergence *)
   List.iter
     (fun seed ->
-      let n = X.Replay.record ~policy:(X.Seeded seed) X.Workloads.gen_native in
-      let p = X.Replay.record ~policy:(X.Seeded seed) X.Workloads.gen_pstack in
+      let n = X.Replay.record ~policy:(Sched.Randomized seed) X.Workloads.gen_native in
+      let p = X.Replay.record ~policy:(Sched.Randomized seed) X.Workloads.gen_pstack in
       match (Trace.parse_string n.X.Replay.rec_trace, Trace.parse_string p.X.Replay.rec_trace) with
       | Ok ne, Ok pe ->
           Alcotest.(check bool)
@@ -414,7 +417,7 @@ let reachable_outcomes target =
   List.sort_uniq compare
     (List.map
        (fun s ->
-         (X.Replay.record ~policy:(X.Seeded (Int64.of_int s)) target)
+         (X.Replay.record ~policy:(Sched.Randomized (Int64.of_int s)) target)
            .X.Replay.rec_outcome)
        (List.init 24 (fun i -> i + 1)))
 

@@ -644,42 +644,6 @@ let test_nested_capture_value () =
   Alcotest.check value "nested capture result" (Types.Int 0)
     (eval_v (nested_roots_program ~roots:4))
 
-(* ---------------- debug pretty-printing ---------------- *)
-
-let test_debug_pp () =
-  let st = Machine.initial (Resolve.toplevel (env ()) (v "+" @@@ [ i 1; i 2 ])) in
-  let s = Debug.state_summary st in
-  Alcotest.(check bool) "mentions eval" true (contains ~sub:"eval" s);
-  Alcotest.(check bool) "mentions base" true (contains ~sub:"base" s);
-  (* step a few times and observe a frame appear *)
-  let cfg = Machine.config () in
-  let rec go st n =
-    if n = 0 then st
-    else match Machine.step cfg st with Machine.Next st' -> go st' (n - 1) | _ -> st
-  in
-  let st3 = go st 2 in
-  Alcotest.(check bool) "frames counted" true
-    (contains ~sub:"base[1]" (Debug.state_summary st3));
-  Alcotest.(check string) "root names" "spawn#7"
-    (Format.asprintf "%a" Debug.pp_root (Types.Rspawn 7));
-  Alcotest.(check string) "prompt root" "prompt"
-    (Format.asprintf "%a" Debug.pp_root Types.Rprompt)
-
-let test_debug_ptree () =
-  let leaf_state = Machine.initial (Resolve.toplevel (env ()) (i 1)) in
-  let t =
-    Types.Pfork
-      {
-        pf_trunk = Machine.initial_pstack;
-        pf_children = [| Types.Pleaf leaf_state; Types.Pdone; Types.Phole [] |];
-        pf_results = [| None; Some (Types.Int 1); None |];
-      }
-  in
-  let s = Debug.ptree_summary t in
-  Alcotest.(check bool) "fork" true (contains ~sub:"fork" s);
-  Alcotest.(check bool) "hole" true (contains ~sub:"HOLE" s);
-  Alcotest.(check bool) "done" true (contains ~sub:"done" s)
-
 (* ---------------- property-based tests ---------------- *)
 
 (* Random pure IR programs: the two strategies must agree everywhere. *)
@@ -820,11 +784,6 @@ let () =
             test_abort_recycles_into_pool;
           Alcotest.test_case "escaped pk stays multi-shot" `Quick
             test_escaped_pk_stays_multishot;
-        ] );
-      ( "debug",
-        [
-          Alcotest.test_case "state summaries" `Quick test_debug_pp;
-          Alcotest.test_case "ptree summaries" `Quick test_debug_ptree;
         ] );
       ("properties", qsuite [ prop_strategies_agree; prop_pure_deterministic ]);
     ]

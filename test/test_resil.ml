@@ -204,6 +204,91 @@ let test_pstack_virtual_timers () =
   Alcotest.(check bool) "timer cancels slow branch" true
     (contains ~needle:"timed-out" r)
 
+(* Sleepers that share one deadline wake in park (FIFO) order on both
+   schedulers: the timer heap breaks deadline ties by park sequence.
+   Each sleeper first does a different amount of work, so park order is
+   not tree order. *)
+let work = [| 0; 5; 2; 7; 4; 1; 6; 3 |]
+
+let timer_events evs =
+  let pick f = List.filter_map f (Array.to_list evs) in
+  ( pick (fun (s : Trace.stamped) ->
+        match s.ev with E.Park { pid; resource = "timer" } -> Some (pid, s.ts) | _ -> None),
+    pick (fun (s : Trace.stamped) ->
+        match s.ev with E.Wake { pid; resource = "timer" } -> Some (pid, s.ts) | _ -> None) )
+
+let check_fifo_wakes ~deadline evs =
+  let parks, wakes = timer_events evs in
+  Alcotest.(check int) "every sleeper parked" (Array.length work) (List.length parks);
+  let parked = List.map fst parks in
+  Alcotest.(check bool) "park order is not tree order" true
+    (parked <> List.sort compare parked);
+  Alcotest.(check (list int)) "wakes in park order" parked (List.map fst wakes);
+  Alcotest.(check (list int)) "one shared deadline"
+    (List.map (fun _ -> deadline) wakes)
+    (List.map snd wakes);
+  parked
+
+let test_native_equal_deadlines () =
+  let log = ref [] in
+  let pids = ref [] in
+  let _, trace =
+    native_trace (fun () ->
+        ignore
+          (Sched.pcall
+             (List.init (Array.length work) (fun i () ->
+                  pids := (Sched.self_pid (), i) :: !pids;
+                  for _ = 1 to work.(i) do
+                    Sched.yield ()
+                  done;
+                  Sched.sleep (1_000 - Sched.now ());
+                  log := i :: !log))))
+  in
+  let parked = check_fifo_wakes ~deadline:1_000 (parse_exn trace) in
+  Alcotest.(check (list int)) "run in park order"
+    (List.map (fun pid -> List.assoc pid !pids) parked)
+    (List.rev !log)
+
+let test_pstack_equal_deadlines () =
+  (* The Scheme side has no clock to read, so a first run with a far
+     deadline finds when each sleeper parks; the second gives sleeper i
+     [deadline - park time] so that all deadlines coincide. *)
+  let run sleeps =
+    let t = Interp.create () in
+    ignore
+      (Interp.eval_string t "(define (spin n) (if (= n 0) 0 (spin (- n 1))))");
+    let src =
+      "(pcall list "
+      ^ String.concat " "
+          (List.mapi
+             (fun i d ->
+               Printf.sprintf "(begin (spin %d) (sleep %d) (display %d))" (10 * work.(i)) d i)
+             sleeps)
+      ^ ")"
+    in
+    ignore (Interp.take_output ());
+    let buf = Buffer.create 1024 in
+    let o = Obs.create () in
+    Obs.attach o (Obs.Sink.jsonl (Buffer.add_string buf));
+    let mode = Interp.Concurrent Concur.Round_robin in
+    ignore (Interp.eval_string ~mode ~quantum:4 ~obs:o t src);
+    Obs.close o;
+    (parse_exn (Buffer.contents buf), Interp.take_output ())
+  in
+  let evs, _ = run (List.map (fun _ -> 100_000) (Array.to_list work)) in
+  let parks, _ = timer_events evs in
+  (* pcall children are pids 1.., the operator first *)
+  let index pid = pid - 2 in
+  let deadline = 10_000 in
+  let sleeps = Array.make (Array.length work) 0 in
+  List.iter (fun (pid, ts) -> sleeps.(index pid) <- deadline - ts) parks;
+  let evs, out = run (Array.to_list sleeps) in
+  Alcotest.(check (list (pair int int))) "same park times" parks (fst (timer_events evs));
+  let parked = check_fifo_wakes ~deadline evs in
+  Alcotest.(check string) "run in park order"
+    (String.concat "" (List.map (fun pid -> string_of_int (index pid)) parked))
+    out
+
 (* ---------------- supervision -------------------------------------- *)
 
 let test_restart_intensity () =
@@ -449,6 +534,10 @@ let () =
             test_native_virtual_timers;
           Alcotest.test_case "pstack virtual timers" `Quick
             test_pstack_virtual_timers;
+          Alcotest.test_case "native equal deadlines FIFO" `Quick
+            test_native_equal_deadlines;
+          Alcotest.test_case "pstack equal deadlines FIFO" `Quick
+            test_pstack_equal_deadlines;
         ] );
       ( "supervisor",
         [

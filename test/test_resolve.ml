@@ -10,7 +10,7 @@
      produce identical results, identical printed output and identical
      machine-level control counters;
    - Driven-contract tests: the exact sequence of live-leaf counts passed
-     to a [Driven] pick function, for both schedulers, pinned to the
+     to a count-driven pick function, for both schedulers, pinned to the
      values the original walk-the-forest implementation produced. *)
 
 open Pcont_pstack
@@ -241,7 +241,8 @@ let test_driven_counts_concur () =
   let t = Interp.create () in
   let rs =
     Interp.eval_string t
-      ~mode:(Interp.Concurrent (Concur.Driven pick))
+      ~mode:
+        (Interp.Concurrent (Concur.Driven_pids (fun pids -> pick (Array.length pids))))
       ~fuel:200_000 ~quantum:1
       "(pcall + (pcall + 1 2) (pcall * 2 3))"
   in
@@ -261,7 +262,7 @@ let test_driven_counts_sched () =
     !i mod n
   in
   let v =
-    S.run ~policy:(S.Driven pick) (fun () ->
+    S.run ~policy:(S.Driven_pids (fun pids -> pick (Array.length pids))) (fun () ->
         let vs =
           S.pcall
             [

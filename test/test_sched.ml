@@ -275,7 +275,10 @@ let test_search_stream_stepwise () =
   in
   Alcotest.(check (list int)) "multiples of 7" [ 0; 7; 14 ] (List.sort compare collected)
 
-(* Enumerate decision words over the Driven policy, collecting outcomes. *)
+(* A decision on the runnable count alone. *)
+let by_count pick = S.Driven_pids (fun pids -> pick (Array.length pids))
+
+(* Enumerate decision words over a count-driven policy, collecting outcomes. *)
 let explore ?(alphabet = 2) ?(depth = 8) (program : unit -> int) =
   let outcomes = Hashtbl.create 8 in
   let rec words d = if d = 0 then [ [] ] else
@@ -293,7 +296,7 @@ let explore ?(alphabet = 2) ?(depth = 8) (program : unit -> int) =
               remaining := rest;
               c mod n
       in
-      Hashtbl.replace outcomes (S.run ~policy:(S.Driven pick) program) ())
+      Hashtbl.replace outcomes (S.run ~policy:(by_count pick) program) ())
     (words depth);
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) outcomes [])
 
@@ -335,7 +338,7 @@ let test_search_schedule_independence () =
     List.sort compare
       (S.run ~policy (fun () -> Ops.search_all tree16 (fun x -> x mod 3 = 1)))
   in
-  let expected = run S.Tree_order in
+  let expected = run S.Round_robin in
   List.iter
     (fun seed ->
       Alcotest.(check (list int)) "same set" expected (run (S.Randomized (Int64.of_int seed))))
@@ -742,7 +745,7 @@ let explore_deadlock ?(alphabet = 2) ?(depth = 10) (program : unit -> int) =
               c mod n
       in
       let o =
-        match S.run ~policy:(S.Driven pick) program with
+        match S.run ~policy:(by_count pick) program with
         | v -> string_of_int v
         | exception S.Deadlock _ -> "deadlock"
       in
