@@ -1069,7 +1069,7 @@ let e14 () =
      Round_robin), so the cancelled/completed split is a fixed property
      of (n, deadline).
 
-     Measured from the run's Obs.Metrics histograms:
+     Measured from the run's Obs.Metrics sketches:
      - cancel latency: virtual-time units between the scope's deadline
        and its caller observing [Error (Cancelled _)] (scope machinery
        plus scheduling delay, in clock units);
@@ -1120,30 +1120,14 @@ let e14 () =
       in
       let (o, ncxl, ndone), dt = time_best ~n:(if !quick then 1 else 2) run in
       let m = Obs.metrics o in
-      let hist name =
+      let dist name =
         match Obs.Metrics.find m name with
-        | Some h -> (Obs.Metrics.hist_mean h, Obs.Metrics.hist_max h)
+        | Some sk -> (Obs.Metrics.Sketch.mean sk, Obs.Metrics.Sketch.max sk)
         | None -> (0., 0)
       in
-      let lat_mean, lat_max = hist "resil.cancel.latency" in
-      (* median from the power-of-two buckets: the bound of the bucket
-         where the cumulative count crosses half *)
-      let lat_p50 =
-        match Obs.Metrics.find m "resil.cancel.latency" with
-        | None -> "-"
-        | Some h ->
-            let half = (Obs.Metrics.hist_count h + 1) / 2 in
-            let acc = ref 0 and med = ref "-" in
-            List.iter
-              (fun (b, c) ->
-                if !acc < half then begin
-                  acc := !acc + c;
-                  if !acc >= half then med := b
-                end)
-              (Obs.Metrics.hist_buckets h);
-            !med
-      in
-      let swept_mean, _ = hist "sched.cancel.pids" in
+      let lat_mean, lat_max = dist "resil.cancel.latency" in
+      let lat_p50 = Obs.Metrics.quantile m "resil.cancel.latency" 0.5 in
+      let swept_mean, _ = dist "sched.cancel.pids" in
       jrow
         ~name:(Printf.sprintf "e14.timeout%d" n)
         ~params:[ pint "fibers" n; pint "deadline" deadline ]
@@ -1156,7 +1140,7 @@ let e14 () =
             ("swept_per_cancel", int_of_float swept_mean);
           ]
         (ns_per dt n);
-      row "%7d | %9d %9d | %9s %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone lat_p50
+      row "%7d | %9d %9d | %9.0f %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone lat_p50
         lat_mean lat_max swept_mean
         (dt *. 1e6 /. float_of_int n))
     ns;
@@ -1177,7 +1161,7 @@ let e15 () =
      the pstack concurrent scheduler once per observation config:
      - none:    no handle — the baseline the overhead ratios are against;
      - metrics: a handle with no sinks: each event costs one sequence
-       increment, each observation feeds a histogram and a sketch;
+       increment, each observation feeds one sketch;
      - ring:    the flight recorder — events formatted into a fixed ring
        of lines, no I/O on the hot path;
      - jsonl:   every event serialized into a growing buffer (the full

@@ -6,18 +6,21 @@
    tree-of-stacks scheduler.  With no program it starts a REPL.
 
    Diagnostics: --stats prints the machine's instrumentation counters
-   (captures, segments/frames moved, forks, locks) and the scheduler's
-   histograms; --trace streams scheduler events to stderr; --trace-out
-   writes the event stream to a file as human text, JSONL or Chrome
-   trace-event JSON (--trace-format); --summary prints a per-process
-   table of slices, fuel, parks and captures; --strategy copying switches
-   to the stack-copying continuation representation of experiment E1. *)
+   (captures, segments/frames moved, forks, locks) and the count, mean
+   and max of each scheduler distribution; --trace streams scheduler
+   events to stderr; --trace-out writes the event stream to a file as
+   human text, JSONL or Chrome trace-event JSON (--trace-format);
+   --summary prints a per-process table of slices, fuel, parks and
+   captures for each run; --strategy copying switches to the
+   stack-copying continuation representation of experiment E1. *)
 
 module Interp = Pcont_syntax.Interp
 module Pstack = Pcont_pstack
 module Bridge = Pcont_bridge.Bridge
 module M = Pcont_machine
 module Obs = Pcont_obs.Obs
+module Trace = Pcont_obs.Trace
+module Sketch = Obs.Metrics.Sketch
 
 (* Run a whole program on the Section 6 rewriting machine (--backend
    machine|zipper): the program is folded into one closed term and
@@ -61,19 +64,19 @@ let print_stats t obs =
   match obs with
   | None -> ()
   | Some o -> (
-      let mx = Obs.metrics o in
       match
-        List.filter (fun (_, h) -> Obs.Metrics.hist_count h > 0) (Obs.Metrics.hists mx)
+        List.filter
+          (fun (_, sk) -> Sketch.count sk > 0)
+          (Obs.Metrics.sketches (Obs.metrics o))
       with
       | [] -> ()
-      | hists ->
+      | sketches ->
           prerr_endline ";; scheduler histograms:";
           List.iter
-            (fun (name, h) ->
+            (fun (name, sk) ->
               Printf.eprintf ";;   %-36s n=%d mean=%.1f max=%d\n" name
-                (Obs.Metrics.hist_count h) (Obs.Metrics.hist_mean h)
-                (Obs.Metrics.hist_max h))
-            hists)
+                (Sketch.count sk) (Sketch.mean sk) (Sketch.max sk))
+            sketches)
 
 let repl t mode eval_form =
   Printf.printf "psi — Scheme with process continuations (Hieb & Dybvig, PPoPP 1990)\n";
@@ -89,15 +92,54 @@ let repl t mode eval_form =
   in
   loop ()
 
-let print_analysis events =
-  let events = Array.of_list (List.rev events) in
-  prerr_endline ";; causal report:";
-  Array.iteri
-    (fun i run ->
-      if i > 0 then Format.eprintf "@.";
-      Pcont_obs.Analysis.Report.pp Format.err_formatter
-        (Pcont_obs.Analysis.Report.of_run (Pcont_obs.Trace.reconstruct run)))
-    (Pcont_obs.Trace.runs events)
+(* The --summary table for one run: a row per process; a fate replaces
+   the exit count. *)
+let pp_summary ppf (run : Trace.run) =
+  Format.fprintf ppf "@[<v>%8s %-10s %8s %10s %7s %7s %9s %7s %7s %7s %9s" "pid"
+    "kind" "slices" "fuel" "parks" "wakes" "captures" "grafts" "sends" "recvs"
+    "exits";
+  Array.iter
+    (fun (n : Trace.node) ->
+      let exits =
+        if n.n_fate <> "" then n.n_fate else if n.n_exit_ts = None then "0" else "1"
+      in
+      Format.fprintf ppf "@,%8d %-10s %8d %10d %7d %7d %9d %7d %7d %7d %9s" n.n_pid
+        n.n_kind n.n_slices n.n_fuel n.n_parks n.n_wakes n.n_captures
+        n.n_reinstates n.n_sends n.n_recvs exits)
+    run.r_nodes;
+  (match run.r_deadlock with
+  | None -> ()
+  | Some parked ->
+      Format.fprintf ppf "@,deadlock: %d process(es) left parked" parked;
+      if run.r_cancelled_parked > 0 then
+        Format.fprintf ppf " (+%d cancelled while parked)" run.r_cancelled_parked);
+  Format.fprintf ppf "@]"
+
+(* --summary and --analyze read one event buffer, reconstructed once
+   per run. *)
+let print_runs ~summary ~analyze events =
+  let runs =
+    Array.map Trace.reconstruct (Trace.runs (Array.of_list (List.rev events)))
+  in
+  if summary then begin
+    (* a program that never reached the scheduler still gets its table *)
+    let tables = if Array.length runs = 0 then [| Trace.reconstruct [||] |] else runs in
+    Array.iteri
+      (fun i run ->
+        if Array.length tables = 1 then prerr_endline ";; per-process summary:"
+        else Printf.eprintf ";; per-process summary (run %d):\n" i;
+        Format.eprintf "%a@." pp_summary run)
+      tables
+  end;
+  if analyze then begin
+    prerr_endline ";; causal report:";
+    Array.iteri
+      (fun i run ->
+        if i > 0 then Format.eprintf "@.";
+        Pcont_obs.Analysis.Report.pp Format.err_formatter
+          (Pcont_obs.Analysis.Report.of_run run))
+      runs
+  end
 
 (* Open an output file named on the command line, or report why not and
    exit 2 before anything runs. *)
@@ -197,9 +239,10 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   in
   let t = Interp.create ~prelude:(not no_prelude) ~strategy () in
   (* One observability handle feeds every consumer — the --trace stream,
-     the --trace-out sink, the --summary table, the histograms shown by
-     --stats.  Its metrics share the interpreter's counter table, so
-     machine counters and scheduler metrics land in one report. *)
+     the --trace-out sink, the event buffer behind --summary and
+     --analyze, the distributions shown by --stats.  Its metrics share
+     the interpreter's counter table, so machine counters and scheduler
+     metrics land in one report. *)
   let obs =
     if
       (trace || trace_out <> None || summary || analyze || stats || flight <> None)
@@ -213,20 +256,18 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
            ())
     else None
   in
-  let summary_tbl = if summary then Some (Obs.Summary.create ()) else None in
-  let analyze_buf = if analyze then Some (ref []) else None in
+  let events = if summary || analyze then Some (ref []) else None in
   let cleanups = ref [] in
   (match obs with
   | None -> ()
   | Some o ->
       if trace then
         Obs.attach o (Obs.Sink.human ~prefix:";; " (Obs.Sink.of_channel stderr));
-      (match analyze_buf with
+      (match events with
       | None -> ()
       | Some buf ->
           Obs.attach o
-            (Obs.Sink.memory (fun (seq, ts, ev) ->
-                 buf := { Pcont_obs.Trace.seq; ts; ev } :: !buf)));
+            (Obs.Sink.memory (fun (seq, ts, ev) -> buf := { Trace.seq; ts; ev } :: !buf)));
       (match trace_out with
       | None -> ()
       | Some path ->
@@ -251,7 +292,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
                   ~rate sink
           in
           Obs.attach o sink);
-      (match flight with
+      match flight with
       | None -> ()
       | Some path ->
           (* the window is written only when dumped; check the path now *)
@@ -270,9 +311,6 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
                 Out_channel.with_open_bin path (fun oc ->
                     Obs.Sink.ring_dump rb (Out_channel.output_string oc)))
             :: !cleanups);
-      match summary_tbl with
-      | None -> ()
-      | Some s -> Obs.attach o (Obs.Summary.sink s));
   let eval_form t src = Interp.eval_string ~mode ?fuel ?quantum ?obs t src in
   let finish code =
     (match obs with None -> () | Some o -> Obs.close o);
@@ -282,28 +320,10 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
         match probe () with
         | None -> ()
         | Some d ->
-            let module R = Pcont_explore.Explore.Replay in
-            let cands =
-              String.concat ", "
-                (Array.to_list (Array.map string_of_int d.R.d_candidates))
-            in
-            if d.R.d_wanted < 0 then
-              Printf.eprintf
-                ";; psi: replay diverged at decision %d: schedule exhausted \
-                 (runnable: %s)\n"
-                d.R.d_decision cands
-            else
-              Printf.eprintf
-                ";; psi: replay diverged at decision %d: recorded pid %d not \
-                 runnable (runnable: %s)\n"
-                d.R.d_decision d.R.d_wanted cands));
+            Printf.eprintf ";; psi: replay diverged at %s\n"
+              (Pcont_explore.Explore.Replay.pp_divergence d)));
     List.iter (fun f -> f ()) !cleanups;
-    (match summary_tbl with
-    | None -> ()
-    | Some s ->
-        prerr_endline ";; per-process summary:";
-        Format.eprintf "%a@." Obs.Summary.pp s);
-    (match analyze_buf with None -> () | Some buf -> print_analysis !buf);
+    (match events with None -> () | Some buf -> print_runs ~summary ~analyze !buf);
     if stats then print_stats t obs;
     code
   in
@@ -392,8 +412,8 @@ let stats =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print machine instrumentation counters and scheduler histograms to \
-           stderr on exit.  Alongside the control-operation counters \
+          "Print machine instrumentation counters and the count, mean and max \
+           of each scheduler distribution to stderr on exit.  Alongside the control-operation counters \
            (capture.segments, reinstate.segments, ...), the capture fast path \
            reports $(b,machine.pool.hit) / $(b,machine.pool.miss) (segment \
            allocations served from / missed by the segment pool) and \
@@ -430,7 +450,8 @@ let summary =
     & info [ "summary" ]
         ~doc:
           "Print a per-process summary (slices, fuel, parks, captures, channel \
-           traffic) to stderr on exit; implies --concurrent.")
+           traffic, fate) to stderr on exit, one table per run (a file runs each \
+           top-level form separately); implies --concurrent.")
 
 let analyze =
   Arg.(

@@ -242,31 +242,6 @@ let resolve_target workload expr =
           exit 2)
   | None, Some src -> Explore.pstack_target "expr" src
 
-(* First differing line between the recorded and replayed trace bytes. *)
-let first_diff a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go i = function
-    | [], [] -> Printf.sprintf "traces differ (line %d)" i
-    | x :: _, [] -> Printf.sprintf "replay is shorter: recording line %d is %s" i x
-    | [], y :: _ -> Printf.sprintf "replay is longer: extra line %d is %s" i y
-    | x :: xs, y :: ys ->
-        if String.equal x y then go (i + 1) (xs, ys)
-        else Printf.sprintf "line %d: recorded %s, replayed %s" i x y
-  in
-  go 1 (la, lb)
-
-let pp_divergence d =
-  let cands =
-    String.concat ", "
-      (Array.to_list (Array.map string_of_int d.Explore.Replay.d_candidates))
-  in
-  if d.Explore.Replay.d_wanted < 0 then
-    Printf.sprintf "decision %d: schedule exhausted (runnable: %s)"
-      d.Explore.Replay.d_decision cands
-  else
-    Printf.sprintf "decision %d: recorded pid %d not runnable (runnable: %s)"
-      d.Explore.Replay.d_decision d.Explore.Replay.d_wanted cands
-
 let run_replay input workload expr out json =
   let target = resolve_target workload expr in
   (* When the input is a trace we hold the recording to a byte-identity
@@ -310,7 +285,7 @@ let run_replay input workload expr out json =
               ( "diverged",
                 match div with
                 | None -> Obs.Json.Bool false
-                | Some d -> Obs.Json.Str (pp_divergence d) );
+                | Some d -> Obs.Json.Str (Explore.Replay.pp_divergence d) );
               ( "byte_identical",
                 match identical with
                 | None -> Obs.Json.Null
@@ -322,12 +297,12 @@ let run_replay input workload expr out json =
       r.Explore.Replay.rec_outcome;
     (match div with
     | None -> ()
-    | Some d -> Printf.printf "diverged at %s\n" (pp_divergence d));
+    | Some d -> Printf.printf "diverged at %s\n" (Explore.Replay.pp_divergence d));
     match (identical, reference) with
     | Some true, _ -> print_endline "trace byte-identical to the recording"
     | Some false, Some bytes ->
         Printf.printf "trace differs from the recording: %s\n"
-          (first_diff bytes r.Explore.Replay.rec_trace)
+          (Explore.Replay.first_diff bytes r.Explore.Replay.rec_trace)
     | _ -> ()
   end;
   if ok then 0 else 1

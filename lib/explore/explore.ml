@@ -292,29 +292,30 @@ module Replay = struct
     let r = record ~policy:(Sched.Driven_pids pick) ~faults:sched.faults target in
     (r, div ())
 
-  let lines s = String.split_on_char '\n' s
+  let pp_divergence d =
+    let cands = String.concat ", " (Array.to_list (Array.map string_of_int d.d_candidates)) in
+    if d.d_wanted < 0 then
+      Printf.sprintf "decision %d: schedule exhausted (runnable: %s)" d.d_decision cands
+    else
+      Printf.sprintf "decision %d: recorded pid %d not runnable (runnable: %s)" d.d_decision
+        d.d_wanted cands
 
   let first_diff a b =
-    let la = lines a and lb = lines b in
     let rec go i = function
       | [], [] -> Printf.sprintf "traces differ (line %d)" i
       | x :: _, [] -> Printf.sprintf "replay is shorter: recording line %d is %s" i x
       | [], y :: _ -> Printf.sprintf "replay is longer: extra line %d is %s" i y
       | x :: xs, y :: ys ->
           if String.equal x y then go (i + 1) (xs, ys)
-          else Printf.sprintf "first differing line %d:\n  recorded: %s\n  replayed: %s" i x y
+          else Printf.sprintf "line %d: recorded %s, replayed %s" i x y
     in
-    go 0 (la, lb)
+    go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
 
   let check_roundtrip ?policy ?faults target =
     let r = record ?policy ?faults target in
     let r2, div = replay target r.rec_schedule in
     match div with
-    | Some d ->
-        Error
-          (Printf.sprintf "replay diverged at decision %d: wanted pid %d, runnable [%s]"
-             d.d_decision d.d_wanted
-             (String.concat ";" (List.map string_of_int (Array.to_list d.d_candidates))))
+    | Some d -> Error ("replay diverged at " ^ pp_divergence d)
     | None ->
         if not (String.equal r2.rec_outcome r.rec_outcome) then
           Error

@@ -134,6 +134,14 @@ module Replay : sig
       driver falls back to index 0 and keeps going, so a diverged replay
       still terminates and can be diagnosed. *)
 
+  val pp_divergence : divergence -> string
+  (** ["decision N: schedule exhausted (runnable: …)"] or
+      ["decision N: recorded pid P not runnable (runnable: …)"]. *)
+
+  val first_diff : string -> string -> string
+  (** [first_diff recorded replayed] names the first differing line of
+      two traces, counting lines from 1. *)
+
   type recording = {
     rec_trace : string;  (** JSONL bytes *)
     rec_outcome : string;

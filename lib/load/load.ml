@@ -289,17 +289,7 @@ type acc = {
   mutable a_jain_s : float;
   mutable a_jain_s2 : float;
   mutable a_resid : int;
-  se_lat : Obs.Metrics.series;
-  se_q : Obs.Metrics.series;
-  se_sv : Obs.Metrics.series;
-  se_wk : Obs.Metrics.series;
-  se_jn : Obs.Metrics.series;
 }
-
-let contains_timeout r =
-  let n = String.length r in
-  let rec go i = i + 7 <= n && (String.sub r i 7 = "timeout" || go (i + 1)) in
-  go 0
 
 let record acc req t4 =
   let t1 = max req.t1 req.t_arr in
@@ -317,11 +307,6 @@ let record acc req t4 =
   Sketch.observe acc.a_sv sv;
   Sketch.observe acc.a_wk wk;
   Sketch.observe acc.a_jn jn;
-  Obs.Metrics.observe_series acc.se_lat l;
-  Obs.Metrics.observe_series acc.se_q q;
-  Obs.Metrics.observe_series acc.se_sv sv;
-  Obs.Metrics.observe_series acc.se_wk wk;
-  Obs.Metrics.observe_series acc.se_jn jn;
   let fl = float_of_int l in
   acc.a_jain_s <- acc.a_jain_s +. fl;
   acc.a_jain_s2 <- acc.a_jain_s2 +. (fl *. fl);
@@ -335,7 +320,7 @@ let finish acc name req outcome t4 =
   | Ok () -> record acc req t4
   | Error (Resil.Cancelled r) ->
       req.dead <- true;
-      if contains_timeout r then begin
+      if Pcont_obs.Trace.mentions_timeout r then begin
         acc.a_timedout <- acc.a_timedout + 1;
         Sketch.observe acc.a_tl (t4 - req.t_arr);
         marker name "/timedout"
@@ -369,8 +354,6 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       Obs.sink_close = (fun () -> ());
     };
   let name = scenario_name scen in
-  let m = Obs.metrics o in
-  let series suffix = Obs.Metrics.series m ("load." ^ name ^ suffix) in
   let acc =
     {
       a_completed = 0;
@@ -386,11 +369,6 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       a_jain_s = 0.;
       a_jain_s2 = 0.;
       a_resid = 0;
-      se_lat = series ".latency";
-      se_q = series ".queue";
-      se_sv = series ".service";
-      se_wk = series ".wake";
-      se_jn = series ".join";
     }
   in
   let arr = arrivals p ~seed in

@@ -115,10 +115,9 @@ val run :
   stats
 (** Run one scenario to completion (every request finished, timed out
     or crashed; handlers drained).  When [?obs] is given, the run's
-    events flow to its sinks and the per-scenario series
-    [load.<scenario>.{latency,queue,service,wake,join}] land in its
-    metrics; otherwise a private handle is created (peak-fiber
-    accounting needs one).  Default policy: [Round_robin]. *)
+    events flow to its sinks; otherwise a private handle is created
+    (peak-fiber accounting needs one).  The latency distributions live
+    only in the returned [stats].  Default policy: [Round_robin]. *)
 
 val stats_to_json : stats -> Pcont_obs.Obs.Json.t
 (** Deterministic field order; quantiles rendered at p50/p99/p999. *)

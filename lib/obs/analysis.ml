@@ -1218,14 +1218,14 @@ module Snapshot = struct
 
   let pp ppf t =
     let q name p =
-      match Obs.Metrics.find_sketch t.sn_mx name with
+      match Obs.Metrics.find t.sn_mx name with
       | None -> Format.asprintf "%8s" "-"
       | Some sk -> Format.asprintf "%8.0f" (Obs.Metrics.Sketch.quantile sk p)
     in
     let qline name =
       Format.asprintf "p50 %s  p99 %s  p999 %s  (n=%d)" (q name 0.5) (q name 0.99)
         (q name 0.999)
-        (match Obs.Metrics.find_sketch t.sn_mx name with
+        (match Obs.Metrics.find t.sn_mx name with
         | Some sk -> Obs.Metrics.Sketch.count sk
         | None -> 0)
     in

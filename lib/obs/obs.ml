@@ -427,22 +427,10 @@ module Event = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: counters + fixed-bucket histograms                         *)
+(* Metrics: counters + quantile sketches                               *)
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  type hist = {
-    bounds : int array;  (* strictly increasing inclusive upper bounds *)
-    counts : int array;  (* length bounds + 1; the last is the overflow *)
-    mutable n : int;
-    mutable sum : int;
-    mutable max : int;
-  }
-
-  (* 1, 2, 4, ..., 2^20: wide enough for fuel-per-quantum, queue depths
-     and capture sizes while keeping observation a short scan. *)
-  let default_bounds = Array.init 21 (fun i -> 1 lsl i)
-
   (* DDSketch-style mergeable quantile sketch.  Bucket [i] (i >= 0) holds
      every observation v with gamma^(i-1) < v <= gamma^i, where
      gamma = (1+alpha)/(1-alpha); zeros are counted exactly.  Reporting
@@ -553,16 +541,11 @@ module Metrics = struct
       if src.sk_max > dst.sk_max then dst.sk_max <- src.sk_max
   end
 
-  type t = {
-    counters : Counters.t;
-    hists : (string, hist) Hashtbl.t;
-    sketches : (string, Sketch.t) Hashtbl.t;
-  }
+  type t = { counters : Counters.t; sketches : (string, Sketch.t) Hashtbl.t }
 
   let create ?counters () =
     {
       counters = (match counters with Some c -> c | None -> Counters.create ());
-      hists = Hashtbl.create 16;
       sketches = Hashtbl.create 16;
     }
 
@@ -572,23 +555,9 @@ module Metrics = struct
 
   let add t name n = Counters.add t.counters name n
 
-  let hist_of t name =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            bounds = default_bounds;
-            counts = Array.make (Array.length default_bounds + 1) 0;
-            n = 0;
-            sum = 0;
-            max = 0;
-          }
-        in
-        Hashtbl.add t.hists name h;
-        h
+  type series = Sketch.t
 
-  let sketch_of t name =
+  let series t name =
     match Hashtbl.find_opt t.sketches name with
     | Some sk -> sk
     | None ->
@@ -596,100 +565,24 @@ module Metrics = struct
         Hashtbl.add t.sketches name sk;
         sk
 
-  (* A pre-resolved handle on one named distribution: scheduler hot
-     paths (one observation per slice) pay the string-keyed lookups once
-     per run instead of once per observation. *)
-  type series = { se_hist : hist; se_sketch : Sketch.t }
+  let observe t name v = Sketch.observe (series t name) v
 
-  let series t name = { se_hist = hist_of t name; se_sketch = sketch_of t name }
-
-  (* Every observation feeds both views: the power-of-two histogram
-     (exact bucket counts, cheap to print) and the quantile sketch
-     (p50/p99/p999 within the relative-error bound, mergeable). *)
-  let observe_series se v =
-    let v = if v < 0 then 0 else v in
-    let h = se.se_hist in
-    let nb = Array.length h.bounds in
-    let rec bucket i = if i >= nb || v <= h.bounds.(i) then i else bucket (i + 1) in
-    let i = bucket 0 in
-    h.counts.(i) <- h.counts.(i) + 1;
-    h.n <- h.n + 1;
-    h.sum <- h.sum + v;
-    if v > h.max then h.max <- v;
-    Sketch.observe se.se_sketch v
-
-  let observe t name v = observe_series (series t name) v
-
-  let find t name = Hashtbl.find_opt t.hists name
-
-  let find_sketch t name = Hashtbl.find_opt t.sketches name
+  let find t name = Hashtbl.find_opt t.sketches name
 
   let sketches t =
     Hashtbl.fold (fun name sk acc -> (name, sk) :: acc) t.sketches []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let quantile t name q =
-    match find_sketch t name with None -> 0. | Some sk -> Sketch.quantile sk q
+    match find t name with None -> 0. | Some sk -> Sketch.quantile sk q
 
-  let hists t =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let hist_count h = h.n
-
-  let hist_sum h = h.sum
-
-  let hist_max h = h.max
-
-  let hist_mean h = if h.n = 0 then 0. else float_of_int h.sum /. float_of_int h.n
-
-  let hist_buckets h =
-    let nb = Array.length h.bounds in
-    let acc = ref [] in
-    for i = nb downto 0 do
-      if h.counts.(i) > 0 then
-        let label =
-          if i = nb then Printf.sprintf ">%d" h.bounds.(nb - 1)
-          else Printf.sprintf "<=%d" h.bounds.(i)
-        in
-        acc := (label, h.counts.(i)) :: !acc
-    done;
-    !acc
-
-  (* Fold [src] into [dst]: counters add, histograms add bucket-wise
-     (same bounds required), sketches merge bucket-wise.  Groundwork for
-     per-domain metrics buffers: each domain observes locally and the
-     collector merges. *)
+  (* Fold [src] into [dst]: counters add, sketches merge bucket-wise.
+     Groundwork for per-domain metrics buffers: each domain observes
+     locally and the collector merges. *)
   let merge dst src =
     List.iter (fun (name, v) -> Counters.add dst.counters name v)
       (Counters.to_list src.counters);
-    Hashtbl.iter
-      (fun name (h : hist) ->
-        let d = hist_of dst name in
-        if d.bounds <> h.bounds then
-          invalid_arg "Metrics.merge: histograms have different bounds";
-        Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-        d.n <- d.n + h.n;
-        d.sum <- d.sum + h.sum;
-        if h.max > d.max then d.max <- h.max)
-      src.hists;
-    Hashtbl.iter
-      (fun name sk -> Sketch.merge (sketch_of dst name) sk)
-      src.sketches
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>%a" Counters.pp t.counters;
-    List.iter
-      (fun (name, h) ->
-        if h.n > 0 then begin
-          Format.fprintf ppf "@,%s: n=%d sum=%d max=%d mean=%.1f" name h.n h.sum
-            h.max (hist_mean h);
-          List.iter
-            (fun (label, c) -> Format.fprintf ppf "@,  %-10s %d" label c)
-            (hist_buckets h)
-        end)
-      (hists t);
-    Format.fprintf ppf "@]"
+    Hashtbl.iter (fun name sk -> Sketch.merge (series dst name) sk) src.sketches
 end
 
 (* ------------------------------------------------------------------ *)
@@ -791,7 +684,7 @@ let close t =
 (* Span ids are allocated here (per handle, dense) so both schedulers
    share one id space per trace and allocation order — and therefore
    the trace bytes — stay deterministic per seed.  Durations land in
-   the "span.duration" histogram + sketch on end.  A span that never
+   the "span.duration" sketch on end.  A span that never
    ends (its fiber was cancelled or captured away) just stays open;
    the checker's span-balance rule tolerates that, matching the
    cancellation model where cleanup is declined reinstatement. *)
@@ -1256,165 +1149,4 @@ module Sink = struct
           if forward then inner.sink_event ~seq ~ts ev);
       sink_close = inner.sink_close;
     }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-process summary                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Summary = struct
-  type row = {
-    mutable r_kind : string;
-    mutable r_slices : int;
-    mutable r_fuel : int;
-    mutable r_parks : int;
-    mutable r_wakes : int;
-    mutable r_captures : int;
-    mutable r_reinstates : int;
-    mutable r_sends : int;
-    mutable r_recvs : int;
-    mutable r_exits : int;
-    mutable r_fate : string;
-        (* "" for a normal exit; "cancelled", "timed-out", "crashed" or
-           "restarted" otherwise (restarted > crashed > timed-out/
-           cancelled when several apply) *)
-  }
-
-  type t = {
-    s_rows : (int, row) Hashtbl.t;
-    mutable s_deadlock : int option;  (* parked count of the last deadlock *)
-    mutable s_cancelled_parked : int;
-        (* fibers that were parked at the moment a cancel discarded them *)
-  }
-
-  let create () : t =
-    { s_rows = Hashtbl.create 16; s_deadlock = None; s_cancelled_parked = 0 }
-
-  let row t pid =
-    match Hashtbl.find_opt t.s_rows pid with
-    | Some r -> r
-    | None ->
-        let r =
-          {
-            r_kind = "?";
-            r_slices = 0;
-            r_fuel = 0;
-            r_parks = 0;
-            r_wakes = 0;
-            r_captures = 0;
-            r_reinstates = 0;
-            r_sends = 0;
-            r_recvs = 0;
-            r_exits = 0;
-            r_fate = "";
-          }
-        in
-        Hashtbl.add t.s_rows pid r;
-        r
-
-  let sink t =
-    {
-      sink_event =
-        (fun ~seq:_ ~ts:_ ev ->
-          match ev with
-          | Event.Spawn { pid; kind; _ } ->
-              let r = row t pid in
-              r.r_kind <- kind
-          | Event.Spawn_batch { kind; nodes; _ } ->
-              Array.iter
-                (fun (p, _) ->
-                  let r = row t p in
-                  r.r_kind <- kind)
-                nodes
-          | Event.Exit { pid } ->
-              let r = row t pid in
-              r.r_exits <- r.r_exits + 1
-          | Event.Slice_end { pid; fuel } ->
-              let r = row t pid in
-              r.r_slices <- r.r_slices + 1;
-              r.r_fuel <- r.r_fuel + fuel
-          | Event.Park { pid; _ } ->
-              let r = row t pid in
-              r.r_parks <- r.r_parks + 1
-          | Event.Wake { pid; _ } ->
-              let r = row t pid in
-              r.r_wakes <- r.r_wakes + 1
-          | Event.Capture { pid; _ } ->
-              let r = row t pid in
-              r.r_captures <- r.r_captures + 1
-          | Event.Reinstate { pid; _ } ->
-              let r = row t pid in
-              r.r_reinstates <- r.r_reinstates + 1
-          | Event.Send { pid; _ } ->
-              let r = row t pid in
-              r.r_sends <- r.r_sends + 1
-          | Event.Recv { pid; _ } ->
-              let r = row t pid in
-              r.r_recvs <- r.r_recvs + 1
-          | Event.Cancel { reason; pids; _ } ->
-              (* A cancel whose reason mentions "timeout" is a deadline
-                 firing (Resil.with_timeout / with_deadline cancel with
-                 reason "timeout", which abort renders as
-                 "cancel: timeout"): those fibers get the distinct
-                 [timed-out] fate so SLO rollups can tell a deadline
-                 kill from an ordinary cancellation. *)
-              let fate =
-                let sub = "timeout" and n = String.length reason in
-                let rec has i =
-                  i + 7 <= n && (String.sub reason i 7 = sub || has (i + 1))
-                in
-                if has 0 then "timed-out" else "cancelled"
-              in
-              Array.iter
-                (fun p ->
-                  let r = row t p in
-                  if r.r_parks > r.r_wakes then
-                    t.s_cancelled_parked <- t.s_cancelled_parked + 1;
-                  if r.r_fate = "" then r.r_fate <- fate)
-                pids
-          | Event.Crash { pid; _ } ->
-              if pid >= 0 then begin
-                let r = row t pid in
-                if r.r_fate <> "restarted" then r.r_fate <- "crashed"
-              end
-          | Event.Restart { child; _ } ->
-              let r = row t child in
-              r.r_fate <- "restarted"
-          | Event.Deadlock { parked } -> t.s_deadlock <- Some parked
-          | Event.Slice_begin _ | Event.Timeout _ | Event.Invalid_controller _
-          | Event.Span_begin _ | Event.Span_end _ ->
-              ());
-      sink_close = (fun () -> ());
-    }
-
-  let rows t =
-    Hashtbl.fold (fun pid r acc -> (pid, r) :: acc) t.s_rows []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let deadlock t = t.s_deadlock
-  let cancelled_parked t = t.s_cancelled_parked
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>%8s %-10s %8s %10s %7s %7s %9s %7s %7s %7s %9s" "pid"
-      "kind" "slices" "fuel" "parks" "wakes" "captures" "grafts" "sends" "recvs"
-      "exits";
-    List.iter
-      (fun (pid, r) ->
-        (* the exits cell distinguishes cancelled/crashed/restarted fates
-           from normal exit counts *)
-        let exits =
-          if r.r_fate = "" then string_of_int r.r_exits else r.r_fate
-        in
-        Format.fprintf ppf "@,%8d %-10s %8d %10d %7d %7d %9d %7d %7d %7d %9s" pid
-          r.r_kind r.r_slices r.r_fuel r.r_parks r.r_wakes r.r_captures
-          r.r_reinstates r.r_sends r.r_recvs exits)
-      (rows t);
-    (match t.s_deadlock with
-    | None -> ()
-    | Some parked ->
-        Format.fprintf ppf "@,deadlock: %d process(es) left parked" parked;
-        if t.s_cancelled_parked > 0 then
-          Format.fprintf ppf " (+%d cancelled while parked)"
-            t.s_cancelled_parked);
-    Format.fprintf ppf "@]"
 end

@@ -6,7 +6,7 @@
     lifecycle into analyzable data: a typed, timestamped,
     sequence-numbered event stream ({!Event}) covering
     spawn/exit, run slices, park/wake, capture/reinstate, channel
-    send/recv and deadlock, plus counters and fixed-bucket histograms
+    send/recv and deadlock, plus counters and quantile sketches
     ({!Metrics}).
 
     Both schedulers ([Pcont_pstack.Concur.run] and [Pcont_sched.Sched.run])
@@ -30,9 +30,10 @@
     renders as a track with run slices and park gaps.
 
     Exported JSONL traces are not write-only: [Pcont_obs.Trace]
-    re-ingests them into typed events and [Pcont_obs.Analysis] checks
-    their invariants, computes causal reports and diffs two traces (the
-    [ptrace] CLI). *)
+    re-ingests them into typed events and reconstructs each run's
+    per-process tallies and fates (the [psi --summary] table), and
+    [Pcont_obs.Analysis] checks their invariants, computes causal
+    reports and diffs two traces (the [ptrace] CLI). *)
 
 (** {1 JSON utilities}
 
@@ -189,17 +190,12 @@ end
 
 (** {1 Metrics}
 
-    Counters plus fixed-bucket histograms.  Built on (and usually
-    sharing) a {!Pcont_util.Counters.t}, so machine counters and
-    scheduler metrics land in one table. *)
+    Counters plus one quantile sketch per named distribution.  Built on
+    (and usually sharing) a {!Pcont_util.Counters.t}, so machine counters
+    and scheduler metrics land in one table. *)
 
 module Metrics : sig
   type t
-
-  type hist
-  (** A fixed-bucket histogram over non-negative ints with
-      power-of-two bucket bounds 1, 2, 4, …, 2{^20} plus an overflow
-      bucket. *)
 
   (** A DDSketch-style mergeable quantile sketch over non-negative
       ints.  Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha)
@@ -257,30 +253,17 @@ module Metrics : sig
   val add : t -> string -> int -> unit
 
   val observe : t -> string -> int -> unit
-  (** Record one observation under [name], creating the views on first
-      use.  Every observation feeds both the histogram (exact bucket
-      counts) and the sketch (quantiles within the error bound), so
-      they always agree on count/sum/max.  Values are clamped below
-      at 0. *)
+  (** Record one observation under [name] in its sketch, creating it on
+      first use.  Values are clamped below at 0. *)
 
-  type series
-  (** A pre-resolved handle on one named distribution (its histogram and
-      sketch).  Scheduler hot paths observe once per slice; resolving
-      the name once per run keeps the per-slice cost at two array
-      bumps. *)
+  type series = Sketch.t
 
   val series : t -> string -> series
-  (** Resolve [name] to its views, creating them on first use. *)
+  (** Resolve [name] to its sketch, creating it on first use.
+      Scheduler hot paths observe once per slice; resolving the name
+      once per run leaves one {!Sketch.observe} per observation. *)
 
-  val observe_series : series -> int -> unit
-  (** [observe] without the per-call name lookup. *)
-
-  val find : t -> string -> hist option
-
-  val hists : t -> (string * hist) list
-  (** All histograms, sorted by name. *)
-
-  val find_sketch : t -> string -> Sketch.t option
+  val find : t -> string -> Sketch.t option
 
   val sketches : t -> (string * Sketch.t) list
   (** All sketches, sorted by name. *)
@@ -289,28 +272,11 @@ module Metrics : sig
   (** [quantile t name q] reads the named sketch; 0. when absent. *)
 
   val merge : t -> t -> unit
-  (** [merge dst src] folds [src] into [dst]: counters add, histograms
-      add bucket-wise, sketches merge bucket-wise.  Histograms must
-      have the same bounds and sketches the same error bound
+  (** [merge dst src] folds [src] into [dst]: counters add, sketches
+      merge bucket-wise.  Sketches must have the same error bound
       ([Invalid_argument] otherwise).  [src] is left untouched.
       Groundwork for per-domain metrics buffers: domains observe
       locally, a collector merges. *)
-
-  val hist_count : hist -> int
-
-  val hist_sum : hist -> int
-
-  val hist_max : hist -> int
-
-  val hist_mean : hist -> float
-  (** 0. when empty. *)
-
-  val hist_buckets : hist -> (string * int) list
-  (** Non-empty buckets as [("<=N", count)] pairs, overflow last as
-      [(">N", count)]. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Counters, then histograms (empty histograms omitted). *)
 end
 
 (** {1 Handles} *)
@@ -385,8 +351,7 @@ module Span : sig
 
   val end_ : t -> pid:int -> int -> unit
   (** Emit {!Event.Span_end}; if the span was open, observe its
-      duration (virtual time) in the ["span.duration"]
-      histogram + sketch. *)
+      duration (virtual time) in the ["span.duration"] sketch. *)
 
   val open_count : t -> int
   (** Spans begun but not yet ended. *)
@@ -419,7 +384,7 @@ module Sink : sig
 
   val memory : (int * int * Event.t -> unit) -> sink
   (** Feed [(seq, ts, event)] triples to a callback (tests,
-      [psi --analyze]). *)
+      [psi --summary]/[--analyze]). *)
 
   (** {2 Flight recorder} *)
 
@@ -472,51 +437,4 @@ module Sink : sig
       detail (slices, parks, wakes, sends, recvs, spans) passes only
       for sampled fibers.  Original seq stamps are preserved, so gaps
       are visible to consumers. *)
-end
-
-(** {1 Per-process summary} *)
-
-module Summary : sig
-  type row = {
-    mutable r_kind : string;  (** spawn kind, ["?"] if never spawned *)
-    mutable r_slices : int;
-    mutable r_fuel : int;
-    mutable r_parks : int;
-    mutable r_wakes : int;
-    mutable r_captures : int;
-    mutable r_reinstates : int;
-    mutable r_sends : int;
-    mutable r_recvs : int;
-    mutable r_exits : int;  (** 0 or 1 in a well-formed trace *)
-    mutable r_fate : string;
-        (** [""] for a normal exit, else ["cancelled"], ["timed-out"]
-            (the cancel's reason named a timeout — a
-            {!Pcont_resil.Resil.with_timeout}/[with_deadline] deadline
-            fired), ["crashed"] or ["restarted"] (restarted > crashed >
-            timed-out/cancelled when several apply); rendered in place
-            of the exits count by {!pp} *)
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val sink : t -> sink
-  (** A sink aggregating per-process totals into [t].  Spawn and exit
-      events create rows too, so a process that spawns and exits
-      without ever slicing still shows up. *)
-
-  val rows : t -> (int * row) list
-  (** Totals per pid, sorted by pid. *)
-
-  val deadlock : t -> int option
-  (** The parked count of the last deadlock event, if one occurred. *)
-
-  val cancelled_parked : t -> int
-  (** Fibers that were parked at the moment a cancel discarded them. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** The [psi --summary] table: one row per process, plus a trailing
-      deadlock line when one occurred (also counting cancelled-while-
-      parked fibers when there were any). *)
 end

@@ -204,6 +204,7 @@ type node = {
   mutable n_sends : int;
   mutable n_recvs : int;
   mutable n_blocked : (string * int) list;
+  mutable n_fate : string;
 }
 
 type slice = {
@@ -222,6 +223,7 @@ type run = {
   r_first_ts : int;
   r_span : int;
   r_deadlock : int option;
+  r_cancelled_parked : int;
 }
 
 let node_of run pid =
@@ -245,6 +247,13 @@ let add_blocked n resource d =
   in
   n.n_blocked <- go n.n_blocked
 
+(* Resil.with_timeout / with_deadline cancel with reason "timeout",
+   which the scope's abort renders as "cancel: timeout". *)
+let mentions_timeout reason =
+  let n = String.length reason in
+  let rec has i = i + 7 <= n && (String.sub reason i 7 = "timeout" || has (i + 1)) in
+  has 0
+
 let reconstruct events =
   let tbl : (int, node) Hashtbl.t = Hashtbl.create 64 in
   let parked : (int, string * int) Hashtbl.t = Hashtbl.create 16 in
@@ -255,6 +264,7 @@ let reconstruct events =
   let n_slices = ref 0 in
   let open_slice = ref None in
   let deadlock = ref None in
+  let cancelled_parked = ref 0 in
   let first_ts = if n_events = 0 then 0 else events.(0).ts in
   let last_ts = if n_events = 0 then 0 else events.(n_events - 1).ts in
   let unpark ~ts pid =
@@ -306,6 +316,7 @@ let reconstruct events =
           n_sends = 0;
           n_recvs = 0;
           n_blocked = [];
+          n_fate = "";
         }
       in
       Hashtbl.add tbl pid n;
@@ -388,18 +399,29 @@ let reconstruct events =
           match find pid with
           | Some n -> n.n_recvs <- n.n_recvs + 1
           | None -> ())
-      | Event.Cancel { pids; _ } ->
+      | Event.Cancel { reason; pids; _ } ->
           (* the scheduler lists exactly the nodes it discarded (futures
              planted inside the scope are absent: they live on) *)
+          let fate = if mentions_timeout reason then "timed-out" else "cancelled" in
           Array.iter
             (fun c ->
               match find c with
-              | Some m when m.n_exit_ts = None && m.n_pruned_ts = None ->
-                  ignore (unpark ~ts:s.ts c);
-                  m.n_pruned_ts <- Some s.ts
-              | _ -> ())
+              | Some m ->
+                  if m.n_parks > m.n_wakes then incr cancelled_parked;
+                  if m.n_fate = "" then m.n_fate <- fate;
+                  if m.n_exit_ts = None && m.n_pruned_ts = None then begin
+                    ignore (unpark ~ts:s.ts c);
+                    m.n_pruned_ts <- Some s.ts
+                  end
+              | None -> ())
             pids
-      | Event.Timeout _ | Event.Crash _ | Event.Restart _ -> ()
+      | Event.Crash { pid; _ } -> (
+          match find pid with
+          | Some n when n.n_fate <> "restarted" -> n.n_fate <- "crashed"
+          | _ -> ())
+      | Event.Restart { child; _ } -> (
+          match find child with Some n -> n.n_fate <- "restarted" | None -> ())
+      | Event.Timeout _ -> ()
       | Event.Span_begin _ | Event.Span_end _ -> ()
       | Event.Invalid_controller _ -> ()
       | Event.Deadlock { parked = p } -> deadlock := Some p)
@@ -440,6 +462,7 @@ let reconstruct events =
     r_first_ts = first_ts;
     r_span = last_ts - first_ts;
     r_deadlock = !deadlock;
+    r_cancelled_parked = !cancelled_parked;
   }
 
 let blocked_total run =

@@ -38,7 +38,12 @@ val runs : stamped array -> stamped array array
 (** Split a trace into runs.  Events before the first root spawn (never
     produced by the sinks) are grouped into a leading run of their own. *)
 
-(** {1 Process-tree reconstruction} *)
+(** {1 Process-tree reconstruction}
+
+    One pass over a run yields everything per process: tree shape,
+    slice/fuel/park/wake/capture/graft/send/recv tallies, blocked time
+    and fate.  [psi --summary] prints these rows, [psi --analyze] and
+    {!Analysis.Report} build on the same reconstruction. *)
 
 type node = {
   n_pid : int;
@@ -62,6 +67,15 @@ type node = {
       (** virtual time parked, per resource, park-order; a park cut
           short by a capture-prune or the end of the run still counts
           up to that point *)
+  mutable n_fate : string;
+      (** [""] unless the node died abnormally: ["timed-out"] when a
+          cancel whose reason mentions ["timeout"] discarded it (a
+          [Pcont_resil.Resil.with_timeout]/[with_deadline] deadline
+          fired), ["cancelled"] for any other cancel, ["crashed"] for a
+          {!Obs.Event.Crash} on it, ["restarted"] when a supervisor
+          restarted the child it rooted.  When several apply,
+          restarted > crashed > timed-out/cancelled, and the first
+          cancel wins over later ones. *)
 }
 
 type slice = {
@@ -83,9 +97,18 @@ type run = {
   r_first_ts : int;
   r_span : int;  (** last ts − first ts *)
   r_deadlock : int option;
+  r_cancelled_parked : int;
+      (** nodes that were parked (more parks than wakes) when a cancel
+          discarded them *)
 }
 
 val node_of : run -> int -> node option
+
+val mentions_timeout : string -> bool
+(** Whether a cancel reason names a deadline kill: it contains
+    ["timeout"], as the reasons [Pcont_resil.Resil.with_timeout] and
+    [with_deadline] cancel with do.  The rule behind the [timed-out]
+    fate, shared with the load generator's request accounting. *)
 
 val reconstruct : stamped array -> run
 (** Build the tree and timelines for one run (one element of {!runs}).

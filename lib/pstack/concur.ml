@@ -65,7 +65,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
   let cfg = match cfg with Some c -> c | None -> Machine.config () in
   let counters = cfg.Machine.counters in
   (* Route the machine's per-operation size distributions into the
-     handle's histograms for the duration of this run. *)
+     handle's sketches for the duration of this run. *)
   let saved_metrics = cfg.Machine.metrics in
   (match obs with
   | None -> ()

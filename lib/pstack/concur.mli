@@ -88,7 +88,7 @@ val run :
     scheduler emits the full process-lifecycle event stream —
     spawn/exit, run slices with fuel charged, park/wake,
     capture/reinstate with control-point counts and segment totals,
-    deadlock — and records the [concur.*] histograms (fuel per slice,
+    deadlock — and records the [concur.*] sketches (fuel per slice,
     run-queue depth, capture size, park latency in rounds).  Events are
     stamped with a deterministic virtual clock (cumulative fuel), so a
     fixed seed yields a byte-stable trace.  With no handle the

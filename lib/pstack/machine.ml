@@ -31,7 +31,7 @@ type config = {
          runs once per site, not once per capture.  Bounded by the number
          of controller bodies in the program.  -1 encodes "not linear". *)
   mutable metrics : Pcont_obs.Obs.Metrics.t option;
-      (* histogram half of the observability metrics; the drivers set it
+      (* distribution half of the observability metrics; the drivers set it
          while a trace handle is attached, so the no-handle path stays a
          single pattern match *)
 }

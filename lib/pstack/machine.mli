@@ -53,7 +53,7 @@ type config = {
           (physical identity; [-1] = not linear) — the linearity walk runs
           once per code site, not once per capture *)
   mutable metrics : Pcont_obs.Obs.Metrics.t option;
-      (** histogram half of the observability metrics ([machine.*]
+      (** distribution half of the observability metrics ([machine.*]
           size distributions); the drivers install it while a trace
           handle is attached and the machine leaves it alone otherwise *)
 }

@@ -87,7 +87,8 @@ module Scope = struct
      - the watchdog parks on the scope's waitset and aborts with
        [Error (Cancelled _)] when it observes a cancellation request
        (park is a re-check loop, so a spurious wake re-parks);
-     - [extra] branches (the timeout timer) may abort on their own.
+     - the branches [extra crash] (the timeout timer) may abort on
+       their own, failing through [crash].
 
      Whichever branch aborts first wins: the abort captures and
      discards the other branches — parked, sleeping or mid-compute at a
@@ -133,10 +134,10 @@ module Scope = struct
              scope failure like any other *)
           try watch () with e -> crash e
         in
-        ignore (Sched.pcall (main :: watchdog :: List.map (fun f -> f crash) extra));
+        ignore (Sched.pcall (main :: watchdog :: extra crash));
         assert false)
 
-  let run sc body = run_with sc [] body
+  let run sc body = run_with sc (fun _ -> []) body
 
   let with_scope ?parent body =
     let sc = make ?parent () in
@@ -147,70 +148,49 @@ end
 (* Timeouts.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A timeout is a scope with one extra branch: a timer that sleeps on
+(* A timeout is a scope with one extra branch: a timer that waits on
    the scheduler's virtual clock and, if the scope is still running at
    the deadline, aborts it.  Because quiescence jumps the clock to the
    earliest pending deadline, the timer fires even when every fiber in
-   the system is blocked — the timeout doubles as a deadlock backstop. *)
-let with_timeout ?parent d body =
+   the system is blocked — the timeout doubles as a deadlock backstop.
+   [wait arg] is how the timer waits; [wait] is a closed function, so
+   sharing the branch costs no closure per scope. *)
+let with_timer ?parent wait arg body =
   let sc = Scope.make ?parent () in
-  Scope.run_with sc
-    [
-      (fun crash () ->
-        try
-          Sched.sleep d;
-          match sc.Scope.state with
-          | Scope.Running ->
-              (match Sched.obs () with
-              | None -> ()
-              | Some o ->
-                  Obs.emit o
-                    (E.Timeout { pid = Sched.self_pid (); deadline = Sched.now () }));
-              Scope.cancel sc ~reason:"timeout";
-              (* the watchdog is parked on the scope's waitset; [cancel]
-                 woke it, and it will abort the scope.  This timer then
-                 just parks until that abort discards it. *)
-              Sched.block (Sched.Waitset.create "resil.discard");
-              assert false
-          | Scope.Cancel_requested _ | Scope.Finished ->
-              (* the scope is already on its way out; park until
-                 whichever branch is aborting it discards this timer *)
-              Sched.block (Sched.Waitset.create "resil.discard");
-              assert false
-        with e -> crash e);
-    ]
-    body
+  let timer crash () =
+    try
+      wait arg;
+      (match sc.Scope.state with
+      | Scope.Running ->
+          (match Sched.obs () with
+          | None -> ()
+          | Some o ->
+              Obs.emit o (E.Timeout { pid = Sched.self_pid (); deadline = Sched.now () }));
+          (* the watchdog is parked on the scope's waitset; [cancel]
+             wakes it, and it will abort the scope *)
+          Scope.cancel sc ~reason:"timeout"
+      | Scope.Cancel_requested _ | Scope.Finished -> ());
+      (* the scope is on its way out: park until whichever branch is
+         aborting it discards this timer *)
+      Sched.block (Sched.Waitset.create "resil.discard");
+      assert false
+    with e -> crash e
+  in
+  Scope.run_with sc (fun crash -> [ timer crash ]) body
 
-(* Same machinery, absolute deadline: the timer sleeps until virtual
-   time [at] (no sleep at all if [at] has already passed — the request
-   is dead on arrival and times out before the body runs a slice).
-   This is the open-loop load generator's per-request deadline: the
-   budget counts from the *scheduled arrival*, not from whenever the
-   scope got around to starting, so admission lag eats into it. *)
-let with_deadline ?parent ~at body =
-  let sc = Scope.make ?parent () in
-  Scope.run_with sc
-    [
-      (fun crash () ->
-        try
-          let d = at - Sched.now () in
-          if d > 0 then Sched.sleep d;
-          match sc.Scope.state with
-          | Scope.Running ->
-              (match Sched.obs () with
-              | None -> ()
-              | Some o ->
-                  Obs.emit o
-                    (E.Timeout { pid = Sched.self_pid (); deadline = Sched.now () }));
-              Scope.cancel sc ~reason:"timeout";
-              Sched.block (Sched.Waitset.create "resil.discard");
-              assert false
-          | Scope.Cancel_requested _ | Scope.Finished ->
-              Sched.block (Sched.Waitset.create "resil.discard");
-              assert false
-        with e -> crash e);
-    ]
-    body
+let with_timeout ?parent d body = with_timer ?parent Sched.sleep d body
+
+(* Absolute deadline: the timer sleeps until virtual time [at] (no sleep
+   at all if [at] has already passed — the request is dead on arrival
+   and times out before the body runs a slice).  This is the open-loop
+   load generator's per-request deadline: the budget counts from the
+   *scheduled arrival*, not from whenever the scope got around to
+   starting, so admission lag eats into it. *)
+let sleep_until at =
+  let d = at - Sched.now () in
+  if d > 0 then Sched.sleep d
+
+let with_deadline ?parent ~at body = with_timer ?parent sleep_until at body
 
 (* ------------------------------------------------------------------ *)
 (* Supervision.                                                        *)

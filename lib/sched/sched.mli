@@ -91,7 +91,7 @@ val run :
     run slices (each slice runs a fiber to its next suspension and is
     charged one fuel unit), park/wake, capture/reinstate with
     control-point counts and subtree sizes, deadlock — and records the
-    [sched.*] histograms (slice fuel, run-queue depth, capture size,
+    [sched.*] sketches (slice fuel, run-queue depth, capture size,
     park latency in rounds).  Timestamps are a deterministic virtual
     clock (cumulative slices), so a fixed policy yields a byte-stable
     trace.  Controller labels and channel ids are allocated per run

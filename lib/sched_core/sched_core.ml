@@ -40,7 +40,7 @@ and ('l, 'w, 'v) wait = {
 (* A parked leaf.  [e_live] is cleared when the leaf is woken or when a
    capture prunes it into a process continuation, so a stale reference
    left on a waitset or the timer heap does nothing.  [e_round] is the
-   scheduling round the leaf parked in, for the park-latency histogram. *)
+   scheduling round the leaf parked in, for the park-latency sketch. *)
 and ('l, 'w, 'v) entry = {
   e_node : ('l, 'w, 'v) node;
   e_leaf : 'l;
@@ -92,7 +92,7 @@ type ('l, 'w, 'v) t = {
 }
 
 (* Never fed: every observation site is guarded on [obs]. *)
-let unobserved = lazy (Obs.Metrics.series (Obs.Metrics.create ()) "")
+let unobserved = lazy (Obs.Metrics.Sketch.create ())
 
 let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
   let series name =
@@ -325,7 +325,7 @@ let wake t e =
     match t.obs with
     | None -> ()
     | Some o ->
-        Obs.Metrics.observe_series t.s_park (t.rounds - e.e_round);
+        Obs.Metrics.Sketch.observe t.s_park (t.rounds - e.e_round);
         Hashtbl.replace t.wake_ts e.e_node.nid !(t.clock);
         Obs.emit o (E.Wake { pid = e.e_node.nid; resource = e.e_res })
   end
@@ -426,7 +426,7 @@ let slice_begin t n =
       match Hashtbl.find_opt t.wake_ts n.nid with
       | Some w ->
           Hashtbl.remove t.wake_ts n.nid;
-          Obs.Metrics.observe_series t.s_wake_run (!(t.clock) - w)
+          Obs.Metrics.Sketch.observe t.s_wake_run (!(t.clock) - w)
       | None -> ())
 
 (* The virtual clock advances by the fuel charged (at least 1, so
@@ -442,7 +442,7 @@ let slice_end t n used =
   | None -> ()
   | Some o ->
       Obs.advance o d;
-      Obs.Metrics.observe_series t.s_fuel used;
+      Obs.Metrics.Sketch.observe t.s_fuel used;
       Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
 
 (* The nodes that take the stepped node's place in the queue: itself if
@@ -470,7 +470,7 @@ let round t step =
   | Some _ ->
       (* Queue length may include entries gone stale since the last
          compaction; it is the work the round is about to look at. *)
-      Obs.Metrics.observe_series t.s_runq (List.length t.queue));
+      Obs.Metrics.Sketch.observe t.s_runq (List.length t.queue));
   t.new_trees <- [];
   (match t.policy with
   | Driven_pids pick ->

@@ -9,7 +9,7 @@
     clock, span inheritance, and the slice events.  A backend supplies
     the payload types — a leaf ['l], the extra state of a wait ['w], a
     result value ['v] — and one closure that steps a leaf for a slice.
-    Every event and histogram the core emits is named by the backend's
+    Every event and distribution the core emits is named by the backend's
     prefix ([concur.*] or [sched.*]). *)
 
 type policy =
@@ -79,7 +79,7 @@ val create :
   'l ->
   ('l, 'w, 'v) t
 (** A forest whose root (pid 0) is the given leaf.  [prefix] names the
-    histograms ([prefix.slice.fuel], [.runq.depth], [.park.rounds],
+    sketches ([prefix.slice.fuel], [.runq.depth], [.park.rounds],
     [.wake.run]) and, with [counters], the [prefix.park]/[prefix.wake]
     counters.  [nouns] is the plural and counted noun of deadlock
     diagnoses, e.g. [("fibers", "fiber(s)")].  [clock] is the virtual

@@ -25,7 +25,7 @@ let eval_ir ?(mode = Sequential) ?fuel ?quantum ?obs t ir =
   match mode with
   | Sequential -> (
       (* No scheduler, so no event stream — but the machine's size
-         histograms are still worth recording while a handle is given. *)
+         distributions are still worth recording while a handle is given. *)
       t.icfg.Pstack.Machine.metrics <-
         Option.map Pcont_obs.Obs.metrics obs;
       match Pstack.Run.eval_ir ?fuel ~cfg:t.icfg t.ienv ir with

@@ -333,6 +333,25 @@ let test_schedule_file_roundtrip () =
           Alcotest.(check (array int)) "trace file yields the same schedule"
             r.X.Replay.rec_schedule.X.Schedule.decisions s.X.Schedule.decisions)
 
+(* A schedule cut short runs out before the program finishes: the
+   replay falls back to index 0 and names the exhaustion, not a pid. *)
+let test_truncated_schedule () =
+  let r = X.Replay.record X.Workloads.gen_native in
+  let sched = r.X.Replay.rec_schedule in
+  let cut = Array.length sched.X.Schedule.decisions / 2 in
+  let short =
+    { sched with X.Schedule.decisions = Array.sub sched.X.Schedule.decisions 0 cut }
+  in
+  (match X.Replay.replay X.Workloads.gen_native short with
+  | _, None -> Alcotest.fail "a truncated schedule must diverge"
+  | _, Some d ->
+      Alcotest.(check int) "first missing decision" cut d.X.Replay.d_decision;
+      let msg = X.Replay.pp_divergence d in
+      if not (starts_with ~prefix:(Printf.sprintf "decision %d: schedule exhausted" cut) msg)
+      then Alcotest.failf "unexpected divergence report: %s" msg);
+  Alcotest.(check string) "trace lines count from 1" "line 2: recorded b, replayed c"
+    (X.Replay.first_diff "a\nb" "a\nc")
+
 (* ---------------- cancellation races ------------------------------- *)
 
 (* A waker and a canceller race for a parked fiber: depending on the
@@ -537,6 +556,7 @@ let () =
           Alcotest.test_case "randomized" `Quick test_roundtrip_seeded;
           Alcotest.test_case "driven" `Quick test_roundtrip_driven;
           Alcotest.test_case "schedule files" `Quick test_schedule_file_roundtrip;
+          Alcotest.test_case "truncated schedule" `Quick test_truncated_schedule;
         ] );
       ( "explore",
         [

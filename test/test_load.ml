@@ -2,7 +2,7 @@
    and independent of handler execution, traces are byte-identical per
    seed and pass every invariant rule, latency attribution telescopes
    exactly to end-to-end, deadlines mark requests timed-out all the way
-   to the Summary fate column, and a mid-load deadlock auto-dumps a
+   to the summary fate column, and a mid-load deadlock auto-dumps a
    flight window the checker accepts. *)
 
 module Obs = Pcont_obs.Obs
@@ -113,27 +113,26 @@ let test_attribution_sums () =
         (Obs.Metrics.Sketch.count st.Load.st_latency))
     Load.scenarios
 
-(* ---------------- deadlines and the Summary fate column ------------ *)
+(* ---------------- deadlines and the summary fate column ------------ *)
 
 let test_timeouts_reach_summary () =
   let squeezed = { tiny with Load.deadline = 400 } in
-  let o = Obs.create () in
-  let summary = Obs.Summary.create () in
-  Obs.attach o (Obs.Summary.sink summary);
-  let st = Load.run ~obs:o squeezed ~seed:42L Load.Pipeline in
-  Obs.close o;
+  let st, trace = jsonl_run ~profile:squeezed Load.Pipeline in
   if st.Load.st_timedout = 0 then
     Alcotest.fail "a 400-tick deadline should time some requests out";
   Alcotest.(check int) "timed-out latencies are sampled" st.Load.st_timedout
     (Obs.Metrics.Sketch.count st.Load.st_tlat);
-  let timed_out_rows =
-    List.filter
-      (fun (_, r) -> r.Obs.Summary.r_fate = "timed-out")
-      (Obs.Summary.rows summary)
+  let timed_out =
+    Array.fold_left
+      (fun acc run ->
+        Array.fold_left
+          (fun acc n -> if n.Trace.n_fate = "timed-out" then acc + 1 else acc)
+          acc (Trace.reconstruct run).Trace.r_nodes)
+      0
+      (Trace.runs (parse_ok "pipeline trace" trace))
   in
-  if List.length timed_out_rows < st.Load.st_timedout then
-    Alcotest.failf "summary shows %d timed-out fibers for %d timeouts"
-      (List.length timed_out_rows)
+  if timed_out < st.Load.st_timedout then
+    Alcotest.failf "summary shows %d timed-out fibers for %d timeouts" timed_out
       st.Load.st_timedout
 
 let test_slo_rollup_matches_stats () =

@@ -1,5 +1,5 @@
 (* Tests for the observability library (lib/obs) and its wiring into
-   both schedulers: JSON helpers, metrics histograms, trace determinism
+   both schedulers: JSON helpers, metrics sketches, trace determinism
    (same seed => byte-identical traces), Chrome trace well-formedness,
    and the no-handle path being observationally identical. *)
 
@@ -12,6 +12,8 @@ module Concur = Pcont_pstack.Concur
 module Sched = Pcont_sched.Sched
 module Channel = Pcont_sched.Channel
 module C = Pcont_util.Counters
+module Sketch = Pcont_obs.Obs.Metrics.Sketch
+module Trace = Pcont_obs.Trace
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -133,35 +135,18 @@ let test_metrics_histogram () =
   let m = Obs.Metrics.create () in
   List.iter (Obs.Metrics.observe m "h") [ 0; 1; 2; 3; 9; 3_000_000 ];
   match Obs.Metrics.find m "h" with
-  | None -> Alcotest.fail "histogram not created"
-  | Some h ->
-      Alcotest.(check int) "count" 6 (Obs.Metrics.hist_count h);
-      Alcotest.(check int) "sum" 3_000_015 (Obs.Metrics.hist_sum h);
-      Alcotest.(check int) "max" 3_000_000 (Obs.Metrics.hist_max h);
-      let buckets = Obs.Metrics.hist_buckets h in
-      Alcotest.(check (list (pair string int)))
-        "buckets"
-        [ ("<=1", 2); ("<=2", 1); ("<=4", 1); ("<=16", 1) ]
-        (List.filter (fun (l, _) -> l.[0] = '<') buckets);
-      Alcotest.(check bool) "overflow bucket" true
-        (List.mem_assoc ">1048576" buckets)
-
-let test_metrics_overflow_bucket () =
-  (* Values past the last bound land in the overflow bucket, which must
-     render as ">N" (not "<=N") both in hist_buckets and in pp output. *)
-  let m = Obs.Metrics.create () in
-  List.iter (Obs.Metrics.observe m "big") [ 2_000_000; 5_000_000 ];
-  (match Obs.Metrics.find m "big" with
-  | None -> Alcotest.fail "histogram not created"
-  | Some h ->
-      Alcotest.(check (list (pair string int)))
-        "only the overflow bucket"
-        [ (">1048576", 2) ]
-        (Obs.Metrics.hist_buckets h));
-  let rendered = Format.asprintf "%a" Obs.Metrics.pp m in
-  Alcotest.(check bool) "pp shows >N row" true (contains ~needle:">1048576" rendered);
-  Alcotest.(check bool) "pp shows stats" true
-    (contains ~needle:"n=2 sum=7000000 max=5000000" rendered)
+  | None -> Alcotest.fail "sketch not created"
+  | Some sk ->
+      Alcotest.(check int) "count" 6 (Sketch.count sk);
+      Alcotest.(check int) "sum" 3_000_015 (Sketch.sum sk);
+      Alcotest.(check int) "max" 3_000_000 (Sketch.max sk);
+      (* rank floor(q * 5) of the six observations, within alpha = 1% *)
+      List.iter
+        (fun (q, v) ->
+          let est = Sketch.quantile sk q in
+          if Float.abs (est -. v) > 0.01 *. v then
+            Alcotest.failf "q%.1f: %g is not within 1%% of %g" q est v)
+        [ (0., 0.); (0.2, 1.); (0.4, 2.); (0.6, 3.); (0.8, 9.); (1., 3_000_000.) ]
 
 let test_metrics_share_counters () =
   let c = C.create () in
@@ -371,18 +356,20 @@ let test_handle_seq_and_clock () =
   Alcotest.(check int) "clock advances, never backwards" 5 (Obs.now o)
 
 let test_summary_totals () =
-  let s = Obs.Summary.create () in
+  let events = ref [] in
   let o = Obs.create () in
-  Obs.attach o (Obs.Summary.sink s);
+  Obs.attach o
+    (Obs.Sink.memory (fun (seq, ts, ev) -> events := { Trace.seq; ts; ev } :: !events));
   ignore (Sched.run ~obs:o native_main);
   Obs.close o;
-  let rows = Obs.Summary.rows s in
-  Alcotest.(check bool) "several processes" true (List.length rows > 3);
-  let total_fuel = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_fuel) 0 rows in
-  let total_sends = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_sends) 0 rows in
-  let total_recvs = List.fold_left (fun acc (_, r) -> acc + r.Obs.Summary.r_recvs) 0 rows in
-  Alcotest.(check bool) "fuel accumulated" true (total_fuel > 0);
-  Alcotest.(check int) "channel conservation" total_sends total_recvs
+  let run = Trace.reconstruct (Array.of_list (List.rev !events)) in
+  let nodes = Array.to_list run.Trace.r_nodes in
+  Alcotest.(check bool) "several processes" true (List.length nodes > 3);
+  let total f = List.fold_left (fun acc n -> acc + f n) 0 nodes in
+  Alcotest.(check bool) "fuel accumulated" true (total (fun n -> n.Trace.n_fuel) > 0);
+  Alcotest.(check int) "channel conservation"
+    (total (fun n -> n.Trace.n_sends))
+    (total (fun n -> n.Trace.n_recvs))
 
 let () =
   Alcotest.run "obs"
@@ -398,7 +385,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
-          Alcotest.test_case "overflow bucket" `Quick test_metrics_overflow_bucket;
           Alcotest.test_case "shared counters" `Quick test_metrics_share_counters;
         ] );
       ( "determinism",

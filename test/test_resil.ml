@@ -2,8 +2,8 @@
    scopes, finalizer ordering, virtual-time timeouts, supervision with
    restart-intensity windows — plus the trace side: the three new
    Analysis.Check rules pass on clean traces from both schedulers and
-   each fails on a corrupted or injected trace, and Obs.Summary renders
-   the cancelled/crashed/restarted fates. *)
+   each fails on a corrupted or injected trace, and Trace.reconstruct
+   assigns the cancelled/crashed/restarted fates. *)
 
 module Obs = Pcont_obs.Obs
 module E = Pcont_obs.Obs.Event
@@ -482,38 +482,35 @@ let test_no_orphan_waiters_rule () =
 (* ---------------- summary fates ------------------------------------ *)
 
 let test_summary_fates () =
-  let s = Obs.Summary.create () in
-  let o = Obs.create () in
-  Obs.attach o (Obs.Summary.sink s);
   let crashes = ref 0 in
-  ignore
-    (Sched.run ~obs:o (fun () ->
-         let sup =
-           Resil.Supervisor.supervise ~max_restarts:2 ~window:10_000 ~backoff:2
-             [
-               Resil.Supervisor.child ~name:"flaky" (fun () ->
-                   if !crashes = 0 then begin
-                     incr crashes;
-                     failwith "boom"
-                   end);
-             ]
-         in
-         let timed = Resil.with_timeout 5 (fun () -> Sched.sleep 1_000) in
-         (sup, timed)));
-  Obs.close o;
+  let _, trace =
+    native_trace (fun () ->
+        let sup =
+          Resil.Supervisor.supervise ~max_restarts:2 ~window:10_000 ~backoff:2
+            [
+              Resil.Supervisor.child ~name:"flaky" (fun () ->
+                  if !crashes = 0 then begin
+                    incr crashes;
+                    failwith "boom"
+                  end);
+            ]
+        in
+        let timed = Resil.with_timeout 5 (fun () -> Sched.sleep 1_000) in
+        (sup, timed))
+  in
+  let run = Trace.reconstruct (parse_exn trace) in
   let fates =
     List.sort_uniq compare
       (List.filter_map
-         (fun (_, r) ->
-           if r.Obs.Summary.r_fate = "" then None else Some r.Obs.Summary.r_fate)
-         (Obs.Summary.rows s))
+         (fun n -> if n.Trace.n_fate = "" then None else Some n.Trace.n_fate)
+         (Array.to_list run.Trace.r_nodes))
   in
   List.iter
     (fun fate ->
       Alcotest.(check bool) (fate ^ " present") true (List.mem fate fates))
     [ "cancelled"; "crashed"; "restarted" ];
   Alcotest.(check bool) "cancelled-while-parked counted" true
-    (Obs.Summary.cancelled_parked s >= 1)
+    (run.Trace.r_cancelled_parked >= 1)
 
 let () =
   Alcotest.run "resil"

@@ -295,22 +295,18 @@ let test_metrics_merge () =
   Alcotest.(check int) "src-only counter copied" 1
     (Pcont_util.Counters.get (Obs.Metrics.counters dst) "only-src");
   (match Obs.Metrics.find dst "h" with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-      Alcotest.(check int) "hist count" 5 (Obs.Metrics.hist_count h);
-      Alcotest.(check int) "hist sum" 306 (Obs.Metrics.hist_sum h);
-      Alcotest.(check int) "hist max" 200 (Obs.Metrics.hist_max h));
+  | None -> Alcotest.fail "merged sketch missing"
+  | Some sk ->
+      Alcotest.(check int) "sketch count" 5 (Obs.Metrics.Sketch.count sk);
+      Alcotest.(check int) "sketch sum" 306 (Obs.Metrics.Sketch.sum sk);
+      Alcotest.(check int) "sketch max" 200 (Obs.Metrics.Sketch.max sk));
   (match Obs.Metrics.find dst "h2" with
-  | None -> Alcotest.fail "src-only histogram missing"
-  | Some h -> Alcotest.(check int) "src-only count" 1 (Obs.Metrics.hist_count h));
-  Alcotest.(check int) "sketch merged too" 5
-    (match Obs.Metrics.find_sketch dst "h" with
-    | Some sk -> Obs.Metrics.Sketch.count sk
-    | None -> -1);
+  | None -> Alcotest.fail "src-only sketch missing"
+  | Some sk -> Alcotest.(check int) "src-only count" 1 (Obs.Metrics.Sketch.count sk));
   (* src is read-only under merge. *)
   Alcotest.(check int) "src untouched" 2
     (match Obs.Metrics.find src "h" with
-    | Some h -> Obs.Metrics.hist_count h
+    | Some sk -> Obs.Metrics.Sketch.count sk
     | None -> -1)
 
 (* ---------------- sink fan-out hardening ---------------- *)

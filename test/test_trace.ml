@@ -225,6 +225,62 @@ let test_reconstruct_blocked () =
       if t < 0 then Alcotest.failf "negative blocked time on %s" resource)
     blocked
 
+(* The fate rules behind psi --summary, on a hand-built run: a cancel
+   whose reason mentions "timeout" gives timed-out and any other cancel
+   cancelled; restarted > crashed > timed-out/cancelled in either event
+   order; only nodes still parked when a cancel hits them count as
+   cancelled while parked. *)
+let test_reconstruct_fates () =
+  let spawn pid =
+    if pid = 0 then E.Spawn { pid; parent = -1; kind = "root" }
+    else E.Spawn { pid; parent = 0; kind = "branch" }
+  in
+  let cancel reason pids = E.Cancel { pid = 0; scope = 0; reason; pids } in
+  let crash pid = E.Crash { pid; fault = "boom" } in
+  let restart child = E.Restart { pid = 0; child; attempt = 1; backoff = 0; limit = 3 } in
+  let evs =
+    List.init 11 spawn
+    @ [
+        E.Park { pid = 8; resource = "future" };
+        E.Park { pid = 9; resource = "future" };
+        E.Wake { pid = 9; resource = "future" };
+        cancel "cancel: timeout" [| 1; 4 |];
+        crash 3;
+        cancel "drop-helper" [| 2; 3; 8; 9 |];
+        crash 4;
+        restart 5;
+        crash 5;
+        crash 6;
+        restart 6;
+        restart 7;
+        cancel "timeout" [| 7 |];
+        crash (-1);
+        E.Exit { pid = 10 };
+      ]
+    |> List.mapi (fun i ev -> { Trace.seq = i; ts = i; ev })
+    |> Array.of_list
+  in
+  let run = Trace.reconstruct evs in
+  List.iter
+    (fun (pid, want) ->
+      match Trace.node_of run pid with
+      | Some n -> Alcotest.(check string) (Printf.sprintf "pid %d" pid) want n.Trace.n_fate
+      | None -> Alcotest.failf "no node for pid %d" pid)
+    [
+      (0, "");
+      (1, "timed-out");
+      (2, "cancelled");
+      (3, "crashed");
+      (4, "crashed");
+      (5, "restarted");
+      (6, "restarted");
+      (7, "restarted");
+      (8, "cancelled");
+      (9, "cancelled");
+      (10, "");
+    ];
+  Alcotest.(check int) "only the still-parked node counts" 1 run.Trace.r_cancelled_parked
+
 (* ---------------- causal report ---------------- *)
 
 (* E16 from trace data alone: the E2-style family — [roots] nested
@@ -548,6 +604,7 @@ let () =
         [
           Alcotest.test_case "timelines" `Quick test_reconstruct_timelines;
           Alcotest.test_case "blocked time" `Quick test_reconstruct_blocked;
+          Alcotest.test_case "fate rules" `Quick test_reconstruct_fates;
           Alcotest.test_case "jsonl round-trip" `Quick test_to_json_round_trip;
           Alcotest.test_case "spawn-batch round-trip" `Quick
             test_spawn_batch_round_trip;

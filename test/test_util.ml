@@ -1,7 +1,6 @@
-(* Tests for the utility substrate: ids, queues, PRNG, counters, univ. *)
+(* Tests for the utility substrate: ids, PRNG, counters, univ. *)
 
 module Id = Pcont_util.Id
-module Fqueue = Pcont_util.Fqueue
 module Xorshift = Pcont_util.Xorshift
 module Counters = Pcont_util.Counters
 module Univ = Pcont_util.Univ
@@ -27,60 +26,6 @@ let test_id_fresh_above () =
   Alcotest.(check bool) "monotone" true (b > a);
   let c = Id.fresh_above g 0 in
   Alcotest.(check bool) "never goes back" true (c > b)
-
-let test_fqueue_fifo () =
-  let q = Fqueue.(push 3 (push 2 (push 1 empty))) in
-  match Fqueue.pop q with
-  | Some (1, q) -> (
-      match Fqueue.pop q with
-      | Some (2, q) -> (
-          match Fqueue.pop q with
-          | Some (3, q) ->
-              Alcotest.(check bool) "now empty" true (Fqueue.is_empty q)
-          | _ -> Alcotest.fail "expected 3")
-      | _ -> Alcotest.fail "expected 2")
-  | _ -> Alcotest.fail "expected 1"
-
-let test_fqueue_empty () =
-  Alcotest.(check bool) "empty pop" true (Fqueue.pop Fqueue.empty = None);
-  Alcotest.(check int) "empty length" 0 (Fqueue.length Fqueue.empty)
-
-let test_fqueue_mixed_ops () =
-  (* Interleave pushes and pops to exercise the back-list reversal. *)
-  let q = Fqueue.(push 2 (push 1 empty)) in
-  let x, q = Option.get (Fqueue.pop q) in
-  let q = Fqueue.push 3 q in
-  let y, q = Option.get (Fqueue.pop q) in
-  let z, q = Option.get (Fqueue.pop q) in
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] [ x; y; z ];
-  Alcotest.(check bool) "empty" true (Fqueue.is_empty q)
-
-let test_fqueue_fold () =
-  let q = Fqueue.of_list [ 1; 2; 3; 4 ] in
-  Alcotest.(check int) "sum" 10 (Fqueue.fold ( + ) 0 q);
-  Alcotest.(check (list int)) "to_list" [ 1; 2; 3; 4 ] (Fqueue.to_list q)
-
-let prop_fqueue_roundtrip =
-  QCheck.Test.make ~name:"fqueue to_list/of_list roundtrip" ~count:200
-    QCheck.(list int)
-    (fun xs -> Fqueue.to_list (Fqueue.of_list xs) = xs)
-
-let prop_fqueue_length =
-  QCheck.Test.make ~name:"fqueue length matches list" ~count:200
-    QCheck.(list int)
-    (fun xs -> Fqueue.length (Fqueue.of_list xs) = List.length xs)
-
-let prop_fqueue_push_pop =
-  QCheck.Test.make ~name:"fqueue drains in push order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let q = List.fold_left (fun q x -> Fqueue.push x q) Fqueue.empty xs in
-      let rec drain acc q =
-        match Fqueue.pop q with
-        | None -> List.rev acc
-        | Some (x, q) -> drain (x :: acc) q
-      in
-      drain [] q = xs)
 
 let test_xorshift_determinism () =
   let a = Xorshift.create 42L and b = Xorshift.create 42L in
@@ -166,14 +111,6 @@ let () =
           Alcotest.test_case "independent generators" `Quick test_id_independent;
           Alcotest.test_case "fresh_above" `Quick test_id_fresh_above;
         ] );
-      ( "fqueue",
-        [
-          Alcotest.test_case "fifo order" `Quick test_fqueue_fifo;
-          Alcotest.test_case "empty" `Quick test_fqueue_empty;
-          Alcotest.test_case "mixed push/pop" `Quick test_fqueue_mixed_ops;
-          Alcotest.test_case "fold and to_list" `Quick test_fqueue_fold;
-        ]
-        @ qsuite [ prop_fqueue_roundtrip; prop_fqueue_length; prop_fqueue_push_pop ] );
       ( "xorshift",
         [
           Alcotest.test_case "determinism" `Quick test_xorshift_determinism;
