@@ -1,21 +1,21 @@
-(* Benchmark harness: regenerates every experiment in EXPERIMENTS.md.
+(* Paper-claims harness: regenerates every experiment in EXPERIMENTS.md.
 
      dune exec bench/main.exe            -- run everything (moderate sizes)
      dune exec bench/main.exe -- e1 e4   -- run selected experiments
      dune exec bench/main.exe -- quick   -- smaller sizes (CI)
      dune exec bench/main.exe -- micro   -- bechamel micro-benchmarks only
-     dune exec bench/main.exe -- quick --json out.json
-                                         -- also dump rows as JSON to a file
-     dune exec bench/main.exe -- quick --json out.json --baseline BENCH_baseline.json
-                                         -- and gate on per-experiment median
-                                            ratio vs a previous dump
-                                            (--regress-pct N, default 25)
 
    The paper (Hieb & Dybvig, PPoPP 1990) reports no measured tables; its
    quantitative claims are complexity claims (Section 7) and work-saving
    claims (Sections 3/5).  Each experiment below prints a table whose
    SHAPE checks one claim; EXPERIMENTS.md records the expected shapes and
-   measured results. *)
+   measured results.  Where a claim has a bound (e11, e12, e14, e15), the
+   experiment checks it itself.
+
+   Exit codes: 0 when every selected experiment ran and held its claim;
+   1 when a claim failed (one [bench: eN: ...] line on stderr); 2 for bad
+   arguments (an unknown experiment name), before anything runs.  Wall
+   time regressions are gated by benchmark/run.exe compare, not here. *)
 
 module C = Pcont_util.Counters
 module Obs = Pcont_obs.Obs
@@ -24,172 +24,17 @@ module Pstack = Pcont_pstack
 module Sched = Pcont_sched.Sched
 module Ops = Pcont_sched.Ops
 module M = Pcont_machine
-module Load = Pcont_load.Load
+module P = Bench_programs
 
 let quick = ref false
 
-(* ------------------------------------------------------------------ *)
-(* JSON row dump (--json FILE)                                         *)
-(* ------------------------------------------------------------------ *)
-
-let json_file : string option ref = ref None
-
-let json_rows : Buffer.t = Buffer.create 256
-
-(* Rows are built as [Obs.Json.t] values and serialized with
-   [Obs.Json.to_string], the same serializer the trace sinks use, so the
-   file always round-trips through [Obs.Json.parse]. *)
-let pint k v = (k, Obs.Json.Num (float_of_int v))
-
-let pstr k v = (k, Obs.Json.Str v)
-
-let baseline_file : string option ref = ref None
-
-let regress_pct = ref 25.0
-
-let jrow ?(metrics = []) ?words ~name ~params ns =
-  match (!json_file, !baseline_file) with
-  | None, None -> ()
-  | _ ->
-      if Buffer.length json_rows > 0 then Buffer.add_string json_rows ",\n";
-      let obj =
-        Obs.Json.Obj
-          (("name", Obs.Json.Str name)
-           :: ("params", Obs.Json.Obj params)
-           :: ("ns_per_op", Obs.Json.Num ns)
-           ::
-           ((* minor-heap words allocated per operation ([Gc.minor_words]
-               delta over one run / ops), when the experiment measures it *)
-            match words with
-            | None -> []
-            | Some w -> [ ("words_per_op", Obs.Json.Num w) ])
-           @
-           (match metrics with
-           | [] -> []
-           | ms ->
-               [
-                 ( "metrics",
-                   Obs.Json.Obj
-                     (List.map (fun (k, v) -> (k, Obs.Json.Num (float_of_int v))) ms)
-                 );
-               ]))
-      in
-      Buffer.add_string json_rows ("  " ^ Obs.Json.to_string obj)
-
-let write_json () =
-  match !json_file with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc "[\n";
-      Buffer.output_buffer oc json_rows;
-      output_string oc "\n]\n";
-      close_out oc;
-      Printf.printf "\nwrote JSON rows to %s\n" path
-
-(* --baseline FILE: pair this run's rows against a previous --json dump
-   by (name, params) and gate on the per-experiment median ratio.  The
-   median is the right pairing statistic here: individual rows are
-   best-of-3 wall times and still jitter by tens of percent on shared
-   CI machines, but half of an experiment's rows drifting past the
-   threshold together is a real regression.  Rows present on only one
-   side are counted but never gate. *)
-let compare_baseline () =
-  match !baseline_file with
-  | None -> 0
-  | Some path ->
-      let read_rows path =
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        match Obs.Json.parse s with
-        | Ok (Obs.Json.Arr rows) -> rows
-        | Ok _ -> failwith (path ^ ": expected a JSON array of rows")
-        | Error m -> failwith (path ^ ": " ^ m)
-      in
-      let key row =
-        match
-          (Obs.Json.member "name" row, Obs.Json.member "params" row)
-        with
-        | Some (Obs.Json.Str n), Some p -> Some (n ^ " " ^ Obs.Json.to_string p)
-        | _ -> None
-      in
-      let ns row =
-        match Obs.Json.member "ns_per_op" row with
-        | Some (Obs.Json.Num v) when v > 0. -> Some v
-        | _ -> None
-      in
-      let base = Hashtbl.create 256 in
-      List.iter
-        (fun row ->
-          match (key row, ns row) with
-          | Some k, Some v -> Hashtbl.replace base k v
-          | _ -> ())
-        (read_rows path);
-      let current =
-        match Obs.Json.parse ("[" ^ Buffer.contents json_rows ^ "]") with
-        | Ok (Obs.Json.Arr rows) -> rows
-        | _ -> failwith "internal: bench rows failed to round-trip"
-      in
-      (* experiment prefix ("e3", "micro") -> paired cur/base ratios *)
-      let groups : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
-      let paired = ref 0 and unpaired = ref 0 in
-      List.iter
-        (fun row ->
-          match (key row, ns row) with
-          | Some k, Some v -> (
-              match Hashtbl.find_opt base k with
-              | None -> incr unpaired
-              | Some b ->
-                  incr paired;
-                  let exp =
-                    let name = List.hd (String.split_on_char ' ' k) in
-                    match String.index_opt name '.' with
-                    | Some i -> String.sub name 0 i
-                    | None -> name
-                  in
-                  let cell =
-                    match Hashtbl.find_opt groups exp with
-                    | Some c -> c
-                    | None ->
-                        let c = ref [] in
-                        Hashtbl.add groups exp c;
-                        c
-                  in
-                  cell := (v /. b) :: !cell)
-          | _ -> ())
-        current;
-      let median l =
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a.(Array.length a / 2)
-      in
-      let rows =
-        Hashtbl.fold (fun exp rs acc -> (exp, median !rs, List.length !rs) :: acc)
-          groups []
-        |> List.sort compare
-      in
-      Printf.printf "\nbaseline compare vs %s (%d paired rows, %d new)\n" path
-        !paired !unpaired;
-      Printf.printf "%-8s %8s %6s\n" "exp" "median" "rows";
-      let limit = 1. +. (!regress_pct /. 100.) in
-      let failures =
-        List.filter_map
-          (fun (exp, m, n) ->
-            Printf.printf "%-8s %7.2fx %6d%s\n" exp m n
-              (if m > limit then "  <-- regression" else "");
-            if m > limit then Some exp else None)
-          rows
-      in
-      if !paired = 0 then (
-        print_endline "no paired rows: nothing to gate on";
-        0)
-      else if failures = [] then 0
-      else (
-        Printf.printf "regression gate: median ratio over %.2fx for %s\n" limit
-          (String.concat ", " failures);
-        3)
+(* A failed claim ends the run: one line naming the experiment, exit 1. *)
+let fail exp fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s: %s\n" exp msg;
+      exit 1)
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* Timing helpers                                                      *)
@@ -212,20 +57,23 @@ let time_best ?(n = 3) f =
   done;
   (Option.get !result, !best)
 
-(* [time_best] that also reports the minor-heap words allocated by the
-   first run (allocation is deterministic, so one sample suffices). *)
-let time_best_alloc ?(n = 3) f =
+(* [time_best] that also reports what the first run allocated (minor-heap
+   words) and counted (the [counters] it bumped, zeroed before it).  Both
+   are deterministic, so one run is the sample: the later runs only time,
+   and adding their counts would multiply every per-op column by n. *)
+let time_best_counted ?(n = 3) counters f =
+  C.reset counters;
   let w0 = Gc.minor_words () in
-  let r0, t0 = time_once f in
+  let (), t0 = time_once f in
   let words = Gc.minor_words () -. w0 in
+  let counts = C.to_list counters in
+  let count name = Option.value ~default:0 (List.assoc_opt name counts) in
   let best = ref t0 in
-  let result = ref r0 in
   for _ = 2 to n do
-    let r, t = time_once f in
-    result := r;
+    let (), t = time_once f in
     if t < !best then best := t
   done;
-  (!result, !best, words)
+  (!best, words, count)
 
 let ns_per t ops = t *. 1e9 /. float_of_int ops
 
@@ -237,22 +85,12 @@ let row fmt = Printf.printf fmt
 (* Scheme helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let repeat_defs =
-  {|
-(define (repeat n thunk)
-  (if (zero? n) 0 (begin (thunk) (repeat (- n 1) thunk))))
-(define (deep n thunk)
-  (if (zero? n) (thunk) (+ 1 (deep (- n 1) thunk))))
-|}
-
-let eval_scheme ?mode ?fastpath ?n ~strategy src =
+(* A fresh interpreter per measurement; [count] reads its first run. *)
+let eval_scheme ?fastpath ?n ~strategy src =
   let t = Interp.create ~strategy ?fastpath () in
-  ignore (Interp.eval_string t repeat_defs);
-  let (), dt, words =
-    time_best_alloc ?n (fun () ->
-        ignore (Interp.eval_value ?mode ~fuel:2_000_000_000 t src))
-  in
-  (Interp.config t, dt, words)
+  ignore (Interp.eval_string t P.repeat_defs);
+  time_best_counted ?n (Interp.config t).Pstack.Machine.counters (fun () ->
+      ignore (Interp.eval_value ~fuel:2_000_000_000 t src))
 
 (* ------------------------------------------------------------------ *)
 (* E1: controller capture cost vs continuation size                    *)
@@ -269,35 +107,14 @@ let e1 () =
       (* Subtract the capture-free baseline so the one-time cost of
          building and unwinding the [deep] frames does not pollute the
          per-capture figure. *)
-      let src =
-        Printf.sprintf
-          "(spawn (lambda (c) (deep %d (lambda () (repeat %d (lambda () (c (lambda (k) (k 0)))))))))"
-          n k
-      in
-      let baseline =
-        Printf.sprintf
-          "(spawn (lambda (c) (deep %d (lambda () (repeat %d (lambda () 0))))))" n k
-      in
       let run strategy =
-        let _, dt0, w0 = eval_scheme ~strategy baseline in
-        let cfg, dt, w = eval_scheme ~strategy src in
-        let frames =
-          C.get cfg.Pstack.Machine.counters "capture.frames"
-          + C.get cfg.Pstack.Machine.counters "reinstate.frames"
-        in
-        (ns_per (Float.max 0. (dt -. dt0)) k, frames,
-         Float.max 0. (w -. w0) /. float_of_int k)
+        let dt0, _, _ = eval_scheme ~strategy (P.frames_src ~frames:n ~k "0") in
+        let dt, _, count = eval_scheme ~strategy (P.frames_src ~frames:n ~k P.capture) in
+        let frames = count "capture.frames" + count "reinstate.frames" in
+        (ns_per (Float.max 0. (dt -. dt0)) k, float_of_int frames /. float_of_int k)
       in
-      let lt, lframes, lw = run Pstack.Types.Linked in
-      let ct, cframes, cw = run Pstack.Types.Copying in
-      let lf = float_of_int lframes /. float_of_int k
-      and cf = float_of_int cframes /. float_of_int k in
-      jrow ~name:"e1.capture.linked"
-        ~params:[ pint "frames" n; pint "k" k ]
-        ~metrics:[ ("frames.moved", lframes) ] ~words:lw lt;
-      jrow ~name:"e1.capture.copying"
-        ~params:[ pint "frames" n; pint "k" k ]
-        ~metrics:[ ("frames.moved", cframes) ] ~words:cw ct;
+      let lt, lf = run Pstack.Types.Linked in
+      let ct, cf = run Pstack.Types.Copying in
       row "%8d %6d | %14.0f %14.0f | %16.1f %16.1f\n" n k lt ct lf cf)
     depths;
   print_endline "shape: linked columns flat in frames; copying columns linear in frames.";
@@ -321,12 +138,9 @@ let e1 () =
                  (repeat %d (lambda () %s))))))))"
           frames winders k inner
       in
-      let _, dt0, _ = eval_scheme ~strategy:Pstack.Types.Linked (program "0") in
-      let _, dt, _ =
-        eval_scheme ~strategy:Pstack.Types.Linked (program "(c (lambda (k) (k 0)))")
-      in
+      let dt0, _, _ = eval_scheme ~strategy:Pstack.Types.Linked (program "0") in
+      let dt, _, _ = eval_scheme ~strategy:Pstack.Types.Linked (program P.capture) in
       let ns = ns_per (Float.max 0. (dt -. dt0)) k in
-      jrow ~name:"e1.winders" ~params:[ pint "frames" frames; pint "winders" winders ] ns;
       row "%8d %8d | %14.0f\n" frames winders ns)
     (if !quick then [ (100, 0); (100, 8) ]
      else [ (1000, 0); (1000, 4); (1000, 16); (1000, 64); (20000, 16) ]);
@@ -336,18 +150,6 @@ let e1 () =
 (* E2: capture cost vs number of control points                        *)
 (* ------------------------------------------------------------------ *)
 
-let nested_roots_src roots k =
-  let buf = Buffer.create 256 in
-  for i = 1 to roots do
-    Buffer.add_string buf (Printf.sprintf "(spawn (lambda (c%d) " i)
-  done;
-  Buffer.add_string buf
-    (Printf.sprintf "(repeat %d (lambda () (c1 (lambda (k) (k 0)))))" k);
-  for _ = 1 to roots do
-    Buffer.add_string buf "))"
-  done;
-  Buffer.contents buf
-
 let e2 () =
   header "E2  capture+reinstate cost vs control points (roots), frames fixed";
   Printf.printf "%8s %6s | %14s | %16s\n" "roots" "K" "linked ns/op" "segments/op";
@@ -355,21 +157,10 @@ let e2 () =
   let roots = if !quick then [ 1; 4; 16 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
   List.iter
     (fun r ->
-      let src = nested_roots_src r k in
-      let cfg, dt, w = eval_scheme ~strategy:Pstack.Types.Linked src in
-      let segs =
-        C.get cfg.Pstack.Machine.counters "capture.segments"
-        + C.get cfg.Pstack.Machine.counters "reinstate.segments"
+      let dt, _, count =
+        eval_scheme ~strategy:Pstack.Types.Linked (P.nested_roots_src ~roots:r ~k)
       in
-      jrow ~name:"e2.capture"
-        ~params:[ pint "roots" r; pint "k" k ]
-        ~metrics:
-          [
-            ("segments.moved", segs);
-            ("controller.applications", C.get cfg.Pstack.Machine.counters "controller");
-          ]
-        ~words:(w /. float_of_int k)
-        (ns_per dt k);
+      let segs = count "capture.segments" + count "reinstate.segments" in
       row "%8d %6d | %14.0f | %16.1f\n" r k (ns_per dt k)
         (float_of_int segs /. float_of_int k))
     roots;
@@ -430,9 +221,6 @@ let e3 () =
       let te = t_of product_exit in
       let tx = t_of product_exn in
       let tp = t_of product_plain in
-      jrow ~name:"e3.spawn_exit" ~params:[ pstr "zero_at" label ] (te *. 1e3);
-      jrow ~name:"e3.exception" ~params:[ pstr "zero_at" label ] (tx *. 1e3);
-      jrow ~name:"e3.plain" ~params:[ pstr "zero_at" label ] (tp *. 1e3);
       row "%12s | %12.1f %12.1f %12.1f\n" label te tx tp)
     positions;
   print_endline "shape: spawn_exit within a small constant factor of exceptions;";
@@ -478,8 +266,6 @@ let e4 () =
       in
       let seq_work, seq_t = time_best seq in
       let par_work, par_t = time_best par in
-      jrow ~name:"e4.seq" ~params:[ pint "witness" w ] (seq_t *. 1e9);
-      jrow ~name:"e4.par" ~params:[ pint "witness" w ] (par_t *. 1e9);
       row "%10d | %12d %12d | %12.0f %12.0f\n" w seq_work par_work (seq_t *. 1e6)
         (par_t *. 1e6))
     widths;
@@ -510,9 +296,8 @@ let e5 () =
       let search () = List.length (Sched.run (fun () -> Ops.search_all tree pred)) in
       let matches, wt = time_best baseline in
       let matches', st = time_best search in
-      assert (matches = matches');
-      jrow ~name:"e5.walk" ~params:[ pint "depth" d ] (wt *. 1e9);
-      jrow ~name:"e5.search" ~params:[ pint "depth" d ] (st *. 1e9);
+      if matches <> matches' then
+        fail "e5" "depth %d: search found %d matches, walk %d" d matches' matches;
       row "%7d %8d | %12.1f %12.1f | %14.1f\n" d matches (wt *. 1e6) (st *. 1e6)
         ((st -. wt) *. 1e6 /. float_of_int (max matches 1)))
     depths;
@@ -596,11 +381,6 @@ let e6 () =
     in
     ns_per dt n
   in
-  jrow ~name:"e6.spawn" ~params:[] spawn_time;
-  jrow ~name:"e6.control_resume" ~params:[] control_time;
-  jrow ~name:"e6.coroutine" ~params:[] co_time;
-  jrow ~name:"e6.generator" ~params:[] gen_time;
-  jrow ~name:"e6.engine" ~params:[] eng_time;
   row "  spawn (empty process)      : %8.0f ns\n" spawn_time;
   row "  control + resume           : %8.0f ns\n" control_time;
   row "  coroutine resume/yield pair: %8.0f ns\n" co_time;
@@ -655,10 +435,6 @@ let e7 () =
           let tplain = run "(product-plain ls)" in
           let tcc = run "(product-cc ls)" in
           let tse = run "(product-se ls)" in
-          jrow ~name:"e7.plain" ~params:[ pint "n" n; pstr "zero" zlabel ] (tplain *. 1e6);
-          jrow ~name:"e7.callcc" ~params:[ pint "n" n; pstr "zero" zlabel ] (tcc *. 1e6);
-          jrow ~name:"e7.spawn_exit" ~params:[ pint "n" n; pstr "zero" zlabel ]
-            (tse *. 1e6);
           row "%8d %10s | %10.2f %12.2f %12.2f\n" n zlabel tplain tcc tse)
         [ ("none", -1); ("middle", n / 2) ])
     sizes;
@@ -691,8 +467,6 @@ let e8 () =
         in
         let naive = timed (M.Eval.eval ~fuel:5_000_000) in
         let zipper = timed (M.Zipper.eval ~fuel:15_000_000) in
-        jrow ~name:"e8.naive" ~params:[ pstr "program" name ] (naive *. 1e9);
-        jrow ~name:"e8.zipper" ~params:[ pstr "program" name ] (zipper *. 1e9);
         row "%-28s %10d %12.3f %12.3f %8.1fx\n" name steps (naive *. 1e3)
           (zipper *. 1e3) (naive /. zipper)
   in
@@ -718,42 +492,24 @@ let e9 () =
     "seq ms" "conc ms" "us/fork";
   (* Sum 2^depth numbers with a pcall tree; below [grain] leaves the branch
      sums sequentially.  Small grain = many forks = scheduler-bound. *)
-  let defs =
-    {|
-(define (tsum lo hi grain)
-  (if (<= (- hi lo) grain)
-      (let loop ([i lo] [acc 0])
-        (if (> i hi) acc (loop (+ i 1) (+ acc i))))
-      (let ([mid (quotient (+ lo hi) 2)])
-        (pcall + (tsum lo mid grain) (tsum (+ mid 1) hi grain)))))
-|}
-  in
   let n = if !quick then 1 lsl 8 else 1 lsl 11 in
   List.iter
     (fun grain ->
       let t = Interp.create () in
-      ignore (Interp.eval_string t defs);
+      ignore (Interp.eval_string t P.tsum_defs);
       let src = Printf.sprintf "(tsum 1 %d %d)" n grain in
       let expected = n * (n + 1) / 2 in
       let run mode =
-        let (), dt =
-          time_best (fun () ->
+        let dt, _, count =
+          time_best_counted (Interp.config t).Pstack.Machine.counters (fun () ->
               match Interp.eval_value ~mode ~fuel:2_000_000_000 t src with
               | Pstack.Types.Int v when v = expected -> ()
-              | v -> failwith ("bad sum " ^ Pstack.Value.to_string v))
+              | v -> fail "e9" "bad sum %s" (Pstack.Value.to_string v))
         in
-        dt
+        (dt, count "concur.fork")
       in
-      let seq_t = run Interp.Sequential in
-      let cfg = Interp.config t in
-      Pcont_util.Counters.reset cfg.Pstack.Machine.counters;
-      let conc_t = run (Interp.Concurrent Pstack.Concur.Round_robin) in
-      let forks = C.get cfg.Pstack.Machine.counters "concur.fork" in
-      jrow ~name:"e9.seq" ~params:[ pint "n" n; pint "grain" grain ] (seq_t *. 1e9);
-      jrow ~name:"e9.conc"
-        ~params:[ pint "n" n; pint "grain" grain ]
-        ~metrics:[ ("concur.fork", forks) ]
-        (conc_t *. 1e9);
+      let seq_t, _ = run Interp.Sequential in
+      let conc_t, forks = run (Interp.Concurrent Pstack.Concur.Round_robin) in
       row "%8d %8d | %10d %12.2f %12.2f | %10.2f\n" n grain forks (seq_t *. 1e3)
         (conc_t *. 1e3)
         ((conc_t -. seq_t) *. 1e6 /. float_of_int (max forks 1)))
@@ -765,7 +521,7 @@ let e9 () =
   List.iter
     (fun q ->
       let t = Interp.create () in
-      ignore (Interp.eval_string t defs);
+      ignore (Interp.eval_string t P.tsum_defs);
       let src = Printf.sprintf "(tsum 1 %d 8)" n in
       let (), dt =
         time_best (fun () ->
@@ -774,7 +530,6 @@ let e9 () =
                  ~mode:(Interp.Concurrent Pstack.Concur.Round_robin)
                  ~quantum:q ~fuel:2_000_000_000 t src))
       in
-      jrow ~name:"e9.quantum" ~params:[ pint "n" n; pint "quantum" q ] (dt *. 1e9);
       row "%8d | %12.2f\n" q (dt *. 1e3))
     (if !quick then [ 1; 16 ] else [ 1; 4; 16; 64; 256 ]);
   print_endline "shape: larger quanta cut round-robin overhead until fairness stops mattering."
@@ -818,13 +573,9 @@ let e10 () =
   in
   List.iter
     (fun n ->
-      let check v = if v <> 42 * n then failwith "bad sum" in
+      let check v = if v <> 42 * n then fail "e10" "bad sum %d" v in
       let (), spin_t = time_best (fun () -> check (run_with spin n)) in
       let (), park_t = time_best (fun () -> check (run_with Sched.touch n)) in
-      jrow ~name:"e10.spin" ~params:[ pint "waiters" n; pint "work" work ]
-        (spin_t *. 1e9);
-      jrow ~name:"e10.park" ~params:[ pint "waiters" n; pint "work" work ]
-        (park_t *. 1e9);
       row "%8d %8d | %12.3f %12.3f | %9.1fx\n" n work (spin_t *. 1e3)
         (park_t *. 1e3) (spin_t /. park_t))
     (if !quick then [ 1; 16; 64 ] else [ 1; 10; 100; 1000 ]);
@@ -858,23 +609,17 @@ let e11 () =
   let events =
     match Pcont_obs.Trace.parse_string body with
     | Ok events -> events
-    | Error m -> failwith ("e11 trace does not parse: " ^ m)
+    | Error m -> fail "e11" "trace does not parse: %s" m
   in
   let n = Array.length events in
   let _, ingest_t = time_best (fun () -> Pcont_obs.Trace.parse_string body) in
   let violations, check_t =
     time_best (fun () -> Pcont_obs.Analysis.Check.run events)
   in
-  if violations <> [] then failwith "e11 trace fails its own invariant check";
+  if violations <> [] then fail "e11" "trace fails its own invariant check";
   let _, report_t = time_best (fun () -> Pcont_obs.Analysis.Report.of_trace events) in
   let stage label t =
-    let evs = float_of_int n /. t in
-    jrow
-      ~name:("e11." ^ label)
-      ~params:[ pint "events" n ]
-      ~metrics:[ ("events", n) ]
-      (ns_per t n);
-    row "  %-22s %10.1f ms   %12.0f events/s\n" label (t *. 1e3) evs
+    row "  %-22s %10.1f ms   %12.0f events/s\n" label (t *. 1e3) (float_of_int n /. t)
   in
   Printf.printf "  %d events (%d fibers x %d yields)\n" n fibers yields;
   stage "ingest" ingest_t;
@@ -934,31 +679,23 @@ let e12 () =
                comparison is ns-level, and major-heap growth from earlier
                rows otherwise bleeds into later ones. *)
             Gc.compact ();
-            let cfg, dt, words =
+            let dt, words, count =
               eval_scheme ~strategy:Pstack.Types.Linked ~fastpath ~n:9 src
             in
-            let get name = C.get cfg.Pstack.Machine.counters name in
-            ( ns_per dt k,
-              words /. float_of_int k,
-              [
-                ("machine.pool.hit", get "machine.pool.hit");
-                ("machine.pool.miss", get "machine.pool.miss");
-                ("machine.capture.moved", get "machine.capture.moved");
-              ] )
+            let ns = ns_per dt k and w = words /. float_of_int k in
+            if not (ns > 0. && w > 0.) then
+              fail "e12" "%s at %d captures: %.0f ns and %.1f words per capture, want > 0"
+                wname k ns w;
+            (ns, w, count "machine.pool.hit", count "machine.capture.moved")
           in
-          let fns, fw, fm = run true in
-          let bns, bw, _ = run false in
-          jrow
-            ~name:(Printf.sprintf "e12.%s.fast" wname)
-            ~params:[ pint "captures" k ]
-            ~metrics:fm ~words:fw fns;
-          jrow
-            ~name:(Printf.sprintf "e12.%s.base" wname)
-            ~params:[ pint "captures" k ]
-            ~words:bw bns;
+          let fns, fw, hit, moved = run true in
+          let bns, bw, _, _ = run false in
           row "%7s %9d | %10.0f %10.0f | %11.1f %11.1f | %9d %9d\n" wname k fns
-            bns fw bw (List.assoc "machine.pool.hit" fm)
-            (List.assoc "machine.capture.moved" fm))
+            bns fw bw hit moved;
+          (* gen is all one-shot yields, so the fast path must engage *)
+          if wname = "gen" && not (moved > 0 && hit > 0 && fw < bw) then
+            fail "e12" "gen at %d captures: moved %d, pool.hit %d, w/cap %.1f fast, %.1f base"
+              k moved hit fw bw)
         ks)
     workloads;
   print_endline "shape: fast rows allocate fewer words per capture than base rows;";
@@ -994,21 +731,6 @@ let e13 () =
       let sw = X.Dpor.seed_sweep ~seeds:runs target in
       let redund r s = float_of_int r /. float_of_int (max 1 s) in
       let rate = float_of_int runs /. dt in
-      jrow
-        ~name:(Printf.sprintf "e13.racing%d.dpor" n)
-        ~params:[ pint "branches" (2 * n) ]
-        ~metrics:
-          [
-            ("runs", runs);
-            ("skeletons", st.X.Dpor.s_skeletons);
-            ("races", st.X.Dpor.s_races);
-          ]
-        (ns_per dt runs);
-      jrow
-        ~name:(Printf.sprintf "e13.racing%d.sweep" n)
-        ~params:[ pint "branches" (2 * n) ]
-        ~metrics:[ ("seeds", sw.X.Dpor.sw_seeds); ("skeletons", sw.X.Dpor.sw_skeletons) ]
-        0.;
       row "%-13s | %5d %6d %7.1f %7d %9.0f | %6d %7d %7.1f\n"
         (Printf.sprintf "racing(%d)" n)
         runs st.X.Dpor.s_skeletons
@@ -1026,15 +748,6 @@ let e13 () =
         | None -> -1
       in
       let sw = X.Dpor.seed_sweep ~seeds:100 target in
-      jrow
-        ~name:(Printf.sprintf "e13.bug.%s" label)
-        ~params:[]
-        ~metrics:
-          [
-            ("runs_to_find", found);
-            ("sweep_found", match sw.X.Dpor.sw_found with Some _ -> 1 | None -> 0);
-          ]
-        0.;
       row "%-13s | %21s | %s\n" label
         (if found < 0 then "not found" else string_of_int found)
         (match sw.X.Dpor.sw_found with
@@ -1128,21 +841,21 @@ let e14 () =
       let lat_mean, lat_max = dist "resil.cancel.latency" in
       let lat_p50 = Obs.Metrics.quantile m "resil.cancel.latency" 0.5 in
       let swept_mean, _ = dist "sched.cancel.pids" in
-      jrow
-        ~name:(Printf.sprintf "e14.timeout%d" n)
-        ~params:[ pint "fibers" n; pint "deadline" deadline ]
-        ~metrics:
-          [
-            ("cancelled", ncxl);
-            ("completed", ndone);
-            ("cancel_latency_mean", int_of_float lat_mean);
-            ("cancel_latency_max", lat_max);
-            ("swept_per_cancel", int_of_float swept_mean);
-          ]
-        (ns_per dt n);
       row "%7d | %9d %9d | %9.0f %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone lat_p50
         lat_mean lat_max swept_mean
-        (dt *. 1e6 /. float_of_int n))
+        (dt *. 1e6 /. float_of_int n);
+      (* means truncate to whole units before the checks: a cancel must
+         sweep at least one fiber and take at least one tick, and no
+         cancel may lag its deadline by a whole deadline *)
+      let fails cond what = if not cond then fail "e14" "%d fibers: %s" n what in
+      fails (ncxl > 0) "no fiber ever timed out";
+      fails (ncxl + ndone = n) (Printf.sprintf "%d cancelled + %d completed" ncxl ndone);
+      fails (int_of_float swept_mean > 0) "a cancel swept nothing";
+      fails
+        (0 < int_of_float lat_mean && int_of_float lat_mean <= lat_max)
+        (Printf.sprintf "cancel latency mean %.1f, max %d" lat_mean lat_max);
+      fails (lat_max < deadline)
+        (Printf.sprintf "cancel latency max %d >= deadline %d" lat_max deadline))
     ns;
   print_endline "shape: the cancelled share tracks the tail mass past the deadline";
   print_endline "       (~10% under alpha=1, lo/deadline=0.1); cancel latency is bounded";
@@ -1166,21 +879,12 @@ let e15 () =
        of lines, no I/O on the hot path;
      - jsonl:   every event serialized into a growing buffer (the full
        always-on trace).
-     The sizes do not shrink under quick: the CI smoke asserts the ring
-     config stays within 10% of baseline at this fiber count.  Quantum
-     is the production grain (e9's sweep shows 16 is rotation-bound):
-     overhead is per slice, so the ratio is a statement about slices of
-     useful size, not about the scheduler's context-switch floor. *)
-  let defs =
-    {|
-(define (tsum lo hi grain)
-  (if (<= (- hi lo) grain)
-      (let loop ([i lo] [acc 0])
-        (if (> i hi) acc (loop (+ i 1) (+ acc i))))
-      (let ([mid (quotient (+ lo hi) 2)])
-        (pcall + (tsum lo mid grain) (tsum (+ mid 1) hi grain)))))
-|}
-  in
+     The sizes do not shrink under quick: the claim checked below is that
+     the ring and metrics configs stay within 10% of baseline at this
+     fiber count.  Quantum is the production grain (e9's sweep shows 16 is
+     rotation-bound): overhead is per slice, so the ratio is a statement
+     about slices of useful size, not about the scheduler's
+     context-switch floor. *)
   let n = 1 lsl 15 and grain = 4 and quantum = 256 in
   let reps = if !quick then 2 else 3 in
   let configs =
@@ -1205,105 +909,47 @@ let e15 () =
   in
   Printf.printf "%8s | %12s %10s | %8s\n" "config" "ms" "overhead" "fibers";
   let base = ref 0. in
+  let overhead =
+    List.map
+      (fun (label, mk) ->
+        let t = Interp.create () in
+        ignore (Interp.eval_string t P.tsum_defs);
+        let src = Printf.sprintf "(tsum 1 %d %d)" n grain in
+        let expected = n * (n + 1) / 2 in
+        let obs = mk () in
+        let dt, _, count =
+          time_best_counted ~n:reps (Interp.config t).Pstack.Machine.counters
+            (fun () ->
+              match
+                Interp.eval_value
+                  ~mode:(Interp.Concurrent Pstack.Concur.Round_robin)
+                  ~quantum ?obs ~fuel:2_000_000_000 t src
+              with
+              | Pstack.Types.Int v when v = expected -> ()
+              | v -> fail "e15" "bad sum %s" (Pstack.Value.to_string v))
+        in
+        (* every pcall forks three children (operator + two operands) *)
+        let fibers = 1 + (3 * count "concur.fork") in
+        if fibers < 10_000 then fail "e15" "%s: %d fibers, below 10^4" label fibers;
+        if label = "none" then base := dt;
+        let overhead_pct = int_of_float (Float.round ((dt /. !base -. 1.) *. 100.)) in
+        row "%8s | %12.2f %9d%% | %8d\n" label (dt *. 1e3) overhead_pct fibers;
+        (label, overhead_pct))
+      configs
+  in
+  let pct label = List.assoc label overhead in
   List.iter
-    (fun (label, mk) ->
-      let t = Interp.create () in
-      ignore (Interp.eval_string t defs);
-      let src = Printf.sprintf "(tsum 1 %d %d)" n grain in
-      let expected = n * (n + 1) / 2 in
-      let obs = mk () in
-      let cfg = Interp.config t in
-      C.reset cfg.Pstack.Machine.counters;
-      let (), dt =
-        time_best ~n:reps (fun () ->
-            match
-              Interp.eval_value
-                ~mode:(Interp.Concurrent Pstack.Concur.Round_robin)
-                ~quantum ?obs ~fuel:2_000_000_000 t src
-            with
-            | Pstack.Types.Int v when v = expected -> ()
-            | v -> failwith ("bad sum " ^ Pstack.Value.to_string v))
-      in
-      let forks = C.get cfg.Pstack.Machine.counters "concur.fork" / reps in
-      (* every pcall forks three children (operator + two operands) *)
-      let fibers = 1 + (3 * forks) in
-      if fibers < 10_000 then failwith "e15: workload below 10^4 fibers";
-      if label = "none" then base := dt;
-      let overhead_pct =
-        int_of_float (Float.round ((dt /. !base -. 1.) *. 100.))
-      in
-      jrow
-        ~name:("e15." ^ label)
-        ~params:
-          [ pint "n" n; pint "grain" grain; pint "quantum" quantum; pint "fibers" fibers ]
-        ~metrics:[ ("overhead_pct", overhead_pct); ("fibers", fibers) ]
-        (dt *. 1e9);
-      row "%8s | %12.2f %9d%% | %8d\n" label (dt *. 1e3) overhead_pct fibers)
-    configs;
+    (fun label ->
+      if pct label > 10 then
+        fail "e15" "%s overhead %d%% above the 10%% always-on bound" label (pct label))
+    [ "metrics"; "ring" ];
+  if pct "jsonl" <= pct "ring" then
+    fail "e15" "full JSONL (%d%%) should cost more than the ring (%d%%)" (pct "jsonl")
+      (pct "ring");
   print_endline "shape: metrics-only and the ring stay within a few percent of the";
   print_endline "       unobserved run (the flight recorder is safe to leave on);";
   print_endline "       full JSONL pays for serializing every event.";
   print_endline "claim: always-on telemetry costs <=10% at 10^4 fibers (CI-asserted)."
-
-(* ------------------------------------------------------------------ *)
-(* e16: open-loop server scenarios with SLO latency attribution        *)
-(* ------------------------------------------------------------------ *)
-
-let e16 () =
-  header "e16  open-loop server scenarios (latency in virtual ticks)";
-  let profile = if !quick then Load.quick else Load.full in
-  let floor_fibers = if !quick then 10_000 else 100_000 in
-  row "%-9s %8s %6s %6s | %7s %7s %7s | %6s %6s %6s %6s | %7s %9s\n" "scenario"
-    "requests" "ok" "t/o" "p50" "p99" "p999" "queue" "svc" "wake" "join" "peak"
-    "req/ktick";
-  List.iter
-    (fun scen ->
-      let st, dt = time_best ~n:3 (fun () -> Load.run profile ~seed:1L scen) in
-      if st.Load.st_attr_residual <> 0 then
-        failwith "e16: latency attribution does not sum to end-to-end";
-      if st.Load.st_peak_live < floor_fibers then
-        failwith
-          (Printf.sprintf "e16: %s peaked at %d fibers (< %d)"
-             st.Load.st_scenario st.Load.st_peak_live floor_fibers);
-      let q p =
-        int_of_float (Obs.Metrics.Sketch.quantile st.Load.st_latency p)
-      in
-      let mean sk = Obs.Metrics.Sketch.mean sk in
-      let imean sk = int_of_float (mean sk) in
-      jrow
-        ~name:("e16." ^ st.Load.st_scenario)
-        ~params:[ pint "requests" st.Load.st_requests; pint "seed" 1 ]
-        ~metrics:
-          [
-            ("p50", q 0.50);
-            ("p99", q 0.99);
-            ("p999", q 0.999);
-            ("queue_mean", imean st.Load.st_queue);
-            ("service_mean", imean st.Load.st_service);
-            ("wake_mean", imean st.Load.st_wake);
-            ("join_mean", imean st.Load.st_join);
-            ("completed", st.Load.st_completed);
-            ("timedout", st.Load.st_timedout);
-            ("peak_fibers", st.Load.st_peak_live);
-            ("fairness_pm", int_of_float (st.Load.st_fairness *. 1000.));
-            ("goodput_cpkt", int_of_float (st.Load.st_goodput *. 100.));
-            ("attr_residual", st.Load.st_attr_residual);
-          ]
-        (dt *. 1e9 /. float_of_int st.Load.st_requests);
-      row "%-9s %8d %6d %6d | %7d %7d %7d | %6d %6d %6d %6d | %7d %9.2f\n"
-        st.Load.st_scenario st.Load.st_requests st.Load.st_completed
-        st.Load.st_timedout (q 0.50) (q 0.99) (q 0.999)
-        (imean st.Load.st_queue)
-        (imean st.Load.st_service)
-        (imean st.Load.st_wake)
-        (imean st.Load.st_join)
-        st.Load.st_peak_live st.Load.st_goodput)
-    Load.scenarios;
-  print_endline "shape: queue-wait dominates under overload (open-loop arrivals do";
-  print_endline "       not slow down with the server); the four phases sum exactly";
-  print_endline "       to end-to-end latency (residual CI-asserted to 0).";
-  print_endline "claim: four server scenarios sustain >=10^5 concurrent fibers";
-  print_endline "       (>=10^4 quick) with seed-deterministic traces."
 
 (* ------------------------------------------------------------------ *)
 (* micro: bechamel measurements of the native primitives               *)
@@ -1339,7 +985,6 @@ let micro () =
       let res = Hashtbl.find results name in
       match Analyze.OLS.estimates res with
       | Some [ est ] ->
-          jrow ~name:("micro." ^ name) ~params:[] est;
           row "  %-24s %10.1f ns\n" name est
       | Some ests ->
           row "  %-24s %s\n" name
@@ -1366,48 +1011,18 @@ let experiments =
     ("e13", e13);
     ("e14", e14);
     ("e15", e15);
-    ("e16", e16);
     ("micro", micro);
   ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "quick" :: rest ->
-        quick := true;
-        parse acc rest
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse acc rest
-    | [ "--json" ] ->
-        prerr_endline "--json requires a file argument";
-        exit 2
-    | "--baseline" :: file :: rest ->
-        baseline_file := Some file;
-        parse acc rest
-    | [ "--baseline" ] ->
-        prerr_endline "--baseline requires a file argument";
-        exit 2
-    | "--regress-pct" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some p when p > 0. ->
-            regress_pct := p;
-            parse acc rest
-        | _ ->
-            prerr_endline "--regress-pct requires a positive number";
-            exit 2)
-    | [ "--regress-pct" ] ->
-        prerr_endline "--regress-pct requires a number argument";
-        exit 2
-    | a :: rest -> parse (a :: acc) rest
-  in
-  let args = parse [] args in
+  quick := List.mem "quick" args;
   let selected =
-    match args with [] | [ "all" ] -> List.map fst experiments | picks -> picks
+    match List.filter (( <> ) "quick") args with
+    | [] | [ "all" ] -> List.map fst experiments
+    | picks -> picks
   in
-  (* Refuse bad arguments before any experiment runs: an unknown name,
-     or a --json file that cannot be written. *)
+  (* Refuse an unknown name before any experiment runs. *)
   (match List.filter (fun n -> not (List.mem_assoc n experiments)) selected with
   | [] -> ()
   | bad ->
@@ -1417,15 +1032,6 @@ let () =
             (String.concat ", " (List.map fst experiments)))
         bad;
       exit 2);
-  (match !json_file with
-  | None -> ()
-  | Some path -> (
-      try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
-      with Sys_error msg ->
-        Printf.eprintf "bench: %s\n" msg;
-        exit 2));
   print_endline "pcont benchmark harness (Hieb & Dybvig, PPoPP 1990 reproduction)";
   if !quick then print_endline "(quick mode: reduced sizes)";
-  List.iter (fun name -> (List.assoc name experiments) ()) selected;
-  write_json ();
-  exit (compare_baseline ())
+  List.iter (fun name -> (List.assoc name experiments) ()) selected

@@ -18,12 +18,27 @@
      pload --json                machine-readable stats on stdout
 
    Everything is a pure function of (profile, seed): stats and traces
-   are byte-identical across runs. *)
+   are byte-identical across runs.
+
+   Exit codes: 0 on success; 1 when an --assert bound fails, or when a
+   scenario deadlocks ("pload: <scenario>: deadlock: ...", after the
+   --flight dump is written); 2 for bad arguments, before any scenario
+   runs: an unknown scenario, a malformed --assert, or an output path
+   that cannot be written ("pload: <path>: <reason>"). *)
 
 module Obs = Pcont_obs.Obs
 module Analysis = Pcont_obs.Analysis
 module Load = Pcont_load.Load
+module Sched = Pcont_sched.Sched
 open Cmdliner
+
+(* Open an output file named on the command line, or report why not and
+   exit 2 before any scenario runs. *)
+let open_output path =
+  try open_out path
+  with Sys_error msg ->
+    Printf.eprintf "pload: %s\n" msg;
+    exit 2
 
 let run_load scens full seed requests workers deadline trace_out flight asserts
     json =
@@ -58,19 +73,31 @@ let run_load scens full seed requests workers deadline trace_out flight asserts
             exit 2)
       asserts
   in
+  (* Every output is opened, or checked, before the first scenario runs:
+     a bad path fails in milliseconds, not after the load. *)
+  let traces =
+    match trace_out with
+    | None -> List.map (fun _ -> None) scens
+    | Some dir ->
+        (try Unix.mkdir dir 0o755 with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        | Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "pload: %s: %s\n" dir (Unix.error_message e);
+            exit 2);
+        List.map
+          (fun scen ->
+            Some (open_output (Filename.concat dir (Load.scenario_name scen ^ ".jsonl"))))
+          scens
+  in
+  Option.iter (fun path -> close_out (open_output path)) flight;
   let all =
-    List.map
-      (fun scen ->
+    List.map2
+      (fun scen trace ->
         let o = Obs.create () in
         let cleanup = ref [] in
-        (match trace_out with
+        (match trace with
         | None -> ()
-        | Some dir ->
-            (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path =
-              Filename.concat dir (Load.scenario_name scen ^ ".jsonl")
-            in
-            let oc = open_out path in
+        | Some oc ->
             Obs.attach o (Obs.Sink.jsonl (Obs.Sink.of_channel oc));
             cleanup := (fun () -> close_out oc) :: !cleanup);
         (match flight with
@@ -86,15 +113,15 @@ let run_load scens full seed requests workers deadline trace_out flight asserts
           Obs.close o;
           List.iter (fun f -> f ()) !cleanup
         in
-        let st =
-          try Load.run ~obs:o profile ~seed:(Int64.of_int seed) scen
-          with e ->
-            finish ();
-            raise e
-        in
-        finish ();
-        st)
-      scens
+        match
+          Fun.protect ~finally:finish (fun () ->
+              Load.run ~obs:o profile ~seed:(Int64.of_int seed) scen)
+        with
+        | st -> st
+        | exception Sched.Deadlock msg ->
+            Printf.eprintf "pload: %s: %s\n" (Load.scenario_name scen) msg;
+            exit 1)
+      scens traces
   in
   if json then
     print_endline

@@ -11,8 +11,9 @@
    events to stderr; --trace-out writes the event stream to a file as
    human text, JSONL or Chrome trace-event JSON (--trace-format);
    --summary prints a per-process table of slices, fuel, parks and
-   captures for each run; --strategy copying switches to the
-   stack-copying continuation representation of experiment E1. *)
+   captures for each run (for the causal report, run ptrace report on the
+   --trace-out file); --strategy copying switches to the stack-copying
+   continuation representation of experiment E1. *)
 
 module Interp = Pcont_syntax.Interp
 module Pstack = Pcont_pstack
@@ -115,31 +116,19 @@ let pp_summary ppf (run : Trace.run) =
         Format.fprintf ppf " (+%d cancelled while parked)" run.r_cancelled_parked);
   Format.fprintf ppf "@]"
 
-(* --summary and --analyze read one event buffer, reconstructed once
-   per run. *)
-let print_runs ~summary ~analyze events =
+(* --summary reads the run's event buffer, reconstructed once per run;
+   a program that never reached the scheduler still gets its table. *)
+let print_summary events =
   let runs =
     Array.map Trace.reconstruct (Trace.runs (Array.of_list (List.rev events)))
   in
-  if summary then begin
-    (* a program that never reached the scheduler still gets its table *)
-    let tables = if Array.length runs = 0 then [| Trace.reconstruct [||] |] else runs in
-    Array.iteri
-      (fun i run ->
-        if Array.length tables = 1 then prerr_endline ";; per-process summary:"
-        else Printf.eprintf ";; per-process summary (run %d):\n" i;
-        Format.eprintf "%a@." pp_summary run)
-      tables
-  end;
-  if analyze then begin
-    prerr_endline ";; causal report:";
-    Array.iteri
-      (fun i run ->
-        if i > 0 then Format.eprintf "@.";
-        Pcont_obs.Analysis.Report.pp Format.err_formatter
-          (Pcont_obs.Analysis.Report.of_run run))
-      runs
-  end
+  let tables = if Array.length runs = 0 then [| Trace.reconstruct [||] |] else runs in
+  Array.iteri
+    (fun i run ->
+      if Array.length tables = 1 then prerr_endline ";; per-process summary:"
+      else Printf.eprintf ";; per-process summary (run %d):\n" i;
+      Format.eprintf "%a@." pp_summary run)
+    tables
 
 (* Open an output file named on the command line, or report why not and
    exit 2 before anything runs. *)
@@ -150,7 +139,7 @@ let open_output path =
     exit 2
 
 let run file expr concurrent seed replay no_prelude fuel quantum strategy stats trace
-    trace_out trace_format summary analyze flight sample backend =
+    trace_out trace_format summary flight sample backend =
   (match backend with
   | "pstack" | "machine" | "zipper" -> ()
   | other ->
@@ -174,7 +163,6 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
     reject "--trace-out" (trace_out <> None);
     reject "--trace-format" (trace_format <> None);
     reject "--summary" summary;
-    reject "--analyze" analyze;
     reject "--stats" stats;
     reject "--flight" (flight <> None);
     reject "--sample" (sample <> None);
@@ -220,7 +208,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
     match replay_driver with
     | Some (pick, _) -> Interp.Concurrent (Pcont_pstack.Concur.Driven_pids pick)
     | None ->
-        if concurrent || seed <> None || trace || trace_out <> None || summary || analyze
+        if concurrent || seed <> None || trace || trace_out <> None || summary
            || flight <> None
         then
           Interp.Concurrent
@@ -239,13 +227,13 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   in
   let t = Interp.create ~prelude:(not no_prelude) ~strategy () in
   (* One observability handle feeds every consumer — the --trace stream,
-     the --trace-out sink, the event buffer behind --summary and
-     --analyze, the distributions shown by --stats.  Its metrics share
-     the interpreter's counter table, so machine counters and scheduler
-     metrics land in one report. *)
+     the --trace-out sink, the event buffer behind --summary, the
+     distributions shown by --stats.  Its metrics share the interpreter's
+     counter table, so machine counters and scheduler metrics land in one
+     report. *)
   let obs =
     if
-      (trace || trace_out <> None || summary || analyze || stats || flight <> None)
+      (trace || trace_out <> None || summary || stats || flight <> None)
       && backend = "pstack"
     then
       Some
@@ -256,7 +244,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
            ())
     else None
   in
-  let events = if summary || analyze then Some (ref []) else None in
+  let events = if summary then Some (ref []) else None in
   let cleanups = ref [] in
   (match obs with
   | None -> ()
@@ -323,7 +311,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
             Printf.eprintf ";; psi: replay diverged at %s\n"
               (Pcont_explore.Explore.Replay.pp_divergence d)));
     List.iter (fun f -> f ()) !cleanups;
-    (match events with None -> () | Some buf -> print_runs ~summary ~analyze !buf);
+    (match events with None -> () | Some buf -> print_summary !buf);
     if stats then print_stats t obs;
     code
   in
@@ -453,16 +441,6 @@ let summary =
            traffic, fate) to stderr on exit, one table per run (a file runs each \
            top-level form separately); implies --concurrent.")
 
-let analyze =
-  Arg.(
-    value & flag
-    & info [ "analyze" ]
-        ~doc:
-          "Print a causal report (critical path, per-process utilization, \
-           blocked-time attribution) to stderr on exit, computed from the run's \
-           event stream; implies --concurrent.  See also $(b,ptrace report) for \
-           analyzing an exported trace file.")
-
 let flight =
   Arg.(
     value
@@ -501,7 +479,7 @@ let cmd =
     (Cmd.info "psi" ~version:"1.0.0" ~doc)
     Term.(
       const run $ file $ expr $ concurrent $ seed $ replay $ no_prelude $ fuel $ quantum
-      $ strategy $ stats $ trace $ trace_out $ trace_format $ summary $ analyze
-      $ flight $ sample $ backend)
+      $ strategy $ stats $ trace $ trace_out $ trace_format $ summary $ flight
+      $ sample $ backend)
 
 let () = exit (Cmd.eval' cmd)

@@ -24,7 +24,9 @@
                                 percentiles and top blocked resources
 
    All subcommands take --json for machine-readable output; report and
-   diff output is byte-deterministic for a given input. *)
+   diff output is byte-deterministic for a given input.  Bad arguments,
+   an unreadable input and an output path that cannot be written
+   ("ptrace: <path>: <reason>") exit 2 before any run. *)
 
 module Obs = Pcont_obs.Obs
 module Trace = Pcont_obs.Trace
@@ -37,6 +39,17 @@ let load_or_die path =
   | Error m ->
       Printf.eprintf "ptrace: %s: %s\n" path m;
       exit 2
+
+(* Check that an output path named on the command line can be written
+   before the run, which may be long, rather than failing after it: exit
+   2 with the reason, and leave no file behind that was not there. *)
+let check_output path =
+  let existed = Sys.file_exists path in
+  (try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
+   with Sys_error msg ->
+     Printf.eprintf "ptrace: %s\n" msg;
+     exit 2);
+  if not existed then Sys.remove path
 
 let run_check path json =
   let events = load_or_die path in
@@ -118,6 +131,8 @@ let run_gen scheduler seed workload faults out flight ring_cap =
               "ptrace: unknown scheduler %S (expected pstack or native)\n" other;
             exit 2)
   in
+  Option.iter check_output out;
+  Option.iter check_output flight;
   (* The flight recorder rides along on the recording handle: a ring
      sink that dumps the last events as JSONL to --flight on Deadlock /
      Crash, or at the end of the run if nothing tripped it. *)
@@ -260,6 +275,7 @@ let run_replay input workload expr out json =
         Printf.eprintf "ptrace: %s: %s\n" input m;
         exit 2
   in
+  Option.iter check_output out;
   let r, div = Explore.Replay.replay target sched in
   (match out with
   | None -> ()
@@ -309,6 +325,7 @@ let run_replay input workload expr out json =
 
 let run_explore workload expr max_runs sweep fault_menu out expect_bug json =
   let target = resolve_target workload expr in
+  Option.iter check_output out;
   let st = Explore.Dpor.explore ~max_runs ~fault_menu target in
   let sweep_res =
     if sweep > 0 then Some (Explore.Dpor.seed_sweep ~seeds:sweep ~fault_menu target)

@@ -59,7 +59,7 @@ val quick : profile
 (** ~10^4 peak concurrent fibers per scenario. *)
 
 val full : profile
-(** ~10^5 peak concurrent fibers per scenario (bench e16 full mode). *)
+(** ~10^5 peak concurrent fibers per scenario ([pload --full]). *)
 
 val arrivals : profile -> seed:int64 -> int array
 (** The scheduled arrival ticks [T_0 <= T_1 <= ...], a pure function

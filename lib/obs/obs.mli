@@ -384,7 +384,7 @@ module Sink : sig
 
   val memory : (int * int * Event.t -> unit) -> sink
   (** Feed [(seq, ts, event)] triples to a callback (tests,
-      [psi --summary]/[--analyze]). *)
+      [psi --summary]). *)
 
   (** {2 Flight recorder} *)
 

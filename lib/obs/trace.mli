@@ -42,8 +42,8 @@ val runs : stamped array -> stamped array array
 
     One pass over a run yields everything per process: tree shape,
     slice/fuel/park/wake/capture/graft/send/recv tallies, blocked time
-    and fate.  [psi --summary] prints these rows, [psi --analyze] and
-    {!Analysis.Report} build on the same reconstruction. *)
+    and fate.  [psi --summary] prints these rows, and {!Analysis.Report}
+    builds on the same reconstruction. *)
 
 type node = {
   n_pid : int;

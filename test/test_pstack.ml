@@ -558,6 +558,55 @@ let test_counter_events () =
   Alcotest.(check int) "one controller capture" 1 (C.get c "controller");
   Alcotest.(check int) "one pk invoke" 1 (C.get c "pk-invoke")
 
+(* Bench's E1/E2/E9 programs, each run once at K = 20: the counts behind
+   bench's per-op columns (copying frames/op 22/202/2002, linked 0,
+   segments/op 2/8/32, forks 31), which must come from one run, not from
+   the sum over its timed runs. *)
+module P = Bench_programs
+module Interp = Pcont_syntax.Interp
+
+let bench_counts ?(strategy = Types.Linked) ?(mode = Interp.Sequential) defs src =
+  let t = Interp.create ~strategy () in
+  ignore (Interp.eval_string t defs);
+  let counters = (Interp.config t).Machine.counters in
+  C.reset counters;
+  (match Interp.eval_value ~mode t src with
+  | Types.Int _ -> ()
+  | v -> Alcotest.failf "%s: %s" src (Value.to_string v));
+  C.get counters
+
+let test_bench_counts_one_run () =
+  let k = 20 in
+  List.iter
+    (fun frames ->
+      let frames_moved strategy =
+        let count =
+          bench_counts ~strategy P.repeat_defs (P.frames_src ~frames ~k P.capture)
+        in
+        count "capture.frames" + count "reinstate.frames"
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "copying, %d frames" frames)
+        (2 * (frames + 1) * k)
+        (frames_moved Types.Copying);
+      Alcotest.(check int)
+        (Printf.sprintf "linked, %d frames" frames)
+        0 (frames_moved Types.Linked))
+    [ 10; 100; 1000 ];
+  List.iter
+    (fun roots ->
+      let count = bench_counts P.repeat_defs (P.nested_roots_src ~roots ~k) in
+      Alcotest.(check int)
+        (Printf.sprintf "segments, %d roots" roots)
+        (2 * roots * k)
+        (count "capture.segments" + count "reinstate.segments"))
+    [ 1; 4; 16 ];
+  let count =
+    bench_counts ~mode:(Interp.Concurrent Concur.Round_robin) P.tsum_defs
+      "(tsum 1 256 8)"
+  in
+  Alcotest.(check int) "forks, (tsum 1 256 8)" 31 (count "concur.fork")
+
 (* ---------------- capture fast path (segment pool + one-shot move) -------- *)
 
 (* The linearity analyzer on hand-built resolved bodies: [k] is the
@@ -774,6 +823,7 @@ let () =
           Alcotest.test_case "cost linear in roots" `Quick test_capture_cost_linear_in_roots;
           Alcotest.test_case "counter events" `Quick test_counter_events;
           Alcotest.test_case "nested capture value" `Quick test_nested_capture_value;
+          Alcotest.test_case "bench counts one run" `Quick test_bench_counts_one_run;
         ] );
       ( "fastpath",
         [
