@@ -19,6 +19,7 @@
 
 module C = Pcont_util.Counters
 module Obs = Pcont_obs.Obs
+module Analysis = Pcont_obs.Analysis
 module Interp = Pcont_syntax.Interp
 module Pstack = Pcont_pstack
 module Sched = Pcont_sched.Sched
@@ -782,12 +783,13 @@ let e14 () =
      Round_robin), so the cancelled/completed split is a fixed property
      of (n, deadline).
 
-     Measured from the run's Obs.Metrics sketches:
+     Measured per run:
      - cancel latency: virtual-time units between the scope's deadline
        and its caller observing [Error (Cancelled _)] (scope machinery
        plus scheduling delay, in clock units);
-     - cleanup cost: fibers discarded per scope abort
-       (sched.cancel.pids) — the subtree the abort swept. *)
+     - cleanup cost: fibers discarded per scope abort — the subtree the
+       abort swept — folded from the Cancel events by
+       Analysis.Snapshot (its cancel.pids sketch). *)
   let deadline = 500 and batch = 8 in
   let service i =
     (* bounded Pareto by inverse transform on a hashed uniform:
@@ -807,6 +809,9 @@ let e14 () =
     (fun n ->
       let run () =
         let o = Obs.create () in
+        let snap = Analysis.Snapshot.create () in
+        Obs.attach o (Analysis.Snapshot.sink snap);
+        let lat = Obs.Metrics.Sketch.create () in
         let cancelled = ref 0 and completed = ref 0 in
         Sched.run ~obs:o (fun () ->
             let i = ref 0 in
@@ -824,23 +829,21 @@ let e14 () =
                         | Ok () -> incr completed
                         | Error _ ->
                             incr cancelled;
-                            Obs.observe o "resil.cancel.latency"
+                            Obs.Metrics.Sketch.observe lat
                               (Sched.now () - t0 - deadline));
                         0)));
               i := !i + b
             done);
-        (o, !cancelled, !completed)
+        (snap, lat, !cancelled, !completed)
       in
-      let (o, ncxl, ndone), dt = time_best ~n:(if !quick then 1 else 2) run in
-      let m = Obs.metrics o in
-      let dist name =
-        match Obs.Metrics.find m name with
-        | Some sk -> (Obs.Metrics.Sketch.mean sk, Obs.Metrics.Sketch.max sk)
-        | None -> (0., 0)
+      let (snap, lat, ncxl, ndone), dt = time_best ~n:(if !quick then 1 else 2) run in
+      let lat_mean = Obs.Metrics.Sketch.mean lat and lat_max = Obs.Metrics.Sketch.max lat in
+      let lat_p50 = Obs.Metrics.Sketch.quantile lat 0.5 in
+      let swept_mean =
+        match Obs.Metrics.find (Analysis.Snapshot.metrics snap) "cancel.pids" with
+        | Some sk -> Obs.Metrics.Sketch.mean sk
+        | None -> 0.
       in
-      let lat_mean, lat_max = dist "resil.cancel.latency" in
-      let lat_p50 = Obs.Metrics.quantile m "resil.cancel.latency" 0.5 in
-      let swept_mean, _ = dist "sched.cancel.pids" in
       row "%7d | %9d %9d | %9.0f %9.1f %9d | %9.1f %9.2f\n" n ncxl ndone lat_p50
         lat_mean lat_max swept_mean
         (dt *. 1e6 /. float_of_int n);

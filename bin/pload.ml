@@ -23,8 +23,9 @@
    Exit codes: 0 on success; 1 when an --assert bound fails, or when a
    scenario deadlocks ("pload: <scenario>: deadlock: ...", after the
    --flight dump is written); 2 for bad arguments, before any scenario
-   runs: an unknown scenario, a malformed --assert, or an output path
-   that cannot be written ("pload: <path>: <reason>"). *)
+   runs: an unknown scenario, a malformed --assert, a negative
+   --requests, --workers or --deadline, or an output path that cannot
+   be written ("pload: <path>: <reason>"). *)
 
 module Obs = Pcont_obs.Obs
 module Analysis = Pcont_obs.Analysis
@@ -42,6 +43,14 @@ let open_output path =
 
 let run_load scens full seed requests workers deadline trace_out flight asserts
     json =
+  List.iter
+    (function
+      | flag, Some v when v < 0 ->
+          Printf.eprintf "pload: %s must be at least 0, got %d\n" flag v;
+          exit 2
+      | _ -> ())
+    [ ("--requests", requests); ("--workers", workers);
+      ("--deadline", deadline) ];
   let profile = if full then Load.full else Load.quick in
   let profile =
     { profile with
@@ -129,39 +138,12 @@ let run_load scens full seed requests workers deadline trace_out flight asserts
   else
     List.iter (fun st -> Format.printf "%a@." Load.pp_stats st) all;
   (* Evaluate the SLO assertions against the in-process sketches (the
-     arrival-anchored numbers; ptrace slo applies the same grammar to
-     an exported trace). *)
-  let failures =
-    List.concat_map
-      (fun a ->
-        let applicable =
-          List.filter
-            (fun st ->
-              match a.Analysis.Slo.a_scen with
-              | Some n -> st.Load.st_scenario = n
-              | None -> true)
-            all
-        in
-        if applicable = [] then
-          [ Printf.sprintf "assert matched no scenario (%s)"
-              (Option.value ~default:"*" a.Analysis.Slo.a_scen) ]
-        else
-          List.filter_map
-            (fun st ->
-              let v =
-                Obs.Metrics.Sketch.quantile st.Load.st_latency
-                  a.Analysis.Slo.a_q
-              in
-              if v > a.Analysis.Slo.a_limit then
-                Some
-                  (Printf.sprintf "assert failed: %s %s = %.0f > %.0f"
-                     st.Load.st_scenario
-                     (Analysis.Slo.quantile_name a.Analysis.Slo.a_q)
-                     v a.Analysis.Slo.a_limit)
-              else None)
-            applicable)
-      asserts
+     arrival-anchored numbers; ptrace slo applies the same check to the
+     span latencies of an exported trace). *)
+  let latencies =
+    List.map (fun st -> (st.Load.st_scenario, st.Load.st_latency)) all
   in
+  let failures = List.concat_map (Analysis.Slo.check latencies) asserts in
   List.iter (Printf.eprintf "pload: %s\n") failures;
   if failures = [] then 0 else 1
 
@@ -188,21 +170,24 @@ let requests_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "requests" ] ~docv:"N" ~doc:"Override the profile's request count.")
+    & info [ "requests" ] ~docv:"N"
+        ~doc:"Override the profile's request count (0 or more).")
 
 let workers_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Override the pool-worker / ring-actor count.")
+        ~doc:"Override the pool-worker / ring-actor count (0 or more).")
 
 let deadline_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "deadline" ] ~docv:"TICKS"
-        ~doc:"Override the per-request deadline (0 disables deadlines).")
+        ~doc:
+          "Override the per-request deadline (0 or more; 0 disables \
+           deadlines).")
 
 let trace_out_arg =
   Arg.(

@@ -7,13 +7,16 @@
 
    Diagnostics: --stats prints the machine's instrumentation counters
    (captures, segments/frames moved, forks, locks) and the count, mean
-   and max of each scheduler distribution; --trace streams scheduler
+   and max of each scheduler distribution (those the events carry are
+   folded from them, as ptrace top does); --trace streams scheduler
    events to stderr; --trace-out writes the event stream to a file as
    human text, JSONL or Chrome trace-event JSON (--trace-format);
    --summary prints a per-process table of slices, fuel, parks and
    captures for each run (for the causal report, run ptrace report on the
    --trace-out file); --strategy copying switches to the stack-copying
-   continuation representation of experiment E1. *)
+   continuation representation of experiment E1.  Bad arguments (among
+   them --quantum below 1) exit 2 with one "psi: ..." line before
+   anything runs. *)
 
 module Interp = Pcont_syntax.Interp
 module Pstack = Pcont_pstack
@@ -21,6 +24,7 @@ module Bridge = Pcont_bridge.Bridge
 module M = Pcont_machine
 module Obs = Pcont_obs.Obs
 module Trace = Pcont_obs.Trace
+module Snapshot = Pcont_obs.Analysis.Snapshot
 module Sketch = Obs.Metrics.Sketch
 
 (* Run a whole program on the Section 6 rewriting machine (--backend
@@ -55,20 +59,36 @@ let print_result show_defines r =
   let out = Interp.take_output () in
   if out <> "" then print_string out
 
-let print_stats t obs =
+(* psi's names for the distributions folded from the event stream. *)
+let derived_name = function
+  | "span.duration" as n -> n
+  | "capture.size" -> "concur.capture.segments"
+  | "wake.to.run" -> "concur.wake.run"
+  | n -> "concur." ^ n
+
+(* The scheduler histograms: the handle's own sketches (the machine's
+   distributions, run-queue depth, park rounds) and those [snap] folded
+   from its events. *)
+let print_stats t handle =
   let counters = (Interp.config t).Pstack.Machine.counters in
   (match Pcont_util.Counters.to_list counters with
   | [] -> prerr_endline ";; no machine events recorded"
   | stats ->
       prerr_endline ";; machine statistics:";
       List.iter (fun (name, v) -> Printf.eprintf ";;   %-36s %d\n" name v) stats);
-  match obs with
+  match handle with
   | None -> ()
-  | Some o -> (
+  | Some (o, snap) -> (
+      let derived =
+        List.map
+          (fun (name, sk) -> (derived_name name, sk))
+          (Obs.Metrics.sketches (Snapshot.metrics snap))
+      in
       match
         List.filter
           (fun (_, sk) -> Sketch.count sk > 0)
-          (Obs.Metrics.sketches (Obs.metrics o))
+          (Obs.Metrics.sketches (Obs.metrics o) @ derived)
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       with
       | [] -> ()
       | sketches ->
@@ -168,6 +188,11 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
     reject "--sample" (sample <> None);
     reject "--strategy copying" (strategy = "copying")
   end;
+  (match quantum with
+  | Some q when q < 1 ->
+      Printf.eprintf "psi: --quantum must be at least 1, got %d\n" q;
+      exit 2
+  | _ -> ());
   (match sample with
   | Some r when r < 0. || r > 1. ->
       Printf.eprintf "psi: --sample rate must be in [0,1], got %g\n" r;
@@ -245,6 +270,14 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
     else None
   in
   let events = if summary then Some (ref []) else None in
+  let stats_handle =
+    match obs with
+    | Some o when stats ->
+        let snap = Snapshot.create () in
+        Obs.attach o (Snapshot.sink snap);
+        Some (o, snap)
+    | _ -> None
+  in
   let cleanups = ref [] in
   (match obs with
   | None -> ()
@@ -312,7 +345,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
               (Pcont_explore.Explore.Replay.pp_divergence d)));
     List.iter (fun f -> f ()) !cleanups;
     (match events with None -> () | Some buf -> print_summary !buf);
-    if stats then print_stats t obs;
+    if stats then print_stats t stats_handle;
     code
   in
   let run_source src =
@@ -387,7 +420,9 @@ let quantum =
     value
     & opt (some int) None
     & info [ "quantum" ] ~docv:"STEPS"
-        ~doc:"Machine transitions per branch before the scheduler rotates (default 16).")
+        ~doc:
+          "Machine transitions per branch before the scheduler rotates \
+           (default 16; at least 1).")
 
 let strategy =
   Arg.(

@@ -24,9 +24,10 @@
                                 percentiles and top blocked resources
 
    All subcommands take --json for machine-readable output; report and
-   diff output is byte-deterministic for a given input.  Bad arguments,
-   an unreadable input and an output path that cannot be written
-   ("ptrace: <path>: <reason>") exit 2 before any run. *)
+   diff output is byte-deterministic for a given input.  Bad arguments
+   (among them gen --ring and explore --max-runs below 1), an unreadable
+   input and an output path that cannot be written ("ptrace: <path>:
+   <reason>") exit 2 with one line before any run. *)
 
 module Obs = Pcont_obs.Obs
 module Trace = Pcont_obs.Trace
@@ -39,6 +40,13 @@ let load_or_die path =
   | Error m ->
       Printf.eprintf "ptrace: %s: %s\n" path m;
       exit 2
+
+(* Reject a count option below [lo] before any run. *)
+let at_least flag lo v =
+  if v < lo then begin
+    Printf.eprintf "ptrace: %s must be at least %d, got %d\n" flag lo v;
+    exit 2
+  end
 
 (* Check that an output path named on the command line can be written
    before the run, which may be long, rather than failing after it: exit
@@ -89,14 +97,12 @@ let run_slo path asserts json =
   let slo = Analysis.Slo.of_trace events in
   if json then print_endline (Obs.Json.to_string (Analysis.Slo.to_json slo))
   else Format.printf "%a" Analysis.Slo.pp slo;
-  let failures =
-    List.filter_map
-      (fun a ->
-        match Analysis.Slo.check slo a with
-        | Ok () -> None
-        | Error m -> Some m)
-      asserts
+  let latencies =
+    List.map
+      (fun sc -> Analysis.Slo.(sc.sc_name, sc.sc_latency))
+      slo.Analysis.Slo.slo_scens
   in
+  let failures = List.concat_map (Analysis.Slo.check latencies) asserts in
   List.iter (Printf.eprintf "ptrace: %s\n") failures;
   if failures = [] then 0 else 1
 
@@ -112,6 +118,7 @@ let run_diff left right json =
    written by `ptrace gen` replays against `--workload gen`/`gen-pstack`
    with no drift between the two definitions. *)
 let run_gen scheduler seed workload faults out flight ring_cap =
+  at_least "--ring" 1 ring_cap;
   let target =
     match workload with
     | Some name -> (
@@ -324,6 +331,7 @@ let run_replay input workload expr out json =
   if ok then 0 else 1
 
 let run_explore workload expr max_runs sweep fault_menu out expect_bug json =
+  at_least "--max-runs" 1 max_runs;
   let target = resolve_target workload expr in
   Option.iter check_output out;
   let st = Explore.Dpor.explore ~max_runs ~fault_menu target in
@@ -575,7 +583,9 @@ let gen_cmd =
     Arg.(
       value & opt int 4096
       & info [ "ring" ] ~docv:"N"
-          ~doc:"Flight-recorder capacity: keep the last $(docv) events.")
+          ~doc:
+            "Flight-recorder capacity: keep the last $(docv) events (at \
+             least 1).")
   in
   Cmd.v (Cmd.info "gen" ~doc)
     Term.(
@@ -645,7 +655,8 @@ let explore_cmd =
   let max_runs =
     Arg.(
       value & opt int 200
-      & info [ "max-runs" ] ~docv:"N" ~doc:"Stop after $(docv) explored schedules.")
+      & info [ "max-runs" ] ~docv:"N"
+          ~doc:"Stop after $(docv) explored schedules (at least 1).")
   in
   let sweep =
     Arg.(

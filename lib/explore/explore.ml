@@ -384,120 +384,36 @@ module Dpor = struct
       x_faults = faults;
     }
 
-  (* Canonical causal-skeleton fingerprint: [Analysis.Diff]'s projection
-     (pids renamed to spawn order, per-pid program-order causal facts,
-     scheduling events dropped) extended with the per-resource operation
-     orders — for each channel the global send/recv order, for each
-     waitset the park/wake order.  Operations on the same resource are
-     the dependent ones, so their relative order is exactly what a
-     racing-pair flip changes; per-pid facts alone cannot see it (two
-     interleavings of the same sends are per-pid identical).  With both
-     parts the fingerprint is a Mazurkiewicz-trace invariant: equal iff
-     no racing pair is ordered differently. *)
+  (* A run's class key: [Analysis.Diff]'s projection — pids renamed to
+     spawn order, per-pid program-order causal facts, scheduling events
+     dropped — including its per-resource operation orders (for each
+     channel the send/recv order, for each waitset the park/wake order).
+     Operations on the same resource are the dependent ones, so their
+     relative order is exactly what a racing-pair flip changes; per-pid
+     facts alone cannot see it (two interleavings of the same sends are
+     per-pid identical).  With both parts the key is a Mazurkiewicz-trace
+     invariant: equal iff no racing pair is ordered differently. *)
   let skeleton evs =
     let b = Buffer.create 256 in
+    let facts = Array.iter (fun f -> Buffer.add_string b f; Buffer.add_char b ';') in
     Array.iter
-      (fun revs ->
+      (fun run ->
+        let p = Analysis.Diff.project run in
         Buffer.add_char b '{';
-        let canon = Hashtbl.create 16 in
-        let next = ref 0 in
-        let cpid pid =
-          if pid < 0 then -1
-          else
-            match Hashtbl.find_opt canon pid with
-            | Some c -> c
-            | None ->
-                let c = !next in
-                incr next;
-                Hashtbl.replace canon pid c;
-                c
-        in
-        let facts : (int, string list ref) Hashtbl.t = Hashtbl.create 16 in
-        let add pid f =
-          let c = cpid pid in
-          let l =
-            match Hashtbl.find_opt facts c with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace facts c l;
-                l
-          in
-          l := f :: !l
-        in
-        let res : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
-        let addr key op pid =
-          let l =
-            match Hashtbl.find_opt res key with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace res key l;
-                l
-          in
-          l := Printf.sprintf "%s%d" op (cpid pid) :: !l
-        in
+        facts p.pr_global;
         Array.iter
-          (fun (st : Trace.stamped) ->
-            match st.ev with
-            | E.Spawn { pid; parent; kind } ->
-                let cp = cpid parent in
-                add pid (Printf.sprintf "s%d:%s" cp kind)
-            | E.Spawn_batch { nodes; kind; _ } ->
-                Array.iter
-                  (fun (pid, parent) ->
-                    let cp = cpid parent in
-                    add pid (Printf.sprintf "s%d:%s" cp kind))
-                  nodes
-            | E.Exit { pid } -> add pid "x"
-            | E.Send { pid; chan } ->
-                add pid (Printf.sprintf "!%d" chan);
-                addr (Printf.sprintf "c%d" chan) "!" pid
-            | E.Recv { pid; chan } ->
-                add pid (Printf.sprintf "?%d" chan);
-                addr (Printf.sprintf "c%d" chan) "?" pid
-            | E.Capture { pid; label; root_pid; _ } ->
-                add pid (Printf.sprintf "c%d@%d" label (cpid root_pid))
-            | E.Reinstate { pid; label; _ } -> add pid (Printf.sprintf "g%d" label)
-            | E.Invalid_controller { pid; label } -> add pid (Printf.sprintf "i%d" label)
-            | E.Cancel { pid; scope; pids; _ } ->
-                add pid
-                  (Printf.sprintf "k%d[%s]" (cpid scope)
-                     (String.concat ","
-                        (Array.to_list
-                           (Array.map (fun p -> string_of_int (cpid p)) pids))))
-            | E.Timeout { pid; _ } -> add pid "t"
-            | E.Crash { pid; fault } ->
-                if pid >= 0 then add pid ("f:" ^ fault)
-                else Buffer.add_string b (Printf.sprintf "F:%s;" fault)
-            | E.Restart { pid; child; attempt; _ } ->
-                add pid (Printf.sprintf "r%d.%d" (cpid child) attempt)
-            | E.Deadlock { parked } -> Buffer.add_string b (Printf.sprintf "D%d;" parked)
-            | E.Park { pid; resource } -> addr ("w" ^ resource) "p" pid
-            | E.Wake { pid; resource } -> addr ("w" ^ resource) "w" pid
-            | E.Slice_begin _ | E.Slice_end _ | E.Span_begin _ | E.Span_end _ -> ())
-          revs;
-        for c = 0 to !next - 1 do
-          match Hashtbl.find_opt facts c with
-          | None -> ()
-          | Some l ->
-              Buffer.add_string b (string_of_int c);
-              Buffer.add_char b '[';
-              List.iter
-                (fun f ->
-                  Buffer.add_string b f;
-                  Buffer.add_char b ';')
-                (List.rev !l);
-              Buffer.add_char b ']'
-        done;
-        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) res [] in
+          (fun fs ->
+            Buffer.add_char b '[';
+            facts fs;
+            Buffer.add_char b ']')
+          p.pr_pids;
         List.iter
-          (fun k ->
+          (fun (k, ops) ->
             Buffer.add_char b '|';
             Buffer.add_string b k;
             Buffer.add_char b ':';
-            List.iter (Buffer.add_string b) (List.rev !(Hashtbl.find res k)))
-          (List.sort compare keys);
+            facts ops)
+          p.pr_resources;
         Buffer.add_char b '}')
       (Trace.runs evs);
     Buffer.contents b

@@ -189,22 +189,13 @@ module Dpor : sig
     s_runs : int;  (** schedules executed (excluding minimization probes) *)
     s_probes : int;  (** extra runs spent minimizing the witness *)
     s_schedules : int;  (** distinct complete schedules *)
-    s_skeletons : int;  (** distinct causal skeletons among them *)
+    s_skeletons : int;
+        (** distinct causal skeletons among them: equal
+            {!Pcont_obs.Analysis.Diff.project}ions, resource orders
+            included — one per Mazurkiewicz class *)
     s_races : int;  (** backtrack points seeded *)
     s_witness : witness option;
   }
-
-  val skeleton : Trace.stamped array -> string
-  (** Canonical causal-skeleton fingerprint of a trace: pids renamed to
-      spawn order, each pid's program-order causal facts (spawns, exits,
-      channel ops, capture/reinstate labels, invalid controllers,
-      deadlock) — the projection [Analysis.Diff] compares — extended
-      with the global per-resource operation orders (send/recv order per
-      channel, park/wake order per waitset), as one hashable string.
-      Operations on a shared resource are the dependent ones, so the
-      fingerprint is a Mazurkiewicz-trace invariant: two schedules have
-      equal skeletons iff no racing pair is ordered differently, making
-      them redundant for bug-finding purposes. *)
 
   val explore :
     ?max_runs:int ->

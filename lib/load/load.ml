@@ -7,6 +7,7 @@
 module Sched = Pcont_sched.Sched
 module Channel = Pcont_sched.Channel
 module Obs = Pcont_obs.Obs
+module Analysis = Pcont_obs.Analysis
 module Resil = Pcont_resil.Resil
 module Xorshift = Pcont_util.Xorshift
 module E = Obs.Event
@@ -286,8 +287,7 @@ type acc = {
   a_wk : Sketch.t;
   a_jn : Sketch.t;
   a_tl : Sketch.t;
-  mutable a_jain_s : float;
-  mutable a_jain_s2 : float;
+  a_jain : Analysis.Jain.t;
   mutable a_resid : int;
 }
 
@@ -307,9 +307,7 @@ let record acc req t4 =
   Sketch.observe acc.a_sv sv;
   Sketch.observe acc.a_wk wk;
   Sketch.observe acc.a_jn jn;
-  let fl = float_of_int l in
-  acc.a_jain_s <- acc.a_jain_s +. fl;
-  acc.a_jain_s2 <- acc.a_jain_s2 +. (fl *. fl);
+  Analysis.Jain.add acc.a_jain (float_of_int l);
   let r = abs (q + sv + wk + jn - l) in
   if r > acc.a_resid then acc.a_resid <- r
 
@@ -366,8 +364,7 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       a_wk = Sketch.create ();
       a_jn = Sketch.create ();
       a_tl = Sketch.create ();
-      a_jain_s = 0.;
-      a_jain_s2 = 0.;
+      a_jain = Analysis.Jain.create ();
       a_resid = 0;
     }
   in
@@ -417,11 +414,6 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       teardown ();
       List.iter Sched.touch !leftovers;
       duration := Sched.now ());
-  let jain =
-    let c = float_of_int acc.a_completed in
-    if acc.a_completed = 0 || acc.a_jain_s2 <= 0. then 1.
-    else acc.a_jain_s *. acc.a_jain_s /. (c *. acc.a_jain_s2)
-  in
   {
     st_scenario = name;
     st_requests = n;
@@ -435,7 +427,7 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       (if !duration > 0 then
          float_of_int acc.a_completed *. 1000. /. float_of_int !duration
        else 0.);
-    st_fairness = jain;
+    st_fairness = Analysis.Jain.index acc.a_jain;
     st_latency = acc.a_lat;
     st_queue = acc.a_q;
     st_service = acc.a_sv;
@@ -448,17 +440,6 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let sketch_json s =
-  Obs.Json.Obj
-    [
-      ("count", Obs.Json.Num (float_of_int (Sketch.count s)));
-      ("p50", Obs.Json.Num (Sketch.quantile s 0.5));
-      ("p99", Obs.Json.Num (Sketch.quantile s 0.99));
-      ("p999", Obs.Json.Num (Sketch.quantile s 0.999));
-      ("mean", Obs.Json.Num (Sketch.mean s));
-      ("max", Obs.Json.Num (float_of_int (Sketch.max s)));
-    ]
 
 let stats_to_json st =
   Obs.Json.Obj
@@ -474,12 +455,12 @@ let stats_to_json st =
       ("goodput_per_ktick", Obs.Json.Num st.st_goodput);
       ("fairness", Obs.Json.Num st.st_fairness);
       ("attr_residual", Obs.Json.Num (float_of_int st.st_attr_residual));
-      ("latency", sketch_json st.st_latency);
-      ("queue", sketch_json st.st_queue);
-      ("service", sketch_json st.st_service);
-      ("wake", sketch_json st.st_wake);
-      ("join", sketch_json st.st_join);
-      ("timedout_latency", sketch_json st.st_tlat);
+      ("latency", Sketch.to_json st.st_latency);
+      ("queue", Sketch.to_json st.st_queue);
+      ("service", Sketch.to_json st.st_service);
+      ("wake", Sketch.to_json st.st_wake);
+      ("join", Sketch.to_json st.st_join);
+      ("timedout_latency", Sketch.to_json st.st_tlat);
     ]
 
 let pp_stats ppf st =

@@ -502,6 +502,20 @@ end
 (* Causal report                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module Jain = struct
+  (* All-float, so the record is flat and [add] allocates nothing. *)
+  type t = { mutable n : float; mutable s : float; mutable s2 : float }
+
+  let create () = { n = 0.; s = 0.; s2 = 0. }
+
+  let add t x =
+    t.n <- t.n +. 1.;
+    t.s <- t.s +. x;
+    t.s2 <- t.s2 +. (x *. x)
+
+  let index t = if t.n = 0. || t.s2 <= 0. then 1. else t.s *. t.s /. (t.n *. t.s2)
+end
+
 module Report = struct
   type proc = {
     p_pid : int;
@@ -630,15 +644,6 @@ module Report = struct
         !hops
     end
 
-  let jain xs =
-    match xs with
-    | [] -> 1.
-    | xs ->
-        let n = float_of_int (List.length xs) in
-        let sum = List.fold_left (fun a x -> a +. x) 0. xs in
-        let sq = List.fold_left (fun a x -> a +. (x *. x)) 0. xs in
-        if sq = 0. then 1. else sum *. sum /. (n *. sq)
-
   let of_run (run : Trace.run) =
     let span = run.Trace.r_span in
     let procs =
@@ -755,10 +760,11 @@ module Report = struct
       r_procs = procs;
       r_kinds = kinds;
       r_fairness =
-        jain
-          (List.filter_map
-             (fun p -> if p.p_slices > 0 then Some (float_of_int p.p_run) else None)
-             procs);
+        (let j = Jain.create () in
+         List.iter
+           (fun p -> if p.p_slices > 0 then Jain.add j (float_of_int p.p_run))
+           procs;
+         Jain.index j);
       r_blocked = Trace.blocked_total run;
       r_captures = !captures;
       r_cp_per_capture = mean !cps !captures;
@@ -932,12 +938,20 @@ module Diff = struct
     d_right : string option;
   }
 
-  (* The causal skeleton of one run: for each canonical pid (spawn
-     order), its own sequence of scheduler-independent facts, plus a
-     global stream (cpid -1) for deadlock. *)
-  let skeleton (events : Trace.stamped array) =
+  type projection = {
+    pr_global : string array;
+    pr_pids : string array array;
+    pr_resources : (string * string array) list;
+  }
+
+  (* The causal projection of one run: for each canonical pid (spawn
+     order), its own sequence of scheduler-independent facts, a global
+     stream for deadlock and pid-less crashes, and for each channel and
+     waitset the global order of the operations on it. *)
+  let project (events : Trace.stamped array) =
     let canon : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let streams : (int, string list ref) Hashtbl.t = Hashtbl.create 64 in
+    let resources : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
     (* span ids are allocation-order artifacts; only names are
        scheduler-independent, so skeleton facts carry the name *)
     let span_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
@@ -945,41 +959,40 @@ module Diff = struct
     let cpid pid =
       match Hashtbl.find_opt canon pid with Some c -> c | None -> -2
     in
-    let push c item =
-      match Hashtbl.find_opt streams c with
+    let add tbl k item =
+      match Hashtbl.find_opt tbl k with
       | Some r -> r := item :: !r
-      | None -> Hashtbl.add streams c (ref [ item ])
+      | None -> Hashtbl.add tbl k (ref [ item ])
+    in
+    let push c item = add streams c item in
+    let touch key op pid = add resources key (op ^ string_of_int (cpid pid)) in
+    (* batched spawns expand exactly as the equivalent individual spawns
+       would: same canonical-pid assignment order, same facts — so a
+       batched trace and its unbatched twin have equal skeletons *)
+    let spawn kind (pid, parent) =
+      let c = !next in
+      incr next;
+      Hashtbl.replace canon pid c;
+      push c
+        (Printf.sprintf "spawn kind=%s parent=%d" kind
+           (if parent = -1 then -1 else cpid parent))
     in
     Array.iter
       (fun s ->
         match s.Trace.ev with
-        | Event.Spawn { pid; parent; kind } ->
-            let c = !next in
-            incr next;
-            Hashtbl.replace canon pid c;
-            push c
-              (Printf.sprintf "spawn kind=%s parent=%d" kind
-                 (if parent = -1 then -1 else cpid parent))
-        | Event.Spawn_batch { kind; nodes; _ } ->
-            (* expand exactly as the equivalent individual spawns would:
-               same canonical-pid assignment order, same facts — so a
-               batched trace and its unbatched twin have equal skeletons *)
-            Array.iter
-              (fun (pid, parent) ->
-                let c = !next in
-                incr next;
-                Hashtbl.replace canon pid c;
-                push c
-                  (Printf.sprintf "spawn kind=%s parent=%d" kind
-                     (if parent = -1 then -1 else cpid parent)))
-              nodes
+        | Event.Spawn { pid; parent; kind } -> spawn kind (pid, parent)
+        | Event.Spawn_batch { kind; nodes; _ } -> Array.iter (spawn kind) nodes
         | Event.Exit { pid } -> push (cpid pid) "exit"
         | Event.Capture { pid; label; _ } ->
             push (cpid pid) (Printf.sprintf "capture label=%d" label)
         | Event.Reinstate { pid; label; _ } ->
             push (cpid pid) (Printf.sprintf "reinstate label=%d" label)
-        | Event.Send { pid; chan } -> push (cpid pid) (Printf.sprintf "send chan=%d" chan)
-        | Event.Recv { pid; chan } -> push (cpid pid) (Printf.sprintf "recv chan=%d" chan)
+        | Event.Send { pid; chan } ->
+            push (cpid pid) (Printf.sprintf "send chan=%d" chan);
+            touch (Printf.sprintf "c%d" chan) "!" pid
+        | Event.Recv { pid; chan } ->
+            push (cpid pid) (Printf.sprintf "recv chan=%d" chan);
+            touch (Printf.sprintf "c%d" chan) "?" pid
         | Event.Cancel { pid; scope; reason; pids } ->
             (* canonical pids; virtual-time-free, so mirrored workloads on
                the two schedulers keep aligned skeletons *)
@@ -1010,22 +1023,33 @@ module Diff = struct
             in
             push (cpid pid) (Printf.sprintf "se:%s" name)
         | Event.Deadlock { parked } -> push (-1) (Printf.sprintf "deadlock parked=%d" parked)
-        | Event.Slice_begin _ | Event.Slice_end _ | Event.Park _ | Event.Wake _ -> ())
+        | Event.Park { pid; resource } -> touch ("w" ^ resource) "p" pid
+        | Event.Wake { pid; resource } -> touch ("w" ^ resource) "w" pid
+        | Event.Slice_begin _ | Event.Slice_end _ -> ())
       events;
+    let in_order r = Array.of_list (List.rev !r) in
     let stream c =
-      match Hashtbl.find_opt streams c with
-      | Some r -> Array.of_list (List.rev !r)
-      | None -> [||]
+      match Hashtbl.find_opt streams c with Some r -> in_order r | None -> [||]
     in
-    (!next, stream)
+    {
+      pr_global = stream (-1);
+      pr_pids = Array.init !next stream;
+      pr_resources =
+        Hashtbl.fold (fun k r acc -> (k, in_order r) :: acc) resources []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    }
 
   let diff_run d_run left right =
-    let nl, sl = skeleton left in
-    let nr, sr = skeleton right in
+    let pl = project left and pr = project right in
+    let stream p c =
+      if c < 0 then p.pr_global
+      else if c < Array.length p.pr_pids then p.pr_pids.(c)
+      else [||]
+    in
     let diverged = ref None in
     let cmp_stream c =
       if !diverged = None then begin
-        let a = sl c and b = sr c in
+        let a = stream pl c and b = stream pr c in
         let la = Array.length a and lb = Array.length b in
         let i = ref 0 in
         while
@@ -1041,7 +1065,7 @@ module Diff = struct
       end
     in
     cmp_stream (-1);
-    for c = 0 to max nl nr - 1 do
+    for c = 0 to max (Array.length pl.pr_pids) (Array.length pr.pr_pids) - 1 do
       cmp_stream c
     done;
     !diverged
@@ -1097,7 +1121,8 @@ module Snapshot = struct
   (* Incremental fold over a (possibly still growing) event stream:
      feed events as they arrive, render the current state at any time.
      Everything here is derived from events alone, so it works on a
-     flight-recorder dump or a live tail equally. *)
+     flight-recorder dump or a live tail equally, and it is the one
+     derivation of every distribution the events carry. *)
   type t = {
     mutable sn_events : int;
     mutable sn_clock : int;
@@ -1143,9 +1168,15 @@ module Snapshot = struct
     t.sn_events <- t.sn_events + 1;
     t.sn_clock <- max t.sn_clock s.Trace.ts;
     match s.Trace.ev with
-    | Event.Spawn { pid; _ } ->
+    | Event.Spawn { parent; _ } ->
         t.sn_spawned <- t.sn_spawned + 1;
-        ignore pid
+        (* A root spawn starts a run, whose pids are fresh: forget the
+           last run's per-pid state.  Span ids belong to the handle and
+           carry across runs. *)
+        if parent = -1 then begin
+          Hashtbl.reset t.park_since;
+          Hashtbl.reset t.wake_at
+        end
     | Event.Spawn_batch { nodes; _ } -> t.sn_spawned <- t.sn_spawned + Array.length nodes
     | Event.Exit _ -> t.sn_exited <- t.sn_exited + 1
     | Event.Slice_begin { pid } ->
@@ -1171,6 +1202,7 @@ module Snapshot = struct
         | None -> ())
     | Event.Cancel { pids; _ } ->
         t.sn_cancelled <- t.sn_cancelled + Array.length pids;
+        Obs.Metrics.observe t.sn_mx "cancel.pids" (Array.length pids);
         Array.iter
           (fun pid ->
             match Hashtbl.find_opt t.park_since pid with
@@ -1191,9 +1223,17 @@ module Snapshot = struct
             Hashtbl.remove t.open_spans span;
             Obs.Metrics.observe t.sn_mx "span.duration" (s.Trace.ts - t0)
         | None -> ())
-    | Event.Capture _ | Event.Reinstate _ | Event.Send _ | Event.Recv _
-    | Event.Timeout _ | Event.Restart _ | Event.Invalid_controller _ ->
+    | Event.Capture { control_points; size; _ } ->
+        Obs.Metrics.observe t.sn_mx "capture.control-points" control_points;
+        Obs.Metrics.observe t.sn_mx "capture.size" size
+    | Event.Reinstate _ | Event.Send _ | Event.Recv _ | Event.Timeout _
+    | Event.Restart _ | Event.Invalid_controller _ ->
         ()
+
+  let sink t =
+    Obs.Sink.memory (fun (seq, ts, ev) -> feed t { Trace.seq; ts; ev })
+
+  let metrics t = t.sn_mx
 
   let runnable t =
     max 0 (t.sn_spawned - t.sn_exited - t.sn_cancelled - t.sn_parked)
@@ -1370,25 +1410,15 @@ module Slo = struct
           sc.sc_open <- sc.sc_open + 1
         end)
       open_spans;
-    let n = ref 0 and s1 = ref 0. and s2 = ref 0. in
+    let fairness = Jain.create () in
     Hashtbl.iter
-      (fun _ v ->
-        if v > 0 then begin
-          incr n;
-          let f = float_of_int v in
-          s1 := !s1 +. f;
-          s2 := !s2 +. (f *. f)
-        end)
+      (fun _ v -> if v > 0 then Jain.add fairness (float_of_int v))
       on_cpu;
-    let fairness =
-      if !n = 0 || !s2 <= 0. then 1.
-      else !s1 *. !s1 /. (float_of_int !n *. !s2)
-    in
     {
       slo_events = Array.length events;
       slo_span =
         (if !last_ts >= !first_ts then !last_ts - !first_ts else 0);
-      slo_fairness = fairness;
+      slo_fairness = Jain.index fairness;
       slo_scens =
         Hashtbl.fold (fun _ s acc -> s :: acc) scens []
         |> List.sort (fun a b -> compare a.sc_name b.sc_name);
@@ -1437,45 +1467,30 @@ module Slo = struct
 
   let quantile_name q = if q = 0.5 then "p50" else if q = 0.99 then "p99" else "p999"
 
-  let check t a =
+  let check latencies a =
     let applicable =
       List.filter
-        (fun sc ->
-          match a.a_scen with Some n -> sc.sc_name = n | None -> true)
-        t.slo_scens
+        (fun (name, _) -> match a.a_scen with Some n -> name = n | None -> true)
+        latencies
     in
     if applicable = [] then
-      Error
+      [
         (match a.a_scen with
         | Some n -> Printf.sprintf "assert: no scenario %S in trace" n
-        | None -> "assert: no request spans in trace")
+        | None -> "assert: no request spans in trace");
+      ]
     else
-      let bad =
-        List.filter_map
-          (fun sc ->
-            let v = Obs.Metrics.Sketch.quantile sc.sc_latency a.a_q in
-            if v > a.a_limit then Some (sc.sc_name, v) else None)
-          applicable
-      in
-      match bad with
-      | [] -> Ok ()
-      | (name, v) :: _ ->
-          Error
-            (Printf.sprintf "assert failed: %s %s = %.0f > %.0f" name
-               (quantile_name a.a_q) v a.a_limit)
+      List.filter_map
+        (fun (name, sk) ->
+          let v = Obs.Metrics.Sketch.quantile sk a.a_q in
+          if v > a.a_limit then
+            Some
+              (Printf.sprintf "assert failed: %s %s = %.0f > %.0f" name
+                 (quantile_name a.a_q) v a.a_limit)
+          else None)
+        applicable
 
   let scen_json t sc =
-    let sk s =
-      Json.Obj
-        [
-          ("count", Json.Num (float_of_int (Obs.Metrics.Sketch.count s)));
-          ("p50", Json.Num (Obs.Metrics.Sketch.quantile s 0.5));
-          ("p99", Json.Num (Obs.Metrics.Sketch.quantile s 0.99));
-          ("p999", Json.Num (Obs.Metrics.Sketch.quantile s 0.999));
-          ("mean", Json.Num (Obs.Metrics.Sketch.mean s));
-          ("max", Json.Num (float_of_int (Obs.Metrics.Sketch.max s)));
-        ]
-    in
     Json.Obj
       [
         ("scenario", Json.Str sc.sc_name);
@@ -1486,8 +1501,8 @@ module Slo = struct
         ("crashed", Json.Num (float_of_int sc.sc_crashed));
         ("open", Json.Num (float_of_int sc.sc_open));
         ("goodput_per_ktick", Json.Num (goodput t sc));
-        ("latency", sk sc.sc_latency);
-        ("service", sk sc.sc_service);
+        ("latency", Obs.Metrics.Sketch.to_json sc.sc_latency);
+        ("service", Obs.Metrics.Sketch.to_json sc.sc_service);
       ]
 
   let to_json t =

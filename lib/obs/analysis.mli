@@ -68,6 +68,22 @@ module Check : sig
   val pp : Format.formatter -> violation list -> unit
 end
 
+(** {1 Fairness} *)
+
+(** Jain's fairness index [(Σx)² / (n·Σx²)] over a stream of values:
+    1 = perfectly fair, 1/n = one value takes everything, and 1 when
+    nothing (or only zeros) was added.  {!Report}, {!Slo} and [Load]
+    all compute their fairness here. *)
+module Jain : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> float -> unit
+
+  val index : t -> float
+end
+
 (** {1 Causal report} *)
 
 module Report : sig
@@ -147,6 +163,22 @@ module Diff : sig
     d_right : string option;
   }
 
+  type projection = {
+    pr_global : string array;  (** deadlock and pid-less crashes *)
+    pr_pids : string array array;
+        (** per canonical pid (spawn order), its causal facts in program
+            order *)
+    pr_resources : (string * string array) list;
+        (** per channel (["c<chan>"]) and waitset (["w<name>"]), sorted
+            by key: every operation on it in trace order, as an op code
+            ([!] send, [?] recv, [p] park, [w] wake) and a canonical pid *)
+  }
+
+  val project : Trace.stamped array -> projection
+  (** The causal projection of one run's events, the one {!diff}
+      compares (its per-pid and global streams) and [Explore.Dpor] keys
+      its equivalence classes on (all three parts). *)
+
   val diff : Trace.stamped array -> Trace.stamped array -> divergence option
   (** Compare the causal skeletons of two traces, run by run.  Each
       run's events are projected to scheduler-independent facts — spawn
@@ -167,12 +199,14 @@ end
 
 module Snapshot : sig
   (** Incremental fold over a (possibly still growing) event stream —
-      the state behind [ptrace top].  Feed stamped events as they
-      arrive (e.g. tailing a JSONL file mid-run) and render at any
-      point: virtual clock, fiber fates, streaming percentiles for
-      slice fuel / wake-to-run latency / span durations (via
-      {!Obs.Metrics.Sketch}), and the top blocked resources.  Works
-      identically on a finished trace or a flight-recorder dump. *)
+      the state behind [ptrace top], [psi --stats] and bench e14.  Feed
+      stamped events as they arrive (e.g. tailing a JSONL file mid-run)
+      and render at any point: virtual clock, fiber fates, streaming
+      percentiles for slice fuel / wake-to-run latency / span durations
+      (via {!Obs.Metrics.Sketch}), and the top blocked resources.  Works
+      identically on a finished trace or a flight-recorder dump.  A root
+      spawn resets the per-pid state (a new run's pids are fresh); span
+      state carries over, as span ids belong to the handle. *)
 
   type t
 
@@ -180,13 +214,15 @@ module Snapshot : sig
 
   val feed : t -> Trace.stamped -> unit
 
-  val runnable : t -> int
-  (** Approximate runnable-fiber count:
-      [spawned - exited - cancelled - parked] (clamped at 0). *)
+  val sink : t -> Obs.sink
+  (** A sink that feeds every event it receives to the snapshot. *)
 
-  val top_blocked : ?n:int -> t -> (string * int * int) list
-  (** [(resource, cumulative blocked vt, currently parked)] for the
-      [n] (default 5) resources with the most cumulative blocked time. *)
+  val metrics : t -> Obs.Metrics.t
+  (** The distributions folded so far, one sketch per name:
+      [slice.fuel] (fuel per slice), [wake.to.run] (virtual time from a
+      wake to the woken pid's next slice), [span.duration] (closed
+      spans), [capture.control-points] and [capture.size] (per capture),
+      [cancel.pids] (pids swept per cancel). *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -238,15 +274,14 @@ module Slo : sig
       ["pool:p999<=4000"].  Without a scenario prefix the bound applies
       to every scenario in the trace. *)
 
-  val quantile_name : float -> string
-  (** ["p50"], ["p99"] or ["p999"] — the inverse of {!parse_assert}'s
-      quantile field, for rendering assertion failures. *)
-
-  val check : t -> assertion -> (unit, string) result
-  (** [Error] describes the first scenario whose completed-request
-      latency quantile exceeds the bound (or an assertion that matched
-      no scenario — asserting over an empty trace is itself a
-      failure). *)
+  val check : (string * Obs.Metrics.Sketch.t) list -> assertion -> string list
+  (** [check latencies a] applies [a] to each [(scenario, latency
+      sketch)] it names: one ["assert failed: ..."] line per scenario
+      whose completed-request latency quantile exceeds the bound, or
+      one line when it names no scenario (asserting over an empty trace
+      is itself a failure).  Empty when the assertion holds.  [ptrace
+      slo] passes each scenario's [sc_latency], [pload] its
+      arrival-anchored sketches. *)
 
   val to_json : t -> Obs.Json.t
   (** Deterministic: equal rollups serialize to equal bytes. *)

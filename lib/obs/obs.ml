@@ -539,6 +539,17 @@ module Metrics = struct
       dst.sk_n <- dst.sk_n + src.sk_n;
       dst.sk_sum <- dst.sk_sum + src.sk_sum;
       if src.sk_max > dst.sk_max then dst.sk_max <- src.sk_max
+
+    let to_json sk =
+      Json.Obj
+        [
+          ("count", Json.Num (float_of_int sk.sk_n));
+          ("p50", Json.Num (quantile sk 0.5));
+          ("p99", Json.Num (quantile sk 0.99));
+          ("p999", Json.Num (quantile sk 0.999));
+          ("mean", Json.Num (mean sk));
+          ("max", Json.Num (float_of_int sk.sk_max));
+        ]
   end
 
   type t = { counters : Counters.t; sketches : (string, Sketch.t) Hashtbl.t }
@@ -573,9 +584,6 @@ module Metrics = struct
     Hashtbl.fold (fun name sk acc -> (name, sk) :: acc) t.sketches []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let quantile t name q =
-    match find t name with None -> 0. | Some sk -> Sketch.quantile sk q
-
   (* Fold [src] into [dst]: counters add, sketches merge bucket-wise.
      Groundwork for per-domain metrics buffers: each domain observes
      locally and the collector merges. *)
@@ -600,7 +608,6 @@ type t = {
   mutable sinks : sink list;
   omx : Metrics.t;
   mutable onext_span : int;  (* next span id, dense in allocation order *)
-  ospans : (int, int) Hashtbl.t;  (* open span id -> begin timestamp *)
 }
 
 let create ?metrics () =
@@ -610,7 +617,6 @@ let create ?metrics () =
     sinks = [];
     omx = (match metrics with Some m -> m | None -> Metrics.create ());
     onext_span = 0;
-    ospans = Hashtbl.create 8;
   }
 
 let metrics t = t.omx
@@ -668,10 +674,6 @@ let now t = t.oclock
 
 let seq t = t.oseq
 
-let observe t name v = Metrics.observe t.omx name v
-
-let incr t name = Metrics.incr t.omx name
-
 let close t =
   let sinks = t.sinks in
   t.sinks <- [];
@@ -683,8 +685,8 @@ let close t =
 
 (* Span ids are allocated here (per handle, dense) so both schedulers
    share one id space per trace and allocation order — and therefore
-   the trace bytes — stay deterministic per seed.  Durations land in
-   the "span.duration" sketch on end.  A span that never
+   the trace bytes — stay deterministic per seed.  Durations are folded
+   from the events ([Analysis.Snapshot]).  A span that never
    ends (its fiber was cancelled or captured away) just stays open;
    the checker's span-balance rule tolerates that, matching the
    cancellation model where cleanup is declined reinstatement. *)
@@ -692,19 +694,10 @@ module Span = struct
   let begin_ t ~pid ?(parent = -1) name =
     let id = t.onext_span in
     t.onext_span <- id + 1;
-    Hashtbl.replace t.ospans id t.oclock;
     emit t (Event.Span_begin { pid; span = id; parent; name });
     id
 
-  let end_ t ~pid span =
-    (match Hashtbl.find_opt t.ospans span with
-    | Some t0 ->
-        Hashtbl.remove t.ospans span;
-        Metrics.observe t.omx "span.duration" (t.oclock - t0)
-    | None -> ());
-    emit t (Event.Span_end { pid; span })
-
-  let open_count t = Hashtbl.length t.ospans
+  let end_ t ~pid span = emit t (Event.Span_end { pid; span })
 end
 
 (* ------------------------------------------------------------------ *)

@@ -240,6 +240,10 @@ module Metrics : sig
         — lossless: the result equals the sketch of the concatenated
         streams.  Raises [Invalid_argument] when the error bounds
         differ. *)
+
+    val to_json : t -> Json.t
+    (** [{count, p50, p99, p999, mean, max}]: the summary every JSON
+        report prints for a distribution. *)
   end
 
   val create : ?counters:Pcont_util.Counters.t -> unit -> t
@@ -267,9 +271,6 @@ module Metrics : sig
 
   val sketches : t -> (string * Sketch.t) list
   (** All sketches, sorted by name. *)
-
-  val quantile : t -> string -> float -> float
-  (** [quantile t name q] reads the named sketch; 0. when absent. *)
 
   val merge : t -> t -> unit
   (** [merge dst src] folds [src] into [dst]: counters add, sketches
@@ -323,12 +324,6 @@ val now : t -> int
 val seq : t -> int
 (** Events emitted so far. *)
 
-val observe : t -> string -> int -> unit
-(** Shorthand for [Metrics.observe (metrics t)]. *)
-
-val incr : t -> string -> unit
-(** Shorthand for [Metrics.incr (metrics t)]. *)
-
 val close : t -> unit
 (** Close every sink (flushing any trailer, e.g. the Chrome JSON array's
     closing bracket) and detach them.  Idempotent. *)
@@ -346,15 +341,11 @@ val close : t -> unit
 
 module Span : sig
   val begin_ : t -> pid:int -> ?parent:int -> string -> int
-  (** Allocate a span id, emit {!Event.Span_begin} and record the
-      begin timestamp; [parent] defaults to [-1] (top level). *)
+  (** Allocate a span id and emit {!Event.Span_begin}; [parent]
+      defaults to [-1] (top level). *)
 
   val end_ : t -> pid:int -> int -> unit
-  (** Emit {!Event.Span_end}; if the span was open, observe its
-      duration (virtual time) in the ["span.duration"] sketch. *)
-
-  val open_count : t -> int
-  (** Spans begun but not yet ended. *)
+  (** Emit {!Event.Span_end}; durations are folded from the events. *)
 end
 
 (** {1:sinks Sinks} *)

@@ -62,6 +62,7 @@ let invalid_controller l =
 
 let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
     ?(drain_futures = true) ?obs ?cfg genv ir =
+  if quantum < 1 then invalid_arg "Concur.run: quantum must be at least 1";
   let cfg = match cfg with Some c -> c | None -> Machine.config () in
   let counters = cfg.Machine.counters in
   (* Route the machine's per-operation size distributions into the
@@ -75,12 +76,9 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
      is observed. *)
   let vclock = ref 0 in
   (* Causal-span context: the span the branch being stepped is inside
-     (-1 = none).  Span ids are program-visible ([span-begin] returns
-     one), so without a trace handle they come from a local counter and
-     the program behaves identically. *)
+     (-1 = none). *)
   let cur_span = ref (-1) in
   let span_parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let span_ctr = ref 0 in
   (* A fork resumes as a leaf applying the first child's value to the
      rest in the trunk. *)
   let resume trunk vs =
@@ -192,8 +190,6 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
         | None -> ()
         | Some o ->
             let size = tree_segments tree in
-            Obs.observe o "concur.capture.control-points" cp;
-            Obs.observe o "concur.capture.segments" size;
             Obs.emit o
               (E.Capture
                  { pid = n.nid; label = l; root_pid = p.nid; control_points = cp; size }));
@@ -265,16 +261,15 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                 Core.sleep c n { st with control = Creturn (Int 0) } d
             | Machine.Esc_span_begin name ->
                 (* The id is program-visible, so it is allocated whether
-                   or not a trace handle is attached (from the handle so
-                   flight dumps and live traces agree, or from a local
-                   counter).  No fuel: like fork/future, an interception
+                   or not a trace handle is attached: from the handle, so
+                   flight dumps and live traces agree, or else from the
+                   configuration, which numbers a session's spans the
+                   same way.  No fuel: like fork/future, an interception
                    rather than a machine transition. *)
                 let id =
                   match obs with
                   | Some o -> Obs.Span.begin_ o ~pid:n.nid ~parent:!cur_span name
-                  | None ->
-                      incr span_ctr;
-                      !span_ctr
+                  | None -> Pcont_util.Id.fresh cfg.Machine.spans
                 in
                 Hashtbl.replace span_parent id !cur_span;
                 cur_span := id;

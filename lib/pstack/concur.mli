@@ -63,7 +63,8 @@ val run :
     policy is the same as a full tree-order walk.  [fuel] bounds the
     total number of machine transitions across all branches (default
     10_000_000); [quantum] is the number of transitions a branch may take
-    before the scheduler moves on (default 16).
+    before the scheduler moves on (default 16; [Invalid_argument] below
+    1, where no slice could spend fuel).
 
     [(future e)] plants an {e independent} tree in the process forest
     (Section 8): controllers cannot capture across its boundary, and
@@ -88,10 +89,11 @@ val run :
     scheduler emits the full process-lifecycle event stream —
     spawn/exit, run slices with fuel charged, park/wake,
     capture/reinstate with control-point counts and segment totals,
-    deadlock — and records the [concur.*] sketches (fuel per slice,
-    run-queue depth, capture size, park latency in rounds).  Events are
-    stamped with a deterministic virtual clock (cumulative fuel), so a
-    fixed seed yields a byte-stable trace.  With no handle the
+    deadlock — and records the two [concur.*] sketches no event carries
+    (run-queue depth, park latency in rounds); distributions the events
+    do carry are folded from them ([Pcont_obs.Analysis.Snapshot]).
+    Events are stamped with a deterministic virtual clock (cumulative
+    fuel), so a fixed seed yields a byte-stable trace.  With no handle the
     instrumentation reduces to one pattern match per site: no events
     are allocated and results, counters and schedules are bit-for-bit
     those of an uninstrumented run. *)

@@ -6,6 +6,7 @@ type config = {
   strategy : strategy;
   counters : Counters.t;
   labels : Id.t;
+  spans : Id.t;  (* span ids when no trace handle allocates them *)
   fastpath : bool;
       (* enables the segment pool and the one-shot move path; [false]
          reproduces the pre-optimization allocation behavior so benchmarks
@@ -48,6 +49,7 @@ let config ?(strategy = Linked) ?(fastpath = true) () =
     strategy;
     counters;
     labels = Id.create ();
+    spans = Id.create ();
     fastpath;
     pool = Array.make pool_cap dummy_segment;
     pool_n = 0;

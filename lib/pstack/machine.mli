@@ -29,6 +29,10 @@ type config = {
   strategy : Types.strategy;
   counters : Pcont_util.Counters.t;
   labels : Pcont_util.Id.t;  (** fresh-label source for [spawn] *)
+  spans : Pcont_util.Id.t;
+      (** span-id source for [span-begin] when no trace handle is
+          attached: dense from 0 across the session's forms, as a
+          handle's ids are *)
   fastpath : bool;
       (** enables the segment pool and the one-shot move path (default);
           [false] reproduces the pre-optimization allocation behavior so

@@ -321,8 +321,6 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
         | Some o ->
             let cp = ptree_control_points tree in
             let size = ptree_size tree in
-            Obs.observe o "sched.capture.control-points" cp;
-            Obs.observe o "sched.capture.size" size;
             Obs.emit o
               (E.Capture
                  { pid = n.nid; label; root_pid = p.nid; control_points = cp; size }));
@@ -363,9 +361,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
         let pids = Array.of_list (List.rev !cancelled) in
         (match obs with
         | None -> ()
-        | Some o ->
-            Obs.observe o "sched.cancel.pids" (Array.length pids);
-            Obs.emit o (E.Cancel { pid = n.nid; scope = p.nid; reason; pids }));
+        | Some o -> Obs.emit o (E.Cancel { pid = n.nid; scope = p.nid; reason; pids }));
         Core.fork c p (Wbody root_k) "cancel" start [ replacement ]
   in
 

@@ -91,14 +91,15 @@ val run :
     run slices (each slice runs a fiber to its next suspension and is
     charged one fuel unit), park/wake, capture/reinstate with
     control-point counts and subtree sizes, deadlock — and records the
-    [sched.*] sketches (slice fuel, run-queue depth, capture size,
-    park latency in rounds).  Timestamps are a deterministic virtual
-    clock (cumulative slices), so a fixed policy yields a byte-stable
-    trace.  Controller labels and channel ids are allocated per run
-    (saved and restored around nested runs) for the same reason.  With
-    no handle the instrumentation reduces to one pattern match per
-    site: no events are allocated and behavior is bit-for-bit that of
-    an uninstrumented run.
+    two [sched.*] sketches no event carries (run-queue depth, park
+    latency in rounds); distributions the events do carry are folded
+    from them ([Pcont_obs.Analysis.Snapshot]).  Timestamps are a
+    deterministic virtual clock (cumulative slices), so a fixed policy
+    yields a byte-stable trace.  Controller labels and channel ids are
+    allocated per run (saved and restored around nested runs) for the
+    same reason.  With no handle the instrumentation reduces to one
+    pattern match per site: no events are allocated and behavior is
+    bit-for-bit that of an uninstrumented run.
 
     [inject] is the deterministic fault hook: it is consulted once per
     scheduling slice with the global slice index (0-based count of

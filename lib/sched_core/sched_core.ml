@@ -69,12 +69,9 @@ type ('l, 'w, 'v) t = {
   resume : 'w -> 'v array -> 'l;
   clock : int ref;
   span : int ref;
-  s_fuel : Obs.Metrics.series;
   s_runq : Obs.Metrics.series;
   s_park : Obs.Metrics.series;
-  s_wake_run : Obs.Metrics.series;
   node_span : (int, int) Hashtbl.t;
-  wake_ts : (int, int) Hashtbl.t;
   mutable queue : ('l, 'w, 'v) node list;
   mutable born : ('l, 'w, 'v) node list;
   mutable woken : ('l, 'w, 'v) node list;
@@ -116,12 +113,9 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     resume;
     clock;
     span;
-    s_fuel = series ".slice.fuel";
     s_runq = series ".runq.depth";
     s_park = series ".park.rounds";
-    s_wake_run = series ".wake.run";
     node_span = Hashtbl.create 32;
-    wake_ts = Hashtbl.create 32;
     queue = [ root ];
     born = [];
     woken = [];
@@ -326,7 +320,6 @@ let wake t e =
     | None -> ()
     | Some o ->
         Obs.Metrics.Sketch.observe t.s_park (t.rounds - e.e_round);
-        Hashtbl.replace t.wake_ts e.e_node.nid !(t.clock);
         Obs.emit o (E.Wake { pid = e.e_node.nid; resource = e.e_res })
   end
 
@@ -417,17 +410,7 @@ let expire_due t =
    The span a leaf is inside follows it across slices. *)
 let slice_begin t n =
   t.span := (match Hashtbl.find_opt t.node_span n.nid with Some s -> s | None -> -1);
-  match t.obs with
-  | None -> ()
-  | Some o -> (
-      Obs.emit o (E.Slice_begin { pid = n.nid });
-      (* latency from the wake that made this leaf runnable to the slice
-         that actually runs it — the runqueue delay *)
-      match Hashtbl.find_opt t.wake_ts n.nid with
-      | Some w ->
-          Hashtbl.remove t.wake_ts n.nid;
-          Obs.Metrics.Sketch.observe t.s_wake_run (!(t.clock) - w)
-      | None -> ())
+  match t.obs with None -> () | Some o -> Obs.emit o (E.Slice_begin { pid = n.nid })
 
 (* The virtual clock advances by the fuel charged (at least 1, so
    zero-fuel slices still have visible extent) whether or not a trace
@@ -442,7 +425,6 @@ let slice_end t n used =
   | None -> ()
   | Some o ->
       Obs.advance o d;
-      Obs.Metrics.Sketch.observe t.s_fuel used;
       Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
 
 (* The nodes that take the stepped node's place in the queue: itself if

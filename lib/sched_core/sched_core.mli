@@ -79,10 +79,10 @@ val create :
   'l ->
   ('l, 'w, 'v) t
 (** A forest whose root (pid 0) is the given leaf.  [prefix] names the
-    sketches ([prefix.slice.fuel], [.runq.depth], [.park.rounds],
-    [.wake.run]) and, with [counters], the [prefix.park]/[prefix.wake]
-    counters.  [nouns] is the plural and counted noun of deadlock
-    diagnoses, e.g. [("fibers", "fiber(s)")].  [clock] is the virtual
+    sketches ([prefix.runq.depth], [prefix.park.rounds]) and, with
+    [counters], the [prefix.park]/[prefix.wake] counters.  [nouns] is
+    the plural and counted noun of deadlock diagnoses, e.g.
+    [("fibers", "fiber(s)")].  [clock] is the virtual
     clock and [span] the stepping leaf's span context (-1 = none).
     [resume wx results] is the leaf a wait becomes when its last child
     delivers. *)

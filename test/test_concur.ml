@@ -55,6 +55,14 @@ let test_pcall_branches_interleave () =
             (set! n (+ n 1))
             (set! n (+ n 1)))"
 
+(* A quantum below 1 would end every slice before its first
+   transition, so no fuel is ever spent and the run never returns. *)
+let test_quantum_below_one () =
+  let t = Interp.create () in
+  Alcotest.check_raises "quantum 0"
+    (Invalid_argument "Concur.run: quantum must be at least 1") (fun () ->
+      ignore (Interp.eval_string ~mode:conc ~quantum:0 t "(pcall + 1 2)"))
+
 let test_pcall_deep_recursion () =
   check_int "tree sum" 120
     "(define (tsum lo hi)
@@ -676,6 +684,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_pcall_basic;
           Alcotest.test_case "interleaving" `Quick test_pcall_branches_interleave;
           Alcotest.test_case "deep recursion" `Quick test_pcall_deep_recursion;
+          Alcotest.test_case "quantum below 1" `Quick test_quantum_below_one;
         ] );
       ( "capture",
         [

@@ -193,6 +193,35 @@ let test_explore_clean_workloads () =
   Alcotest.(check bool) "no witness on capture workload" true
     (stats.X.Dpor.s_witness = None)
 
+(* The class key is Analysis.Diff's projection plus the per-resource
+   operation orders.  Pin the classes it splits explore's 200 runs and
+   the sweep's 100 seeds into, per workload: a drift in either
+   derivation changes a count. *)
+let test_skeleton_classes () =
+  let cases =
+    [
+      ("gen", X.Workloads.gen_native, [], 5, 1);
+      ("gen-pstack", X.Workloads.gen_pstack, [], 5, 5);
+      ("racing", X.Workloads.racing 3, [], 182, 93);
+      ("racing 2", X.Workloads.racing 2, [], 72, 21);
+      ("lost-wakeup", X.Workloads.lost_wakeup, [], 2, 2);
+      ("stolen-relay", X.Workloads.stolen_relay, [], 3, 2);
+      ("timeout-race", X.Workloads.timeout_race, [], 4, 8);
+      ("timer-pstack", X.Workloads.timer_pstack, [], 2, 2);
+      ("sup-relay", X.Workloads.sup_relay, [], 1, 2);
+      ("sup-relay crash", X.Workloads.sup_relay, [ X.Fault.Crash ], 11, 19);
+      ("sup-leak", X.Workloads.sup_leak, [], 1, 4);
+      ("sup-leak crash", X.Workloads.sup_leak, [ X.Fault.Crash ], 25, 37);
+    ]
+  in
+  List.iter
+    (fun (name, target, fault_menu, explored, swept) ->
+      let st = X.Dpor.explore ~fault_menu target in
+      let sw = X.Dpor.seed_sweep ~fault_menu target in
+      Alcotest.(check int) (name ^ ": explore classes") explored st.X.Dpor.s_skeletons;
+      Alcotest.(check int) (name ^ ": sweep classes") swept sw.X.Dpor.sw_skeletons)
+    cases
+
 (* ---------------- decision pinning (satellite: hidden decisions) --- *)
 
 let test_wake_fifo_order () =
@@ -567,6 +596,7 @@ let () =
             test_explore_cancel_races;
           Alcotest.test_case "timeout races stay clean" `Quick
             test_explore_timeout_races;
+          Alcotest.test_case "skeleton classes pinned" `Quick test_skeleton_classes;
         ] );
       ( "faults",
         [

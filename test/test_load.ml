@@ -176,6 +176,33 @@ let test_assert_grammar () =
       | Error _ -> ())
     [ "p98<=10"; "p99<10"; "p99<="; "p99<=x"; ":p99<=10" ]
 
+(* One check serves pload (in-process sketches) and ptrace slo (trace
+   spans): every failing scenario gets a line, and an assertion that
+   names no scenario is itself a failure. *)
+let test_assert_check () =
+  let sketch vs =
+    let sk = Obs.Metrics.Sketch.create () in
+    List.iter (Obs.Metrics.Sketch.observe sk) vs;
+    sk
+  in
+  let latencies =
+    [ ("pipeline", sketch [ 10; 20 ]); ("pool", sketch [ 500 ]); ("ring", sketch [ 900 ]) ]
+  in
+  let check a =
+    match Analysis.Slo.parse_assert a with
+    | Ok a -> Analysis.Slo.check latencies a
+    | Error m -> Alcotest.failf "%s rejected: %s" a m
+  in
+  Alcotest.(check (list string)) "holds" [] (check "p99<=1000");
+  Alcotest.(check (list string))
+    "a line per failing scenario"
+    [ "assert failed: pool p99 = 498 > 100"; "assert failed: ring p99 = 907 > 100" ]
+    (check "p99<=100");
+  Alcotest.(check (list string)) "scenario prefix" [] (check "pipeline:p99<=100");
+  Alcotest.(check (list string))
+    "names no scenario" [ "assert: no scenario \"stream\" in trace" ]
+    (check "stream:p50<=1")
+
 (* ---------------- deadlock flight dump ---------------- *)
 
 (* No workers and no deadlines: every pool client parks on its reply
@@ -241,6 +268,7 @@ let () =
           Alcotest.test_case "slo rollup matches stats" `Quick
             test_slo_rollup_matches_stats;
           Alcotest.test_case "assert grammar" `Quick test_assert_grammar;
+          Alcotest.test_case "assert check" `Quick test_assert_check;
           Alcotest.test_case "with_deadline already past" `Quick
             test_with_deadline_already_past;
         ] );

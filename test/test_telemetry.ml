@@ -417,6 +417,20 @@ let test_pstack_span_determinism () =
   in
   Alcotest.(check string) "span ids byte-stable per seed" (run ()) (run ())
 
+(* Span ids are program-visible, so a program must see the same ids
+   with or without a trace handle: dense from 0, continuing across a
+   session's forms. *)
+let test_span_ids_independent_of_tracing () =
+  let run obs =
+    let t = Interp.create () in
+    Interp.eval_string ~mode:(Interp.Concurrent Concur.Round_robin) ?obs t
+      "(list (span-begin \"a\") (span-begin \"b\"))\n(span-begin \"c\")"
+    |> List.map Interp.result_to_string
+  in
+  let traced = run (Some (Obs.create ())) in
+  Alcotest.(check (list string)) "traced ids" [ "(0 1)"; "2" ] traced;
+  Alcotest.(check (list string)) "untraced ids" traced (run None)
+
 let native_span_main () =
   let ch = Channel.create ~capacity:1 () in
   let producer =
@@ -440,11 +454,18 @@ let test_native_spans () =
   Obs.attach o (Obs.Sink.jsonl (Buffer.add_string buf));
   let r = Sched.run ~policy:(Sched.Randomized 3L) ~obs:o native_span_main in
   Alcotest.(check int) "result" 63 r;
-  Alcotest.(check int) "all spans closed" 0 (Obs.Span.open_count o);
   Obs.close o;
   let trace = Buffer.contents buf in
   check_clean "native span trace" trace;
   let evs = parse_ok "native span trace" trace in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun s ->
+          Alcotest.(check int) (s.Analysis.Report.sp_name ^ " closed") 0
+            s.Analysis.Report.sp_open)
+        r.Analysis.Report.r_spans)
+    (Analysis.Report.of_trace evs);
   let begins =
     Array.to_list evs
     |> List.filter_map (fun e ->
@@ -518,6 +539,44 @@ let test_sampler_does_not_perturb_full_trace () =
   Alcotest.(check string) "full trace identical with sampler attached"
     (run false) (run true)
 
+(* Snapshot is the one derivation of the distributions the events
+   carry.  A root spawn starts a run whose pids are fresh, so a wake the
+   last run never consumed must not time a slice of the next; span ids
+   belong to the handle, so a span stays open across runs. *)
+let test_snapshot_folds_events () =
+  let snap = Analysis.Snapshot.create () in
+  List.iteri
+    (fun seq (ts, ev) -> Analysis.Snapshot.feed snap { Trace.seq; ts; ev })
+    [
+      (0, E.Spawn { pid = 0; parent = -1; kind = "root" });
+      (0, E.Span_begin { pid = 0; span = 0; parent = -1; name = "req" });
+      (0, E.Spawn { pid = 1; parent = 0; kind = "branch" });
+      (1, E.Park { pid = 1; resource = "future" });
+      (5, E.Wake { pid = 1; resource = "future" });
+      (6, E.Capture { pid = 0; label = 1; root_pid = 0; control_points = 2; size = 3 });
+      (10, E.Spawn { pid = 0; parent = -1; kind = "root" });
+      (10, E.Spawn { pid = 1; parent = 0; kind = "branch" });
+      (20, E.Slice_begin { pid = 1 });
+      (22, E.Slice_end { pid = 1; fuel = 2 });
+      (22, E.Cancel { pid = 0; scope = 0; reason = "r"; pids = [| 1 |] });
+      (30, E.Span_end { pid = 0; span = 0 });
+    ];
+  let stat name =
+    match Obs.Metrics.find (Analysis.Snapshot.metrics snap) name with
+    | Some sk -> (Obs.Metrics.Sketch.count sk, Obs.Metrics.Sketch.max sk)
+    | None -> (0, 0)
+  in
+  List.iter
+    (fun (name, want) -> Alcotest.(check (pair int int)) name want (stat name))
+    [
+      ("wake.to.run", (0, 0));
+      ("span.duration", (1, 30));
+      ("slice.fuel", (1, 2));
+      ("capture.control-points", (1, 2));
+      ("capture.size", (1, 3));
+      ("cancel.pids", (1, 1));
+    ]
+
 let test_record_with_ring_attached () =
   (* Extra sinks hung on a recording's handle (the flight-recorder
      hook) must not change the recorded bytes or break replay. *)
@@ -555,7 +614,11 @@ let () =
           Alcotest.test_case "alpha mismatch rejected" `Quick test_sketch_alpha_mismatch;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "merge" `Quick test_metrics_merge ] );
+        [
+          Alcotest.test_case "merge" `Quick test_metrics_merge;
+          Alcotest.test_case "snapshot folds the events" `Quick
+            test_snapshot_folds_events;
+        ] );
       ( "fan-out",
         [
           Alcotest.test_case "raising sink detached" `Quick
@@ -568,6 +631,8 @@ let () =
           Alcotest.test_case "pstack propagation + balance" `Quick test_pstack_spans;
           Alcotest.test_case "pstack span ids deterministic" `Quick
             test_pstack_span_determinism;
+          Alcotest.test_case "span ids independent of tracing" `Quick
+            test_span_ids_independent_of_tracing;
           Alcotest.test_case "native propagation + balance" `Quick test_native_spans;
         ] );
       ( "sampling",
