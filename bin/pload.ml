@@ -102,29 +102,28 @@ let run_load scens full seed requests workers deadline trace_out flight asserts
   let all =
     List.map2
       (fun scen trace ->
-        let o = Obs.create () in
-        let cleanup = ref [] in
-        (match trace with
-        | None -> ()
-        | Some oc ->
-            Obs.attach o (Obs.Sink.jsonl (Obs.Sink.of_channel oc));
-            cleanup := (fun () -> close_out oc) :: !cleanup);
-        (match flight with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            let ring =
-              Obs.Sink.ring ~flight:(Obs.Sink.of_channel oc) ()
-            in
-            Obs.attach o (Obs.Sink.ring_sink ring);
-            cleanup := (fun () -> close_out oc) :: !cleanup);
+        (* Each sink with the channel it writes.  A handle exists only to
+           carry them, so an untraced run does no tracing work. *)
+        let sinks =
+          List.filter_map Fun.id
+            [
+              Option.map (fun oc -> (oc, Obs.Sink.jsonl (Obs.Sink.of_channel oc))) trace;
+              Option.map
+                (fun path ->
+                  let oc = open_out path in
+                  (oc, Obs.Sink.ring_sink (Obs.Sink.ring ~flight:(Obs.Sink.of_channel oc) ())))
+                flight;
+            ]
+        in
+        let obs = match sinks with [] -> None | _ -> Some (Obs.create ()) in
+        Option.iter (fun o -> List.iter (fun (_, sink) -> Obs.attach o sink) sinks) obs;
         let finish () =
-          Obs.close o;
-          List.iter (fun f -> f ()) !cleanup
+          Option.iter Obs.close obs;
+          List.iter (fun (oc, _) -> close_out oc) sinks
         in
         match
           Fun.protect ~finally:finish (fun () ->
-              Load.run ~obs:o profile ~seed:(Int64.of_int seed) scen)
+              Load.run ?obs profile ~seed:(Int64.of_int seed) scen)
         with
         | st -> st
         | exception Sched.Deadlock msg ->

@@ -253,20 +253,12 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   let t = Interp.create ~prelude:(not no_prelude) ~strategy () in
   (* One observability handle feeds every consumer — the --trace stream,
      the --trace-out sink, the event buffer behind --summary, the
-     distributions shown by --stats.  Its metrics share the interpreter's
-     counter table, so machine counters and scheduler metrics land in one
-     report. *)
+     distributions shown by --stats. *)
   let obs =
     if
       (trace || trace_out <> None || summary || stats || flight <> None)
       && backend = "pstack"
-    then
-      Some
-        (Obs.create
-           ~metrics:
-             (Obs.Metrics.create
-                ~counters:(Interp.config t).Pstack.Machine.counters ())
-           ())
+    then Some (Obs.create ())
     else None
   in
   let events = if summary then Some (ref []) else None in

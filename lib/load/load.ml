@@ -10,7 +10,6 @@ module Obs = Pcont_obs.Obs
 module Analysis = Pcont_obs.Analysis
 module Resil = Pcont_resil.Resil
 module Xorshift = Pcont_util.Xorshift
-module E = Obs.Event
 module Sketch = Obs.Metrics.Sketch
 
 type profile = {
@@ -332,25 +331,6 @@ let finish acc name req outcome t4 =
       marker name "/crashed"
 
 let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
-  let o = match obs with Some o -> o | None -> Obs.create () in
-  (* Live process-tree node census: every spawn (individually or
-     batched) adds a node, exits and cancel sweeps remove them.  The
-     peak is the "concurrent fibers" figure the scenarios are sized
-     by. *)
-  let live = ref 0 and peak = ref 0 in
-  Obs.attach o
-    {
-      Obs.sink_event =
-        (fun ~seq:_ ~ts:_ ev ->
-          (match ev with
-          | E.Spawn _ -> incr live
-          | E.Spawn_batch { nodes; _ } -> live := !live + Array.length nodes
-          | E.Exit _ -> decr live
-          | E.Cancel { pids; _ } -> live := !live - Array.length pids
-          | _ -> ());
-          if !live > !peak then peak := !live);
-      Obs.sink_close = (fun () -> ());
-    };
   let name = scenario_name scen in
   let acc =
     {
@@ -370,8 +350,8 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
   in
   let arr = arrivals p ~seed in
   let n = Array.length arr in
-  let duration = ref 0 in
-  Sched.run ~policy ~obs:o (fun () ->
+  let duration = ref 0 and peak = ref 0 in
+  Sched.run ~policy ?obs (fun () ->
       let leftovers : unit Sched.future list ref = ref [] in
       let handle, teardown = setup p name leftovers scen in
       (* Every client exists up front — one pcall creates all of them
@@ -413,7 +393,10 @@ let run ?obs ?(policy = Sched.Round_robin) p ~seed scen =
       if thunks <> [] then ignore (Sched.pcall thunks);
       teardown ();
       List.iter Sched.touch !leftovers;
-      duration := Sched.now ());
+      duration := Sched.now ();
+      (* peak live process-tree nodes: the "concurrent fibers" figure
+         the scenarios are sized by *)
+      peak := Sched.peak ());
   {
     st_scenario = name;
     st_requests = n;

@@ -114,10 +114,12 @@ val run :
   scenario ->
   stats
 (** Run one scenario to completion (every request finished, timed out
-    or crashed; handlers drained).  When [?obs] is given, the run's
-    events flow to its sinks; otherwise a private handle is created
-    (peak-fiber accounting needs one).  The latency distributions live
-    only in the returned [stats].  Default policy: [Round_robin]. *)
+    or crashed; handlers drained).  [?obs] goes to
+    {!Pcont_sched.Sched.run} as given: the run's events flow to its
+    sinks, and nothing is attached to it.  Peak fibers are the
+    scheduler's own count ({!Pcont_sched.Sched.peak}), so the [stats]
+    are the same with or without a handle.  The latency distributions
+    live only in the returned [stats].  Default policy: [Round_robin]. *)
 
 val stats_to_json : stats -> Pcont_obs.Obs.Json.t
 (** Deterministic field order; quantiles rendered at p50/p99/p999. *)

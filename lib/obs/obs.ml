@@ -1,5 +1,3 @@
-module Counters = Pcont_util.Counters
-
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -427,22 +425,21 @@ module Event = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: counters + quantile sketches                               *)
+(* Metrics: quantile sketches                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  (* DDSketch-style mergeable quantile sketch.  Bucket [i] (i >= 0) holds
-     every observation v with gamma^(i-1) < v <= gamma^i, where
+  (* DDSketch-style quantile sketch.  Bucket [i] (i >= 0) holds every
+     observation v with gamma^(i-1) < v <= gamma^i, where
      gamma = (1+alpha)/(1-alpha); zeros are counted exactly.  Reporting
      the bucket midpoint 2*gamma^i/(gamma+1) makes every quantile
      estimate within relative error alpha of some true observation:
      for v in the bucket, |est - v| / v <= alpha (the DDSketch bound).
-     Merging two sketches with the same alpha is bucket-wise addition,
-     which loses nothing — the merge of the sketches equals the sketch
-     of the merged stream. *)
+     The estimate is clamped to the exact max, which keeps the bound:
+     a midpoint above the max lies further from every v in the bucket
+     than the max does. *)
   module Sketch = struct
     type t = {
-      sk_alpha : float;
       sk_gamma : float;
       sk_log_gamma : float;  (* cached 1/ln gamma *)
       (* bucket counts indexed directly by bucket number — observation is
@@ -461,7 +458,6 @@ module Metrics = struct
         invalid_arg "Sketch.create: alpha must be in (0, 1)";
       let gamma = (1. +. alpha) /. (1. -. alpha) in
       {
-        sk_alpha = alpha;
         sk_gamma = gamma;
         sk_log_gamma = 1. /. log gamma;
         sk_buckets = Array.make 64 0;
@@ -470,8 +466,6 @@ module Metrics = struct
         sk_sum = 0;
         sk_max = 0;
       }
-
-    let alpha sk = sk.sk_alpha
 
     let count sk = sk.sk_n
 
@@ -520,25 +514,14 @@ module Metrics = struct
             else
               let acc = acc + sk.sk_buckets.(i) in
               if rank < acc then
-                2. *. (sk.sk_gamma ** float_of_int i) /. (sk.sk_gamma +. 1.)
+                Float.min
+                  (2. *. (sk.sk_gamma ** float_of_int i) /. (sk.sk_gamma +. 1.))
+                  (float_of_int sk.sk_max)
               else walk acc (i + 1)
           in
           walk sk.sk_zero 0
         end
       end
-
-    let merge dst src =
-      if dst.sk_alpha <> src.sk_alpha then
-        invalid_arg "Sketch.merge: sketches have different error bounds";
-      let ns = Array.length src.sk_buckets in
-      if ns > Array.length dst.sk_buckets then grow dst (ns - 1);
-      for i = 0 to ns - 1 do
-        dst.sk_buckets.(i) <- dst.sk_buckets.(i) + src.sk_buckets.(i)
-      done;
-      dst.sk_zero <- dst.sk_zero + src.sk_zero;
-      dst.sk_n <- dst.sk_n + src.sk_n;
-      dst.sk_sum <- dst.sk_sum + src.sk_sum;
-      if src.sk_max > dst.sk_max then dst.sk_max <- src.sk_max
 
     let to_json sk =
       Json.Obj
@@ -552,45 +535,27 @@ module Metrics = struct
         ]
   end
 
-  type t = { counters : Counters.t; sketches : (string, Sketch.t) Hashtbl.t }
+  type t = (string, Sketch.t) Hashtbl.t
 
-  let create ?counters () =
-    {
-      counters = (match counters with Some c -> c | None -> Counters.create ());
-      sketches = Hashtbl.create 16;
-    }
-
-  let counters t = t.counters
-
-  let incr t name = Counters.incr t.counters name
-
-  let add t name n = Counters.add t.counters name n
+  let create () = Hashtbl.create 16
 
   type series = Sketch.t
 
   let series t name =
-    match Hashtbl.find_opt t.sketches name with
+    match Hashtbl.find_opt t name with
     | Some sk -> sk
     | None ->
         let sk = Sketch.create () in
-        Hashtbl.add t.sketches name sk;
+        Hashtbl.add t name sk;
         sk
 
   let observe t name v = Sketch.observe (series t name) v
 
-  let find t name = Hashtbl.find_opt t.sketches name
+  let find t name = Hashtbl.find_opt t name
 
   let sketches t =
-    Hashtbl.fold (fun name sk acc -> (name, sk) :: acc) t.sketches []
+    Hashtbl.fold (fun name sk acc -> (name, sk) :: acc) t []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  (* Fold [src] into [dst]: counters add, sketches merge bucket-wise.
-     Groundwork for per-domain metrics buffers: each domain observes
-     locally and the collector merges. *)
-  let merge dst src =
-    List.iter (fun (name, v) -> Counters.add dst.counters name v)
-      (Counters.to_list src.counters);
-    Hashtbl.iter (fun name sk -> Sketch.merge (series dst name) sk) src.sketches
 end
 
 (* ------------------------------------------------------------------ *)
@@ -610,14 +575,8 @@ type t = {
   mutable onext_span : int;  (* next span id, dense in allocation order *)
 }
 
-let create ?metrics () =
-  {
-    oseq = 0;
-    oclock = 0;
-    sinks = [];
-    omx = (match metrics with Some m -> m | None -> Metrics.create ());
-    onext_span = 0;
-  }
+let create () =
+  { oseq = 0; oclock = 0; sinks = []; omx = Metrics.create (); onext_span = 0 }
 
 let metrics t = t.omx
 

@@ -6,8 +6,7 @@
     lifecycle into analyzable data: a typed, timestamped,
     sequence-numbered event stream ({!Event}) covering
     spawn/exit, run slices, park/wake, capture/reinstate, channel
-    send/recv and deadlock, plus counters and quantile sketches
-    ({!Metrics}).
+    send/recv and deadlock, plus quantile sketches ({!Metrics}).
 
     Both schedulers ([Pcont_pstack.Concur.run] and [Pcont_sched.Sched.run])
     accept an optional [?obs] handle.  With no handle installed the
@@ -190,21 +189,23 @@ end
 
 (** {1 Metrics}
 
-    Counters plus one quantile sketch per named distribution.  Built on
-    (and usually sharing) a {!Pcont_util.Counters.t}, so machine counters
-    and scheduler metrics land in one table. *)
+    One quantile sketch per named distribution.  A handle's table
+    holds what no event carries (the schedulers' run-queue depth and
+    park rounds, the machine's pool and segment sizes);
+    [Pcont_obs.Analysis.Snapshot] keeps one for the distributions it
+    folds from the events.  Counts live in {!Pcont_util.Counters}. *)
 
 module Metrics : sig
   type t
 
-  (** A DDSketch-style mergeable quantile sketch over non-negative
-      ints.  Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha)
-      give every quantile estimate a {e proven relative-error bound}:
-      bucket [i] holds values in (gamma{^i-1}, gamma{^i}] and reports
-      the midpoint 2·gamma{^i}/(gamma+1), so for any observation v in
-      the bucket |estimate − v|/v ≤ alpha.  Zeros are counted exactly.
-      Storage is O(buckets), independent of the observation count —
-      p50/p99/p999 without storing observations. *)
+  (** A DDSketch-style quantile sketch over non-negative ints.
+      Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha) give
+      every quantile estimate a {e proven relative-error bound}: bucket
+      [i] holds values in (gamma{^i-1}, gamma{^i}] and reports the
+      midpoint 2·gamma{^i}/(gamma+1), clamped to the exact max, so for
+      any observation v in the bucket |estimate − v|/v ≤ alpha.  Zeros
+      are counted exactly.  Storage is O(buckets), independent of the
+      observation count — p50/p99/p999 without storing observations. *)
   module Sketch : sig
     type t
 
@@ -213,8 +214,6 @@ module Metrics : sig
         i.e. quantiles within 1%).  Raises [Invalid_argument] unless
         0 < alpha < 1. *)
 
-    val alpha : t -> float
-
     val observe : t -> int -> unit
     (** O(1): one log, one array bump (the bucket array grows by
         doubling on first sight of a large value).  Negative values
@@ -222,8 +221,8 @@ module Metrics : sig
 
     val quantile : t -> float -> float
     (** [quantile sk q] estimates the [q]-quantile (q clamped to
-        [0,1]); 0. when empty.  Deterministic for a given observation
-        multiset. *)
+        [0,1]); 0. when empty, never above {!max}.  Deterministic for a
+        given observation multiset. *)
 
     val count : t -> int
 
@@ -235,26 +234,12 @@ module Metrics : sig
     val mean : t -> float
     (** Exact; 0. when empty. *)
 
-    val merge : t -> t -> unit
-    (** [merge dst src] folds [src] into [dst] by bucket-wise addition
-        — lossless: the result equals the sketch of the concatenated
-        streams.  Raises [Invalid_argument] when the error bounds
-        differ. *)
-
     val to_json : t -> Json.t
     (** [{count, p50, p99, p999, mean, max}]: the summary every JSON
         report prints for a distribution. *)
   end
 
-  val create : ?counters:Pcont_util.Counters.t -> unit -> t
-  (** Fresh metrics; [counters] (default: a fresh table) receives the
-      counter half, so callers can share an existing table. *)
-
-  val counters : t -> Pcont_util.Counters.t
-
-  val incr : t -> string -> unit
-
-  val add : t -> string -> int -> unit
+  val create : unit -> t
 
   val observe : t -> string -> int -> unit
   (** Record one observation under [name] in its sketch, creating it on
@@ -271,13 +256,6 @@ module Metrics : sig
 
   val sketches : t -> (string * Sketch.t) list
   (** All sketches, sorted by name. *)
-
-  val merge : t -> t -> unit
-  (** [merge dst src] folds [src] into [dst]: counters add, sketches
-      merge bucket-wise.  Sketches must have the same error bound
-      ([Invalid_argument] otherwise).  [src] is left untouched.
-      Groundwork for per-domain metrics buffers: domains observe
-      locally, a collector merges. *)
 end
 
 (** {1 Handles} *)
@@ -290,8 +268,8 @@ type sink = {
   sink_close : unit -> unit;
 }
 
-val create : ?metrics:Metrics.t -> unit -> t
-(** A fresh handle with no sinks and a clock at 0. *)
+val create : unit -> t
+(** A fresh handle with no sinks, no sketches and a clock at 0. *)
 
 val metrics : t -> Metrics.t
 

@@ -138,6 +138,9 @@ let cur_span = ref (-1)
    tracing. *)
 let cur_clock = ref 0
 
+(* The innermost run's scheduling core, for its live-node census. *)
+let cur_core : (leaf, wx, Univ.t) Core.t option ref = ref None
+
 (* Channel (and other user-resource) ids: allocated per run so traces
    of identical runs are identical. *)
 let chan_ids = ref 0
@@ -152,6 +155,8 @@ let obs () = !cur_obs
 let self_pid () = !cur_pid
 
 let now () = !cur_clock
+
+let peak () = match !cur_core with Some c -> Core.peak c | None -> 0
 
 let fresh_chan_id () =
   incr chan_ids;
@@ -183,7 +188,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   let saved_obs = !cur_obs and saved_pid = !cur_pid in
   let saved_chans = !chan_ids and saved_labels = !label_counter in
   let saved_clock = !cur_clock and saved_droppers = !droppers in
-  let saved_span = !cur_span in
+  let saved_span = !cur_span and saved_core = !cur_core in
   cur_obs := obs;
   chan_ids := 0;
   label_counter := 0;
@@ -197,6 +202,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
     label_counter := saved_labels;
     cur_clock := saved_clock;
     cur_span := saved_span;
+    cur_core := saved_core;
     droppers := saved_droppers
   in
   let inj_a, prj_a = Univ.embed () in
@@ -253,6 +259,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
       ~span:cur_span ~resume policy
       (Start (fun () -> inj_a (main ())))
   in
+  cur_core := Some c;
   let failure = ref None in
   (* Global slice index, the unit fault placements are expressed in. *)
   let nslices = ref 0 in
@@ -338,30 +345,8 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   let do_abort n k label reason replacement =
     match find_root n k label with
     | None -> ()
-    | Some (p, w, root_k) ->
-        Core.prune c;
-        (* Pre-order sweep of the discarded subtree: collect live pids
-           (the Cancel event's payload — exactly what an invariant
-           checker must mark dead) and release parked entries.  The
-           invoking fiber's body is its already-consumed leaf step, so
-           the Nleaf case covers it. *)
-        let cancelled = ref [] in
-        let rec sweep (m : node) =
-          match m.body with
-          | Ndone -> ()
-          | Nleaf _ -> cancelled := m.nid :: !cancelled
-          | Nparked e ->
-              Core.release c e;
-              cancelled := m.nid :: !cancelled
-          | Nwait wc ->
-              cancelled := m.nid :: !cancelled;
-              Array.iter sweep wc.children
-        in
-        sweep w.children.(0);
-        let pids = Array.of_list (List.rev !cancelled) in
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Cancel { pid = n.nid; scope = p.nid; reason; pids }));
+    | Some (p, _, root_k) ->
+        Core.discard c n p ~reason;
         Core.fork c p (Wbody root_k) "cancel" start [ replacement ]
   in
 

@@ -139,6 +139,12 @@ val yield : unit -> unit
 (** Let other branches run; also the points at which a fiber can be
     suspended into a captured subtree. *)
 
+val peak : unit -> int
+(** The most process-tree nodes live at once so far in the innermost
+    run (0 outside any run): spawns and graft batches add nodes, exits
+    and cancel sweeps remove them.  The scheduling core keeps the count,
+    so it is the same with or without a trace handle. *)
+
 (** {1 Virtual time}
 
     The scheduler keeps a virtual clock that advances one unit per

@@ -12,11 +12,14 @@ type policy =
    children (a pcall fork, a process root, a controller body), a leaf
    parked on a resource, or done (its value delivered to the parent).
    Captured subtrees are converted to a backend's immutable form and
-   their nodes discarded. *)
+   their nodes discarded.  [span] is the causal span the node's work
+   runs in (-1 = none): a new node starts in its creator's, and each
+   slice saves the leaf's current one. *)
 type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
   mutable body : ('l, 'w, 'v) body;
+  mutable span : int;
 }
 
 and ('l, 'w, 'v) parent =
@@ -68,10 +71,9 @@ type ('l, 'w, 'v) t = {
   nouns : string * string;  (* "branches", "branch(es)" *)
   resume : 'w -> 'v array -> 'l;
   clock : int ref;
-  span : int ref;
+  cur_span : int ref;  (* the stepping leaf's span *)
   s_runq : Obs.Metrics.series;
   s_park : Obs.Metrics.series;
-  node_span : (int, int) Hashtbl.t;
   mutable queue : ('l, 'w, 'v) node list;
   mutable born : ('l, 'w, 'v) node list;
   mutable woken : ('l, 'w, 'v) node list;
@@ -81,8 +83,11 @@ type ('l, 'w, 'v) t = {
   mutable prunes : int;
   mutable halted : bool;
   mutable final : 'v option;
-  mutable parked : ('l, 'w, 'v) entry list;  (* newest first, live or not *)
+  mutable live : int;  (* nodes announced and not yet exited or cancelled *)
+  mutable peak : int;
+  mutable parked : ('l, 'w, 'v) entry list;  (* newest first *)
   mutable n_parked : int;  (* live entries *)
+  mutable n_dead : int;  (* dead entries still on [parked] *)
   mutable heap : ('l, 'w, 'v) timer array;
   mutable heap_n : int;
   mutable heap_seq : int;
@@ -97,7 +102,7 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     | Some o -> Obs.Metrics.series (Obs.metrics o) (prefix ^ name)
     | None -> Lazy.force unobserved
   in
-  let root = { nid = 0; parent = Ptop; body = Nleaf leaf } in
+  let root = { nid = 0; parent = Ptop; body = Nleaf leaf; span = -1 } in
   (match obs with
   | None -> ()
   | Some o -> Obs.emit o (E.Spawn { pid = 0; parent = -1; kind = "root" }));
@@ -112,10 +117,9 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     nouns;
     resume;
     clock;
-    span;
+    cur_span = span;
     s_runq = series ".runq.depth";
     s_park = series ".park.rounds";
-    node_span = Hashtbl.create 32;
     queue = [ root ];
     born = [];
     woken = [];
@@ -125,14 +129,19 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     prunes = 0;
     halted = false;
     final = None;
+    live = 1;
+    peak = 1;
     parked = [];
     n_parked = 0;
+    n_dead = 0;
     heap = Array.make 64 None;
     heap_n = 0;
     heap_seq = 0;
   }
 
 let final t = t.final
+
+let peak t = t.peak
 
 let halt t = t.halted <- true
 
@@ -141,13 +150,18 @@ let prune t = t.prunes <- t.prunes + 1
 let count t name =
   match t.counters with None -> () | Some c -> Counters.incr c name
 
-let fresh_id t =
-  t.next_id <- t.next_id + 1;
-  t.next_id
+(* The live census changes exactly where the core announces a node's
+   birth (Spawn, Spawn_batch) or death (Exit, Cancel), so its peak is
+   the same with or without a handle. *)
+let census t d =
+  t.live <- t.live + d;
+  if t.live > t.peak then t.peak <- t.live
 
-(* Children inherit the spawning leaf's span at fork/future/graft. *)
-let inherit_span t nid =
-  if !(t.span) >= 0 then Hashtbl.replace t.node_span nid !(t.span)
+(* A node born now: a fresh id, in the stepping leaf's span, live. *)
+let new_node t parent body =
+  t.next_id <- t.next_id + 1;
+  census t 1;
+  { nid = t.next_id; parent; body; span = !(t.cur_span) }
 
 (* ------------------------------------------------------------------ *)
 (* The live tree.                                                      *)
@@ -193,6 +207,7 @@ let become_leaf t n leaf =
    completes. *)
 let deliver t n v =
   n.body <- Ndone;
+  census t (-1);
   (match t.obs with None -> () | Some o -> Obs.emit o (E.Exit { pid = n.nid }));
   match n.parent with
   | Ptop -> t.final <- Some v
@@ -214,8 +229,7 @@ let fork t n wx kind leaf xs =
   n.body <- Nwait w;
   List.iteri
     (fun i x ->
-      let c = { nid = fresh_id t; parent = Pchild (n, i); body = Nleaf (leaf x) } in
-      inherit_span t c.nid;
+      let c = new_node t (Pchild (n, i)) (Nleaf (leaf x)) in
       w.children.(i) <- c;
       match t.obs with
       | None -> ()
@@ -226,8 +240,7 @@ let fork t n wx kind leaf xs =
 (* Plant an independent tree in the forest (Section 8); [deliver]
    receives its value. *)
 let plant t n leaf deliver =
-  let f = { nid = fresh_id t; parent = Pfut deliver; body = Nleaf leaf } in
-  inherit_span t f.nid;
+  let f = new_node t (Pfut deliver) (Nleaf leaf) in
   (* Prepended here, reversed at round end: future trees keep their
      creation order at the back of the forest without an O(n) append
      per registration. *)
@@ -253,11 +266,10 @@ let graft t n wx pts results view =
     Array.iteri (fun i pt -> w.children.(i) <- rebuild (Pchild (m, i)) pt) pts;
     w
   and rebuild parent pt =
-    let m = { nid = fresh_id t; parent; body = Ndone } in
     (* rebuilt leaves adopt the reinstating leaf's span: the graft is
        what made them runnable again, so their work is causally part of
        the reinstating request *)
-    inherit_span t m.nid;
+    let m = new_node t parent Ndone in
     (match view pt with
     | Sleaf l -> m.body <- Nleaf l
     | Sdone -> ()
@@ -289,7 +301,8 @@ let graft t n wx pts results view =
 (* ------------------------------------------------------------------ *)
 
 (* Take [n] out of the run queue until woken; [leaf] is what it resumes
-   as.  Every entry is kept for the deadlock census. *)
+   as.  Live entries are kept, in park order, for the deadlock census
+   and [wake_resource]. *)
 let park t n ~res leaf =
   count t t.c_park;
   let e = { e_node = n; e_leaf = leaf; e_res = res; e_round = t.rounds; e_live = true } in
@@ -301,10 +314,44 @@ let park t n ~res leaf =
   | Some o -> Obs.emit o (E.Park { pid = n.nid; resource = res }));
   e
 
-(* Invalidate a parked entry whose node a capture is pruning. *)
+(* Invalidate a live parked entry (woken, or its node pruned).  Dead
+   entries are dropped from [parked] once they outnumber the live ones,
+   which keeps park order at amortised O(1) per entry. *)
 let release t e =
   e.e_live <- false;
-  t.n_parked <- t.n_parked - 1
+  t.n_parked <- t.n_parked - 1;
+  t.n_dead <- t.n_dead + 1;
+  if t.n_dead > t.n_parked then begin
+    t.parked <- List.filter (fun e -> e.e_live) t.parked;
+    t.n_dead <- 0
+  end
+
+(* Cancellation as declined reinstatement: prune everything under the
+   wait [scope] and announce it as one Cancel by [n].  The sweep is
+   pre-order, collecting every live pid (exactly what an invariant
+   checker must mark dead) and releasing parked entries; the invoking
+   leaf is among them when it sits inside the scope.  The caller puts a
+   replacement under [scope]. *)
+let discard t n scope ~reason =
+  prune t;
+  let cancelled = ref [] in
+  let rec sweep m =
+    match m.body with
+    | Ndone -> ()
+    | Nleaf _ -> cancelled := m.nid :: !cancelled
+    | Nparked e ->
+        release t e;
+        cancelled := m.nid :: !cancelled
+    | Nwait w ->
+        cancelled := m.nid :: !cancelled;
+        Array.iter sweep w.children
+  in
+  (match scope.body with Nwait w -> Array.iter sweep w.children | _ -> assert false);
+  let pids = Array.of_list (List.rev !cancelled) in
+  census t (-Array.length pids);
+  match t.obs with
+  | None -> ()
+  | Some o -> Obs.emit o (E.Cancel { pid = n.nid; scope = scope.nid; reason; pids })
 
 (* Make a live entry runnable again, emitting its wake now; the node
    joins [woken] until the caller splices the batch in with
@@ -409,7 +456,7 @@ let expire_due t =
 (* A run slice: everything a leaf does before the scheduler moves on.
    The span a leaf is inside follows it across slices. *)
 let slice_begin t n =
-  t.span := (match Hashtbl.find_opt t.node_span n.nid with Some s -> s | None -> -1);
+  t.cur_span := n.span;
   match t.obs with None -> () | Some o -> Obs.emit o (E.Slice_begin { pid = n.nid })
 
 (* The virtual clock advances by the fuel charged (at least 1, so
@@ -417,8 +464,7 @@ let slice_begin t n =
    handle is attached, which keeps timestamps — and timer behavior —
    deterministic and independent of observation. *)
 let slice_end t n used =
-  if !(t.span) >= 0 then Hashtbl.replace t.node_span n.nid !(t.span)
-  else Hashtbl.remove t.node_span n.nid;
+  n.span <- !(t.cur_span);
   let d = if used > 0 then used else 1 in
   t.clock := !(t.clock) + d;
   match t.obs with

@@ -6,7 +6,8 @@
     depend on what a leaf is: the live tree and its attachment test, the
     run queue and the policies that order it, parked entries with their
     wake emission and deadlock census, the timer heap and the virtual
-    clock, span inheritance, and the slice events.  A backend supplies
+    clock, each node's span, the live-node census, cancellation sweeps,
+    and every lifecycle and slice event.  A backend supplies
     the payload types — a leaf ['l], the extra state of a wait ['w], a
     result value ['v] — and one closure that steps a leaf for a slice.
     Every event and distribution the core emits is named by the backend's
@@ -31,6 +32,9 @@ type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
   mutable body : ('l, 'w, 'v) body;
+  mutable span : int;
+      (** the causal span the node runs in (-1 = none): its creator's
+          at birth, saved by {!slice_end}, loaded by {!slice_begin} *)
 }
 
 and ('l, 'w, 'v) parent =
@@ -90,6 +94,12 @@ val create :
 val final : ('l, 'w, 'v) t -> 'v option
 (** The root's value, once delivered. *)
 
+val peak : ('l, 'w, 'v) t -> int
+(** The most nodes live at once so far.  A node is live from the event
+    that announces it (a spawn, or its place in a graft batch) until its
+    exit or the cancel that sweeps it; the count is kept with or without
+    a handle. *)
+
 val halt : ('l, 'w, 'v) t -> unit
 (** Step nothing more: rounds keep their queue but run no slice. *)
 
@@ -121,6 +131,13 @@ val graft :
   unit
 (** Rebuild captured subtrees as fresh children of a wait on the node,
     make their leaves runnable, and announce them as one graft batch. *)
+
+val discard :
+  ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> ('l, 'w, 'v) node -> reason:string -> unit
+(** [discard t n scope ~reason]: cancellation as declined reinstatement.
+    Prune every node under the wait [scope], release its parked
+    entries, and announce the live ones (pre-order) in one cancel by
+    [n].  The caller forks a replacement under [scope]. *)
 
 (** {1 Parking and timers} *)
 

@@ -2,8 +2,9 @@
    and independent of handler execution, traces are byte-identical per
    seed and pass every invariant rule, latency attribution telescopes
    exactly to end-to-end, deadlines mark requests timed-out all the way
-   to the summary fate column, and a mid-load deadlock auto-dumps a
-   flight window the checker accepts. *)
+   to the summary fate column, a mid-load deadlock auto-dumps a flight
+   window the checker accepts, and the scheduler's live-node census
+   agrees with the trace whether or not a handle is attached. *)
 
 module Obs = Pcont_obs.Obs
 module Trace = Pcont_obs.Trace
@@ -196,7 +197,7 @@ let test_assert_check () =
   Alcotest.(check (list string)) "holds" [] (check "p99<=1000");
   Alcotest.(check (list string))
     "a line per failing scenario"
-    [ "assert failed: pool p99 = 498 > 100"; "assert failed: ring p99 = 907 > 100" ]
+    [ "assert failed: pool p99 = 498 > 100"; "assert failed: ring p99 = 900 > 100" ]
     (check "p99<=100");
   Alcotest.(check (list string)) "scenario prefix" [] (check "pipeline:p99<=100");
   Alcotest.(check (list string))
@@ -231,6 +232,117 @@ let test_deadlock_flight_dump () =
       evs
   in
   if not has_deadlock then Alcotest.fail "flight dump lacks the deadlock event"
+
+(* ---------------- the live census ---------------- *)
+
+(* The peak live-node count folded from a JSONL trace: +1 per spawn,
+   +|nodes| per spawn batch, -1 per exit, -|pids| per cancel. *)
+let trace_peak trace =
+  let live = ref 0 and peak = ref 0 in
+  Array.iter
+    (fun s ->
+      (match s.Trace.ev with
+      | Obs.Event.Spawn _ -> incr live
+      | Spawn_batch { nodes; _ } -> live := !live + Array.length nodes
+      | Exit _ -> decr live
+      | Cancel { pids; _ } -> live := !live - Array.length pids
+      | _ -> ());
+      peak := max !peak !live)
+    (parse_ok "census trace" trace);
+  !peak
+
+(* A deadline that times out some requests but not all, in every
+   scenario. *)
+let partial_deadline = { tiny with Load.deadline = 5000 }
+
+(* No deadline; one that times every request out; the partial one. *)
+let census_profiles =
+  [
+    ("tiny", tiny);
+    ("deadline 400", { tiny with Load.deadline = 400 });
+    ("deadline 5000", partial_deadline);
+  ]
+
+let census_runs =
+  lazy
+    (List.concat_map
+       (fun (what, profile) ->
+         List.map
+           (fun scen ->
+             let st, trace = jsonl_run ~profile scen in
+             (what ^ " " ^ Load.scenario_name scen, profile, scen, st, trace))
+           Load.scenarios)
+       census_profiles)
+
+let stats_json st = Obs.Json.to_string (Load.stats_to_json st)
+
+let test_stats_independent_of_handle () =
+  List.iter
+    (fun (name, profile, scen, traced, _) ->
+      Alcotest.(check string) (name ^ ": stats") (stats_json traced)
+        (stats_json (Load.run profile ~seed:42L scen));
+      if profile == partial_deadline
+         && (traced.Load.st_timedout = 0 || traced.Load.st_completed = 0)
+      then Alcotest.failf "%s: %d timed out, %d completed" name traced.Load.st_timedout
+             traced.Load.st_completed)
+    (Lazy.force census_runs)
+
+let test_peak_is_trace_census () =
+  List.iter
+    (fun (name, _, _, st, trace) ->
+      Alcotest.(check int) (name ^ ": peak") (trace_peak trace) st.Load.st_peak_live)
+    (Lazy.force census_runs)
+
+let test_handle_left_as_given () =
+  let o = Obs.create () in
+  ignore (Load.run ~obs:o tiny ~seed:42L Load.Pool);
+  Alcotest.(check bool) "no sink attached" false (Obs.has_sink o)
+
+(* A capture with a live sibling reinstated by resume (one graft batch),
+   a future, and a deadline firing over three sleepers (one cancel
+   sweep): [Sched.peak] at the end of main, traced or not, is the trace
+   census. *)
+let test_native_peak_is_trace_census () =
+  let program () =
+    let r =
+      Sched.spawn (fun c ->
+          let a, b =
+            Sched.pcall2
+              (fun () -> Sched.control c (fun pk -> Sched.resume pk 1))
+              (fun () ->
+                Sched.yield ();
+                Sched.yield ();
+                2)
+          in
+          a + b)
+    in
+    let f = Sched.future (fun () -> r * 10) in
+    let cancelled =
+      match
+        Resil.with_deadline ~at:(Sched.now () + 5) (fun () ->
+            ignore (Sched.pcall (List.init 3 (fun _ () -> Sched.sleep 100))))
+      with
+      | Error (Resil.Cancelled _) -> true
+      | Ok () | Error (Resil.Crashed _) -> false
+    in
+    (Sched.touch f, cancelled, Sched.peak ())
+  in
+  let o = Obs.create () in
+  let buf = Buffer.create 4096 in
+  Obs.attach o (Obs.Sink.jsonl (Buffer.add_string buf));
+  let v, cancelled, traced_peak = Sched.run ~obs:o program in
+  Obs.close o;
+  let trace = Buffer.contents buf in
+  Alcotest.(check int) "value" 30 v;
+  Alcotest.(check bool) "deadline fired" true cancelled;
+  let has p = Array.exists (fun s -> p s.Trace.ev) (parse_ok "native trace" trace) in
+  Alcotest.(check bool) "a graft batch" true
+    (has (function Obs.Event.Spawn_batch _ -> true | _ -> false));
+  Alcotest.(check bool) "a cancel sweep" true
+    (has (function Obs.Event.Cancel { pids; _ } -> Array.length pids >= 3 | _ -> false));
+  Alcotest.(check int) "traced peak" (trace_peak trace) traced_peak;
+  let _, _, untraced_peak = Sched.run program in
+  Alcotest.(check int) "untraced peak" traced_peak untraced_peak
 
 (* ---------------- with_deadline ---------------- *)
 
@@ -271,6 +383,16 @@ let () =
           Alcotest.test_case "assert check" `Quick test_assert_check;
           Alcotest.test_case "with_deadline already past" `Quick
             test_with_deadline_already_past;
+        ] );
+      ( "census",
+        [
+          Alcotest.test_case "stats independent of the handle" `Quick
+            test_stats_independent_of_handle;
+          Alcotest.test_case "peak is the trace census" `Quick test_peak_is_trace_census;
+          Alcotest.test_case "caller's handle left as given" `Quick
+            test_handle_left_as_given;
+          Alcotest.test_case "native peak is the trace census" `Quick
+            test_native_peak_is_trace_census;
         ] );
       ( "failure",
         [

@@ -148,13 +148,6 @@ let test_metrics_histogram () =
             Alcotest.failf "q%.1f: %g is not within 1%% of %g" q est v)
         [ (0., 0.); (0.2, 1.); (0.4, 2.); (0.6, 3.); (0.8, 9.); (1., 3_000_000.) ]
 
-let test_metrics_share_counters () =
-  let c = C.create () in
-  let m = Obs.Metrics.create ~counters:c () in
-  Obs.Metrics.incr m "x";
-  Obs.Metrics.add m "x" 2;
-  Alcotest.(check int) "shared table" 3 (C.get c "x")
-
 (* ---------------- trace capture helpers ---------------- *)
 
 let jsonl_handle () =
@@ -385,7 +378,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;
-          Alcotest.test_case "shared counters" `Quick test_metrics_share_counters;
         ] );
       ( "determinism",
         [

@@ -723,6 +723,103 @@ let test_parked_waiter_graft_resumes () =
   in
   Alcotest.(check bool) "graft revived the parked receiver" true (r = (9905, 0))
 
+(* One fiber parks on [ws] and is woken [n] times: a long park history
+   that runs behind fibers parked elsewhere, each wake leaving a dead
+   entry. *)
+let churn ws n =
+  let round = ref 0 in
+  ignore
+    (S.pcall2
+       (fun () ->
+         for i = 1 to n do
+           while !round < i do
+             S.block ws
+           done
+         done)
+       (fun () ->
+         for i = 1 to n do
+           round := i;
+           S.wake ws;
+           S.yield ()
+         done))
+
+let test_fwake_after_churn () =
+  (* Three fibers park on "x" while a second waitset of that name sees
+     1000 parks and wakes.  Every spurious wake injected on "x" must wake
+     exactly the fibers then parked there, in the order they parked.  The
+     gap between faults grows by one slice each time, so the faults land
+     at every phase of the churn. *)
+  let next = ref 0 and gap = ref 0 in
+  let inject i =
+    if i < !next then None
+    else begin
+      incr gap;
+      next := i + !gap;
+      Some (S.Fwake "x")
+    end
+  in
+  let o = Pcont_obs.Obs.create () in
+  let evs = ref [] in
+  Pcont_obs.Obs.attach o (Pcont_obs.Obs.Sink.memory (fun (_, _, ev) -> evs := ev :: !evs));
+  S.run ~obs:o ~inject (fun () ->
+      let ws = S.Waitset.create "x" in
+      let go = ref false in
+      let waiter () =
+        while not !go do
+          S.block ws
+        done
+      in
+      ignore
+        (S.pcall
+           [
+             waiter;
+             waiter;
+             waiter;
+             (fun () ->
+               churn (S.Waitset.create "x") 1000;
+               go := true;
+               S.wake ws);
+           ]));
+  let module E = Pcont_obs.Obs.Event in
+  let rec woken = function
+    | E.Wake { pid; resource = "x" } :: rest -> pid :: woken rest
+    | _ -> []
+  in
+  (* [parked] is newest first; returns (parks, faults, most woken at once) *)
+  let rec check parked (parks, faults, most) = function
+    | [] -> (parks, faults, most)
+    | E.Crash { fault = "inject:wake:x"; _ } :: rest ->
+        let w = woken rest in
+        Alcotest.(check (list int)) "woken in park order" (List.rev parked) w;
+        check parked (parks, faults + 1, max most (List.length w)) rest
+    | E.Park { pid; resource = "x" } :: rest ->
+        check (pid :: parked) (parks + 1, faults, most) rest
+    | E.Wake { pid; resource = "x" } :: rest ->
+        check (List.filter (( <> ) pid) parked) (parks, faults, most) rest
+    | _ :: rest -> check parked (parks, faults, most) rest
+  in
+  let parks, faults, most = check [] (0, 0, 0) (List.rev !evs) in
+  if parks < 1000 || faults < 10 || most < 4 then
+    Alcotest.failf "%d parks, %d faults, at most %d woken at once" parks faults most
+
+let test_deadlock_after_churn () =
+  match
+    S.run (fun () ->
+        let a = S.Waitset.create "a" and b = S.Waitset.create "b" in
+        ignore
+          (S.pcall
+             [
+               (fun () -> S.block a);
+               (fun () -> S.block b);
+               (fun () -> S.block a);
+               (fun () -> churn (S.Waitset.create "x") 1000);
+             ]))
+  with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception S.Deadlock msg ->
+      Alcotest.(check string) "diagnosis"
+        "deadlock: 3 fiber(s) parked: 2 on a (paths 0>1, 0>3), 1 on b (paths 0>2)" msg
+
 (* Like [explore], but a run may legitimately end in Deadlock: record it
    as a distinguished outcome.  Every decision word must terminate — a
    blocked program parks instead of spinning, so exploration cannot hang. *)
@@ -862,5 +959,7 @@ let () =
             test_parked_waiter_graft_resumes;
           Alcotest.test_case "driven channel handoff" `Quick
             test_driven_channel_handoff;
+          Alcotest.test_case "spurious wake after churn" `Quick test_fwake_after_churn;
+          Alcotest.test_case "diagnosis after churn" `Quick test_deadlock_after_churn;
         ] );
     ]

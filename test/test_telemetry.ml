@@ -222,6 +222,9 @@ let check_sketch_accuracy name values =
       (* Same rank convention as the sketch: value at floor(q·(n−1)). *)
       let exact = sorted.(int_of_float (q *. float_of_int (n - 1))) in
       let est = Obs.Metrics.Sketch.quantile sk q in
+      if est > float_of_int (Obs.Metrics.Sketch.max sk) then
+        Alcotest.failf "%s: q=%.3f estimate %.2f exceeds the max %d" name q est
+          (Obs.Metrics.Sketch.max sk);
       let rel = abs_float (est -. float_of_int exact) /. float_of_int exact in
       if rel > alpha *. 1.001 then
         Alcotest.failf "%s: q=%.3f estimate %.2f vs exact %d (rel %.4f > %.4f)"
@@ -246,68 +249,9 @@ let test_sketch_accuracy () =
         let jitter = 1 + Int64.to_int (Int64.rem (splitmix st) 5L) in
         if i mod 2 = 0 then 10 + jitter else 100_000 + (100 * jitter))
   in
-  check_sketch_accuracy "bimodal" bimodal
-
-let test_sketch_merge_lossless () =
-  let st = ref 7L in
-  let a = Array.init 2_000 (fun _ -> 1 + Int64.to_int (Int64.rem (splitmix st) 1_000L)) in
-  let b = Array.init 3_000 (fun _ -> 1 + Int64.to_int (Int64.rem (splitmix st) 500_000L)) in
-  let ska = Obs.Metrics.Sketch.create () and skb = Obs.Metrics.Sketch.create () in
-  let skab = Obs.Metrics.Sketch.create () in
-  Array.iter (Obs.Metrics.Sketch.observe ska) a;
-  Array.iter (Obs.Metrics.Sketch.observe skb) b;
-  Array.iter (Obs.Metrics.Sketch.observe skab) a;
-  Array.iter (Obs.Metrics.Sketch.observe skab) b;
-  Obs.Metrics.Sketch.merge ska skb;
-  Alcotest.(check int) "count" (Obs.Metrics.Sketch.count skab)
-    (Obs.Metrics.Sketch.count ska);
-  Alcotest.(check int) "sum" (Obs.Metrics.Sketch.sum skab) (Obs.Metrics.Sketch.sum ska);
-  Alcotest.(check int) "max" (Obs.Metrics.Sketch.max skab) (Obs.Metrics.Sketch.max ska);
-  (* Lossless: merged buckets = buckets of the concatenated stream, so
-     every quantile agrees exactly, not just within the bound. *)
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.)) "quantile identical"
-        (Obs.Metrics.Sketch.quantile skab q)
-        (Obs.Metrics.Sketch.quantile ska q))
-    [ 0.; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1. ]
-
-let test_sketch_alpha_mismatch () =
-  let a = Obs.Metrics.Sketch.create ~alpha:0.01 () in
-  let b = Obs.Metrics.Sketch.create ~alpha:0.02 () in
-  Alcotest.check_raises "different bounds rejected"
-    (Invalid_argument "Sketch.merge: sketches have different error bounds")
-    (fun () -> Obs.Metrics.Sketch.merge a b)
-
-(* ---------------- metrics merge ---------------- *)
-
-let test_metrics_merge () =
-  let dst = Obs.Metrics.create () and src = Obs.Metrics.create () in
-  Obs.Metrics.incr dst "c";
-  Obs.Metrics.add src "c" 4;
-  Obs.Metrics.incr src "only-src";
-  List.iter (Obs.Metrics.observe dst "h") [ 1; 2; 3 ];
-  List.iter (Obs.Metrics.observe src "h") [ 100; 200 ];
-  List.iter (Obs.Metrics.observe src "h2") [ 9 ];
-  Obs.Metrics.merge dst src;
-  Alcotest.(check int) "counters add" 5
-    (Pcont_util.Counters.get (Obs.Metrics.counters dst) "c");
-  Alcotest.(check int) "src-only counter copied" 1
-    (Pcont_util.Counters.get (Obs.Metrics.counters dst) "only-src");
-  (match Obs.Metrics.find dst "h" with
-  | None -> Alcotest.fail "merged sketch missing"
-  | Some sk ->
-      Alcotest.(check int) "sketch count" 5 (Obs.Metrics.Sketch.count sk);
-      Alcotest.(check int) "sketch sum" 306 (Obs.Metrics.Sketch.sum sk);
-      Alcotest.(check int) "sketch max" 200 (Obs.Metrics.Sketch.max sk));
-  (match Obs.Metrics.find dst "h2" with
-  | None -> Alcotest.fail "src-only sketch missing"
-  | Some sk -> Alcotest.(check int) "src-only count" 1 (Obs.Metrics.Sketch.count sk));
-  (* src is read-only under merge. *)
-  Alcotest.(check int) "src untouched" 2
-    (match Obs.Metrics.find src "h" with
-    | Some sk -> Obs.Metrics.Sketch.count sk
-    | None -> -1)
+  check_sketch_accuracy "bimodal" bimodal;
+  (* 900's bucket midpoint is 907: only the clamp keeps it at the max *)
+  check_sketch_accuracy "one value" [| 900 |]
 
 (* ---------------- sink fan-out hardening ---------------- *)
 
@@ -610,12 +554,9 @@ let () =
       ( "sketch",
         [
           Alcotest.test_case "relative-error bound" `Quick test_sketch_accuracy;
-          Alcotest.test_case "merge is lossless" `Quick test_sketch_merge_lossless;
-          Alcotest.test_case "alpha mismatch rejected" `Quick test_sketch_alpha_mismatch;
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "merge" `Quick test_metrics_merge;
           Alcotest.test_case "snapshot folds the events" `Quick
             test_snapshot_folds_events;
         ] );
