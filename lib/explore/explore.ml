@@ -130,33 +130,24 @@ module Schedule = struct
       @ if t.faults = [] then [] else [ ("faults", Json.Arr (List.map fault_json t.faults)) ])
 
   let fault_of_json j =
-    match (Json.member "at" j, Json.member "fault" j) with
-    | Some (Json.Num at), Some (Json.Str s) when Float.is_integer at -> (
+    match (Option.bind (Json.member "at" j) Json.int, Json.member "fault" j) with
+    | Some at, Some (Json.Str s) -> (
         let kind =
           if s = "crash" then Some Fault.Crash
           else
             Fault.kind_of_marker ("inject:" ^ s)
         in
         match kind with
-        | Some kind -> Ok { Fault.at = int_of_float at; kind }
+        | Some kind -> Ok { Fault.at; kind }
         | None -> Error ("schedule: unknown fault " ^ s))
-    | _ -> Error "schedule: fault needs integral \"at\" and string \"fault\""
+    | _ -> Error "schedule: fault needs an in-range integral \"at\" and string \"fault\""
 
   let of_json j =
     match Json.member "decisions" j with
     | Some (Json.Arr ds) -> (
-        let ok = ref true in
-        let decisions =
-          Array.of_list
-            (List.map
-               (function
-                 | Json.Num f when Float.is_integer f -> int_of_float f
-                 | _ ->
-                     ok := false;
-                     0)
-               ds)
-        in
-        if not !ok then Error "schedule: non-integral decision"
+        let decisions = Array.of_list (List.filter_map Json.int ds) in
+        if Array.length decisions <> List.length ds then
+          Error "schedule: non-integral or out-of-range decision"
         else
           (* "faults" is optional: schedules recorded before fault
              injection existed load unchanged. *)

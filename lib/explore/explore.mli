@@ -82,6 +82,7 @@ module Schedule : sig
       ["faults"] array when faults were injected. *)
 
   val of_json : Obs.Json.t -> (t, string) result
+  (** Decisions and fault slices must pass {!Obs.Json.int}. *)
 
   val save : string -> t -> unit
 

@@ -31,6 +31,13 @@ module Json = struct
     | Arr of t list
     | Obj of (string * t) list
 
+  (* The numbers [to_string] prints as exact integers, and so the only
+     ones [int] reads back: larger ones print as %.12g, and
+     [int_of_float] is unspecified outside [int]'s range. *)
+  let exact f = Float.is_integer f && Float.abs f < 1e15
+
+  let int = function Num f when exact f -> Some (int_of_float f) | _ -> None
+
   (* One serializer for every producer (sinks, bench rows, reports), so
      output always round-trips through [parse].  Integral floats print
      with no fractional part: the event stream's fields are all ints and
@@ -38,7 +45,7 @@ module Json = struct
   let to_string v =
     let buf = Buffer.create 256 in
     let num f =
-      if Float.is_integer f && Float.abs f < 1e15 then
+      if exact f then
         Buffer.add_string buf (Printf.sprintf "%.0f" f)
       else Buffer.add_string buf (Printf.sprintf "%.12g" f)
     in
@@ -363,65 +370,144 @@ module Event = struct
         Printf.sprintf "span+   pid=%d id=%d parent=%d name=%s" pid span parent name
     | Span_end { pid; span } -> Printf.sprintf "span-   pid=%d id=%d" pid span
 
-  (* Field order is fixed per constructor so identical event streams
-     serialize to byte-identical output. *)
+  (* The wire schema.  [fields] lists each event's payload in the fixed
+     order JSONL writes it, so identical event streams serialize to
+     byte-identical output; [to_json], [of_json] and the Chrome sink's
+     args all read this one table. *)
+  type field = Int of int | Str of string | Ints of int array | Pairs of (int * int) array
+
+  let fields ev =
+    let i k v = (k, Int v) and s k v = (k, Str v) in
+    match ev with
+    | Spawn { pid; parent; kind } -> [ i "pid" pid; i "parent" parent; s "kind" kind ]
+    | Spawn_batch { pid; kind; nodes } -> [ i "pid" pid; s "kind" kind; ("nodes", Pairs nodes) ]
+    | Exit { pid } | Slice_begin { pid } -> [ i "pid" pid ]
+    | Slice_end { pid; fuel } -> [ i "pid" pid; i "fuel" fuel ]
+    | Park { pid; resource } | Wake { pid; resource } -> [ i "pid" pid; s "resource" resource ]
+    | Capture { pid; label; root_pid; control_points; size } ->
+        [
+          i "pid" pid;
+          i "label" label;
+          i "root_pid" root_pid;
+          i "control_points" control_points;
+          i "size" size;
+        ]
+    | Reinstate { pid; label; size } -> [ i "pid" pid; i "label" label; i "size" size ]
+    | Send { pid; chan } | Recv { pid; chan } -> [ i "pid" pid; i "chan" chan ]
+    | Cancel { pid; scope; reason; pids } ->
+        [ i "pid" pid; i "scope" scope; s "reason" reason; ("pids", Ints pids) ]
+    | Timeout { pid; deadline } -> [ i "pid" pid; i "deadline" deadline ]
+    | Crash { pid; fault } -> [ i "pid" pid; s "fault" fault ]
+    | Restart { pid; child; attempt; backoff; limit } ->
+        [ i "pid" pid; i "child" child; i "attempt" attempt; i "backoff" backoff; i "limit" limit ]
+    | Invalid_controller { pid; label } -> [ i "pid" pid; i "label" label ]
+    | Deadlock { parked } -> [ i "parked" parked ]
+    | Span_begin { pid; span; parent; name } ->
+        [ i "pid" pid; i "span" span; i "parent" parent; s "name" name ]
+    | Span_end { pid; span } -> [ i "pid" pid; i "span" span ]
+
+  let num v = Json.Num (float_of_int v)
+
+  let field_json = function
+    | Int v -> num v
+    | Str s -> Json.Str s
+    | Ints a -> Json.Arr (List.map num (Array.to_list a))
+    | Pairs a -> Json.Arr (List.map (fun (p, q) -> Json.Arr [ num p; num q ]) (Array.to_list a))
+
   let to_json ~seq ~ts ev =
-    let i k v = (k, Json.Num (float_of_int v)) in
-    let s k v = (k, Json.Str v) in
-    let payload =
-      match ev with
-      | Spawn { pid; parent; kind } -> [ i "pid" pid; i "parent" parent; s "kind" kind ]
-      | Spawn_batch { pid; kind; nodes } ->
-          [
-            i "pid" pid;
-            s "kind" kind;
-            ( "nodes",
-              Json.Arr
-                (Array.to_list
-                   (Array.map
-                      (fun (p, parent) ->
-                        Json.Arr
-                          [ Json.Num (float_of_int p); Json.Num (float_of_int parent) ])
-                      nodes)) );
-          ]
-      | Exit { pid } -> [ i "pid" pid ]
-      | Slice_begin { pid } -> [ i "pid" pid ]
-      | Slice_end { pid; fuel } -> [ i "pid" pid; i "fuel" fuel ]
-      | Park { pid; resource } -> [ i "pid" pid; s "resource" resource ]
-      | Wake { pid; resource } -> [ i "pid" pid; s "resource" resource ]
-      | Capture { pid; label; root_pid; control_points; size } ->
-          [
-            i "pid" pid;
-            i "label" label;
-            i "root_pid" root_pid;
-            i "control_points" control_points;
-            i "size" size;
-          ]
-      | Reinstate { pid; label; size } ->
-          [ i "pid" pid; i "label" label; i "size" size ]
-      | Send { pid; chan } -> [ i "pid" pid; i "chan" chan ]
-      | Recv { pid; chan } -> [ i "pid" pid; i "chan" chan ]
-      | Cancel { pid; scope; reason; pids } ->
-          [
-            i "pid" pid;
-            i "scope" scope;
-            s "reason" reason;
-            ( "pids",
-              Json.Arr
-                (Array.to_list
-                   (Array.map (fun p -> Json.Num (float_of_int p)) pids)) );
-          ]
-      | Timeout { pid; deadline } -> [ i "pid" pid; i "deadline" deadline ]
-      | Crash { pid; fault } -> [ i "pid" pid; s "fault" fault ]
-      | Restart { pid; child; attempt; backoff; limit } ->
-          [ i "pid" pid; i "child" child; i "attempt" attempt; i "backoff" backoff; i "limit" limit ]
-      | Invalid_controller { pid; label } -> [ i "pid" pid; i "label" label ]
-      | Deadlock { parked } -> [ i "parked" parked ]
-      | Span_begin { pid; span; parent; name } ->
-          [ i "pid" pid; i "span" span; i "parent" parent; s "name" name ]
-      | Span_end { pid; span } -> [ i "pid" pid; i "span" span ]
+    Json.Obj
+      (("seq", num seq) :: ("ts", num ts) :: ("ev", Json.Str (name ev))
+      :: List.map (fun (k, f) -> (k, field_json f)) (fields ev))
+
+  (* The inverse of [fields].  A reader never stops the decode: it
+     records its field's first error and returns a placeholder.  The
+     error reported is the first in wire order, which [fields] of the
+     decoded event defines, so the arms below need no order of their
+     own. *)
+  let of_json j =
+    let errors = ref [] in
+    let error k msg v =
+      if not (List.mem_assoc k !errors) then errors := (k, msg) :: !errors;
+      v
     in
-    Json.Obj (i "seq" seq :: i "ts" ts :: s "ev" (name ev) :: payload)
+    let bad k what v = error k (Printf.sprintf "field %S %s" k what) v in
+    let field k default read =
+      match Json.member k j with
+      | Some v -> read v
+      | None -> error k (Printf.sprintf "missing field %S" k) default
+    in
+    let whole k what v =
+      match (Json.int v, v) with
+      | Some n, _ -> n
+      | None, Json.Num f when Float.is_integer f -> bad k "is out of range" 0
+      | None, _ -> bad k what 0
+    in
+    let int k = field k 0 (whole k "is not an integer") in
+    let str k = field k "" (function Json.Str s -> s | _ -> bad k "is not a string" "") in
+    let arr k f =
+      field k [||] (function
+        | Json.Arr vs -> Array.of_list (List.map f vs)
+        | _ -> bad k "is not an array" [||])
+    in
+    let ints k = arr k (whole k "entries must be integers") in
+    let pairs k =
+      let what = "entries must be [pid,parent] int pairs" in
+      arr k (function
+        | Json.Arr [ p; q ] ->
+            let p = whole k what p in
+            (p, whole k what q)
+        | _ -> bad k what (0, 0))
+    in
+    let seq = int "seq" in
+    let ts = int "ts" in
+    let ev =
+      match str "ev" with
+      | "spawn" -> Spawn { pid = int "pid"; parent = int "parent"; kind = str "kind" }
+      | "spawn-batch" ->
+          Spawn_batch { pid = int "pid"; kind = str "kind"; nodes = pairs "nodes" }
+      | "exit" -> Exit { pid = int "pid" }
+      | "slice-begin" -> Slice_begin { pid = int "pid" }
+      | "slice-end" -> Slice_end { pid = int "pid"; fuel = int "fuel" }
+      | "park" -> Park { pid = int "pid"; resource = str "resource" }
+      | "wake" -> Wake { pid = int "pid"; resource = str "resource" }
+      | "capture" ->
+          Capture
+            {
+              pid = int "pid";
+              label = int "label";
+              root_pid = int "root_pid";
+              control_points = int "control_points";
+              size = int "size";
+            }
+      | "reinstate" -> Reinstate { pid = int "pid"; label = int "label"; size = int "size" }
+      | "send" -> Send { pid = int "pid"; chan = int "chan" }
+      | "recv" -> Recv { pid = int "pid"; chan = int "chan" }
+      | "cancel" ->
+          Cancel { pid = int "pid"; scope = int "scope"; reason = str "reason"; pids = ints "pids" }
+      | "timeout" -> Timeout { pid = int "pid"; deadline = int "deadline" }
+      | "crash" -> Crash { pid = int "pid"; fault = str "fault" }
+      | "restart" ->
+          Restart
+            {
+              pid = int "pid";
+              child = int "child";
+              attempt = int "attempt";
+              backoff = int "backoff";
+              limit = int "limit";
+            }
+      | "invalid-controller" -> Invalid_controller { pid = int "pid"; label = int "label" }
+      | "deadlock" -> Deadlock { parked = int "parked" }
+      | "span-begin" ->
+          Span_begin
+            { pid = int "pid"; span = int "span"; parent = int "parent"; name = str "name" }
+      | "span-end" -> Span_end { pid = int "pid"; span = int "span" }
+      | tag -> error "ev" (Printf.sprintf "unknown event tag %S" tag) (Deadlock { parked = 0 })
+    in
+    match !errors with
+    | [] -> Ok (seq, ts, ev)
+    | (_, m) :: _ ->
+        let wire = "seq" :: "ts" :: "ev" :: List.map fst (fields ev) in
+        Error (Option.value ~default:m (List.find_map (fun k -> List.assoc_opt k !errors) wire))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -695,7 +781,7 @@ module Sink = struct
       else write ",\n  ";
       write (Json.to_string j)
     in
-    let num v = Json.Num (float_of_int v) in
+    let num = Event.num in
     let named = Hashtbl.create 16 in
     let ensure_name pid label =
       if not (Hashtbl.mem named pid) then begin
@@ -711,106 +797,51 @@ module Sink = struct
              ])
       end
     in
-    let record ~ph ~ts pid name args =
-      Json.Obj
-        (("name", Json.Str name)
-         :: ("cat", Json.Str "pcont")
-         :: ("ph", Json.Str ph)
-         :: (if ph = "i" then [ ("s", Json.Str "t") ] else [])
-        @ [ ("ts", num ts); ("pid", num 1); ("tid", num pid) ]
-        @ (match args with [] -> [] | _ -> [ ("args", Json.Obj args) ]))
+    (* Args are the event's wire fields minus those the record carries
+       itself (pid as tid; a span's id and name), each array shown as its
+       length. *)
+    let args ev =
+      List.filter_map
+        (function
+          | ("pid" | "span" | "name"), _ -> None
+          | _, Event.Ints a -> Some ("count", num (Array.length a))
+          | _, Event.Pairs a -> Some ("count", num (Array.length a))
+          | k, f -> Some (k, Event.field_json f))
+        (Event.fields ev)
     in
-    let instant ~ts pid name args =
-      ensure_name pid (Printf.sprintf "p%d" pid);
-      item (record ~ph:"i" ~ts pid name args)
+    let record ~cat ~ph extra ~ts tid name ev =
+      item
+        (Json.Obj
+           (("name", Json.Str name) :: ("cat", Json.Str cat) :: ("ph", Json.Str ph) :: extra
+           @ [ ("ts", num ts); ("pid", num 1); ("tid", num tid) ]
+           @ match args ev with [] -> [] | a -> [ ("args", Json.Obj a) ]))
     in
     (* Spans map to async begin/end events (ph b/e): unlike B/E duration
        events they need no per-track nesting, which a span whose fiber
        was cancelled before the end annotation would violate.  Async
        ends must repeat the begin's name, so remember it per span id. *)
     let span_names = Hashtbl.create 16 in
-    let span ~ph ~ts pid span name args =
-      ensure_name pid (Printf.sprintf "p%d" pid);
-      item
-        (Json.Obj
-           (("name", Json.Str name)
-            :: ("cat", Json.Str "span")
-            :: ("ph", Json.Str ph)
-            :: ("id", num span)
-            :: [ ("ts", num ts); ("pid", num 1); ("tid", num pid) ]
-           @ (match args with [] -> [] | _ -> [ ("args", Json.Obj args) ])))
-    in
     {
       sink_event =
         (fun ~seq:_ ~ts ev ->
+          (* events on no node (deadlock, resource faults) go on track 0 *)
+          let tid = max (Event.pid ev) 0 in
+          (match ev with
+          | Event.Spawn { kind; _ } -> ensure_name tid (Printf.sprintf "%s %d" kind tid)
+          | Event.Spawn_batch { kind; nodes; _ } ->
+              Array.iter (fun (p, _) -> ensure_name p (Printf.sprintf "%s %d" kind p)) nodes
+          | _ -> ());
+          ensure_name tid (Printf.sprintf "p%d" tid);
           match ev with
-          | Event.Spawn { pid; parent; kind } ->
-              ensure_name pid (Printf.sprintf "%s %d" kind pid);
-              instant ~ts pid "spawn"
-                [ ("parent", num parent); ("kind", Json.Str kind) ]
-          | Event.Spawn_batch { pid; kind; nodes } ->
-              (* name every rebuilt node's track, then one instant on the
-                 announcing node summarising the batch *)
-              Array.iter
-                (fun (p, _) -> ensure_name p (Printf.sprintf "%s %d" kind p))
-                nodes;
-              instant ~ts pid "spawn-batch"
-                [ ("kind", Json.Str kind); ("count", num (Array.length nodes)) ]
-          | Event.Exit { pid } -> instant ~ts pid "exit" []
-          | Event.Slice_begin { pid } ->
-              ensure_name pid (Printf.sprintf "p%d" pid);
-              item (record ~ph:"B" ~ts pid "run" [])
-          | Event.Slice_end { pid; fuel } ->
-              item (record ~ph:"E" ~ts pid "run" [ ("fuel", num fuel) ])
-          | Event.Park { pid; resource } ->
-              instant ~ts pid "park" [ ("resource", Json.Str resource) ]
-          | Event.Wake { pid; resource } ->
-              instant ~ts pid "wake" [ ("resource", Json.Str resource) ]
-          | Event.Capture { pid; label; root_pid; control_points; size } ->
-              instant ~ts pid "capture"
-                [
-                  ("label", num label);
-                  ("root_pid", num root_pid);
-                  ("control_points", num control_points);
-                  ("size", num size);
-                ]
-          | Event.Reinstate { pid; label; size } ->
-              instant ~ts pid "reinstate" [ ("label", num label); ("size", num size) ]
-          | Event.Send { pid; chan } -> instant ~ts pid "send" [ ("chan", num chan) ]
-          | Event.Recv { pid; chan } -> instant ~ts pid "recv" [ ("chan", num chan) ]
-          | Event.Cancel { pid; scope; reason; pids } ->
-              instant ~ts pid "cancel"
-                [
-                  ("scope", num scope);
-                  ("reason", Json.Str reason);
-                  ("count", num (Array.length pids));
-                ]
-          | Event.Timeout { pid; deadline } ->
-              instant ~ts pid "timeout" [ ("deadline", num deadline) ]
-          | Event.Crash { pid; fault } ->
-              instant ~ts (max pid 0) "crash" [ ("fault", Json.Str fault) ]
-          | Event.Restart { pid; child; attempt; backoff; limit } ->
-              instant ~ts pid "restart"
-                [
-                  ("child", num child);
-                  ("attempt", num attempt);
-                  ("backoff", num backoff);
-                  ("limit", num limit);
-                ]
-          | Event.Invalid_controller { pid; label } ->
-              instant ~ts pid "invalid-controller" [ ("label", num label) ]
-          | Event.Deadlock { parked } ->
-              instant ~ts 0 "deadlock" [ ("parked", num parked) ]
-          | Event.Span_begin { pid; span = id; parent; name } ->
-              Hashtbl.replace span_names id name;
-              span ~ph:"b" ~ts pid id name [ ("parent", num parent) ]
-          | Event.Span_end { pid; span = id } ->
-              let name =
-                match Hashtbl.find_opt span_names id with
-                | Some n -> n
-                | None -> "span"
-              in
-              span ~ph:"e" ~ts pid id name []);
+          | Event.Slice_begin _ -> record ~cat:"pcont" ~ph:"B" [] ~ts tid "run" ev
+          | Event.Slice_end _ -> record ~cat:"pcont" ~ph:"E" [] ~ts tid "run" ev
+          | Event.Span_begin { span; name; _ } ->
+              Hashtbl.replace span_names span name;
+              record ~cat:"span" ~ph:"b" [ ("id", num span) ] ~ts tid name ev
+          | Event.Span_end { span; _ } ->
+              let name = Option.value ~default:"span" (Hashtbl.find_opt span_names span) in
+              record ~cat:"span" ~ph:"e" [ ("id", num span) ] ~ts tid name ev
+          | _ -> record ~cat:"pcont" ~ph:"i" [ ("s", Json.Str "t") ] ~ts tid (Event.name ev) ev);
       sink_close = (fun () -> if !first then write "[]\n" else write "\n]\n");
     }
 

@@ -28,8 +28,8 @@
     loadable in [chrome://tracing] or Perfetto, where each process
     renders as a track with run slices and park gaps.
 
-    Exported JSONL traces are not write-only: [Pcont_obs.Trace]
-    re-ingests them into typed events and reconstructs each run's
+    Exported JSONL traces are not write-only: {!Event.of_json} decodes
+    them, and [Pcont_obs.Trace] reconstructs each run's
     per-process tallies and fates (the [psi --summary] table), and
     [Pcont_obs.Analysis] checks their invariants, computes causal
     reports and diffs two traces (the [ptrace] CLI). *)
@@ -70,6 +70,13 @@ module Json : sig
   val member : string -> t -> t option
   (** [member k (Obj kvs)] is the value bound to [k], if any (the first
       binding when keys are duplicated). *)
+
+  val int : t -> int option
+  (** The integer a number denotes, if {!to_string} prints it exactly:
+      integral and below 10{^15} in magnitude.  Every reader of
+      integers from a file (traces, schedules) goes through this, so an
+      out-of-range number is an error rather than an unspecified
+      [int_of_float]. *)
 end
 
 (** {1 Events} *)
@@ -180,11 +187,24 @@ module Event : sig
   val to_human : t -> string
   (** One-line human rendering (no newline). *)
 
+  (** {2 Wire schema} *)
+
+  type field = Int of int | Str of string | Ints of int array | Pairs of (int * int) array
+
+  val fields : t -> (string * field) list
+  (** The event's payload fields in wire order: the one table the JSONL
+      encoding, its decoder and the Chrome sink's args derive from. *)
+
   val to_json : seq:int -> ts:int -> t -> Json.t
   (** The JSONL object for one stamped event: [seq], [ts] and [ev]
-      first, then the payload fields in a fixed per-constructor order.
-      [Sink.jsonl] writes [Json.to_string] of this value;
-      [Pcont_obs.Trace.event_of_json] inverts it. *)
+      ({!name}) first, then {!fields}.  [Sink.jsonl] writes
+      [Json.to_string] of this value. *)
+
+  val of_json : Json.t -> (int * int * t, string) result
+  (** Invert {!to_json}: [(seq, ts, event)].  Extra fields are ignored.
+      An error names the first bad field in wire order: [missing field
+      "pid"], [field "pid" is not an integer], or [field "pid" is out of
+      range] when a number fails {!Json.int}. *)
 end
 
 (** {1 Metrics}
@@ -347,7 +367,9 @@ module Sink : sig
   (** Chrome trace-event JSON (array form), loadable in
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.  Every
       process becomes a named track ([tid] = pid): run slices are
-      ["B"]/["E"] duration pairs, everything else an instant event;
+      ["B"]/["E"] duration pairs, spans ["b"]/["e"] async pairs,
+      everything else an instant event whose args are its
+      {!Event.fields} minus [pid], each array shown as its [count];
       park gaps show as the space between slices.  The sink emits the
       closing bracket on {!close}. *)
 

@@ -3,142 +3,6 @@ module Event = Obs.Event
 
 type stamped = { seq : int; ts : int; ev : Event.t }
 
-let ( let* ) = Result.bind
-
-let int_field j k =
-  match Json.member k j with
-  | Some (Json.Num f) when Float.is_integer f -> Ok (int_of_float f)
-  | Some _ -> Error (Printf.sprintf "field %S is not an integer" k)
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
-let str_field j k =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S is not a string" k)
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
-let event_of_json j =
-  let* seq = int_field j "seq" in
-  let* ts = int_field j "ts" in
-  let* name = str_field j "ev" in
-  let* ev =
-    match name with
-    | "spawn" ->
-        let* pid = int_field j "pid" in
-        let* parent = int_field j "parent" in
-        let* kind = str_field j "kind" in
-        Ok (Event.Spawn { pid; parent; kind })
-    | "spawn-batch" ->
-        let* pid = int_field j "pid" in
-        let* kind = str_field j "kind" in
-        let* nodes =
-          match Json.member "nodes" j with
-          | Some (Json.Arr entries) ->
-              let rec go acc = function
-                | [] -> Ok (Array.of_list (List.rev acc))
-                | Json.Arr [ Json.Num p; Json.Num par ] :: rest
-                  when Float.is_integer p && Float.is_integer par ->
-                    go ((int_of_float p, int_of_float par) :: acc) rest
-                | _ ->
-                    Error "field \"nodes\" entries must be [pid,parent] int pairs"
-              in
-              go [] entries
-          | Some _ -> Error "field \"nodes\" is not an array"
-          | None -> Error "missing field \"nodes\""
-        in
-        Ok (Event.Spawn_batch { pid; kind; nodes })
-    | "exit" ->
-        let* pid = int_field j "pid" in
-        Ok (Event.Exit { pid })
-    | "slice-begin" ->
-        let* pid = int_field j "pid" in
-        Ok (Event.Slice_begin { pid })
-    | "slice-end" ->
-        let* pid = int_field j "pid" in
-        let* fuel = int_field j "fuel" in
-        Ok (Event.Slice_end { pid; fuel })
-    | "park" ->
-        let* pid = int_field j "pid" in
-        let* resource = str_field j "resource" in
-        Ok (Event.Park { pid; resource })
-    | "wake" ->
-        let* pid = int_field j "pid" in
-        let* resource = str_field j "resource" in
-        Ok (Event.Wake { pid; resource })
-    | "capture" ->
-        let* pid = int_field j "pid" in
-        let* label = int_field j "label" in
-        let* root_pid = int_field j "root_pid" in
-        let* control_points = int_field j "control_points" in
-        let* size = int_field j "size" in
-        Ok (Event.Capture { pid; label; root_pid; control_points; size })
-    | "reinstate" ->
-        let* pid = int_field j "pid" in
-        let* label = int_field j "label" in
-        let* size = int_field j "size" in
-        Ok (Event.Reinstate { pid; label; size })
-    | "send" ->
-        let* pid = int_field j "pid" in
-        let* chan = int_field j "chan" in
-        Ok (Event.Send { pid; chan })
-    | "recv" ->
-        let* pid = int_field j "pid" in
-        let* chan = int_field j "chan" in
-        Ok (Event.Recv { pid; chan })
-    | "cancel" ->
-        let* pid = int_field j "pid" in
-        let* scope = int_field j "scope" in
-        let* reason = str_field j "reason" in
-        let* pids =
-          match Json.member "pids" j with
-          | Some (Json.Arr entries) ->
-              let rec go acc = function
-                | [] -> Ok (Array.of_list (List.rev acc))
-                | Json.Num p :: rest when Float.is_integer p ->
-                    go (int_of_float p :: acc) rest
-                | _ -> Error "field \"pids\" entries must be integers"
-              in
-              go [] entries
-          | Some _ -> Error "field \"pids\" is not an array"
-          | None -> Error "missing field \"pids\""
-        in
-        Ok (Event.Cancel { pid; scope; reason; pids })
-    | "timeout" ->
-        let* pid = int_field j "pid" in
-        let* deadline = int_field j "deadline" in
-        Ok (Event.Timeout { pid; deadline })
-    | "crash" ->
-        let* pid = int_field j "pid" in
-        let* fault = str_field j "fault" in
-        Ok (Event.Crash { pid; fault })
-    | "restart" ->
-        let* pid = int_field j "pid" in
-        let* child = int_field j "child" in
-        let* attempt = int_field j "attempt" in
-        let* backoff = int_field j "backoff" in
-        let* limit = int_field j "limit" in
-        Ok (Event.Restart { pid; child; attempt; backoff; limit })
-    | "invalid-controller" ->
-        let* pid = int_field j "pid" in
-        let* label = int_field j "label" in
-        Ok (Event.Invalid_controller { pid; label })
-    | "deadlock" ->
-        let* parked = int_field j "parked" in
-        Ok (Event.Deadlock { parked })
-    | "span-begin" ->
-        let* pid = int_field j "pid" in
-        let* span = int_field j "span" in
-        let* parent = int_field j "parent" in
-        let* name = str_field j "name" in
-        Ok (Event.Span_begin { pid; span; parent; name })
-    | "span-end" ->
-        let* pid = int_field j "pid" in
-        let* span = int_field j "span" in
-        Ok (Event.Span_end { pid; span })
-    | other -> Error (Printf.sprintf "unknown event tag %S" other)
-  in
-  Ok { seq; ts; ev }
-
 let to_json s = Event.to_json ~seq:s.seq ~ts:s.ts s.ev
 
 let parse_string body =
@@ -151,9 +15,9 @@ let parse_string body =
         match Json.parse line with
         | Error m -> err := Some (Printf.sprintf "line %d: %s" (i + 1) m)
         | Ok j -> (
-            match event_of_json j with
+            match Event.of_json j with
             | Error m -> err := Some (Printf.sprintf "line %d: %s" (i + 1) m)
-            | Ok s -> acc := s :: !acc))
+            | Ok (seq, ts, ev) -> acc := { seq; ts; ev } :: !acc))
     lines;
   match !err with
   | Some m -> Error m

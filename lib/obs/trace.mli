@@ -1,7 +1,7 @@
 (** Re-ingestion of exported JSONL traces.
 
-    [Obs.Sink.jsonl] writes one stamped event per line; this module reads
-    that format back into typed {!Obs.Event.t} values, splits a trace
+    [Obs.Sink.jsonl] writes one stamped event per line; this module
+    reads a trace back line by line with {!Obs.Event.of_json}, splits it
     into runs (a [psi] session traces one run per top-level form, with
     global [seq]/[ts] but per-run pids), and reconstructs each run's
     process tree with per-node timelines — the substrate for
@@ -9,22 +9,20 @@
 
     Parsing is tolerant: any well-formed line is accepted even when the
     event stream it describes is inconsistent (that is {!Analysis.Check}'s
-    job), but unknown event tags, missing fields and malformed JSON are
-    reported with their line number. *)
+    job), but unknown event tags, missing or mistyped fields, numbers
+    outside {!Obs.Json.int}'s range and malformed JSON are reported
+    with their line number. *)
 
 type stamped = { seq : int; ts : int; ev : Obs.Event.t }
 (** One trace line: the event plus its stamp. *)
-
-val event_of_json : Obs.Json.t -> (stamped, string) result
-(** Invert {!Obs.Event.to_json}.  Numeric fields must be integral;
-    extra fields are ignored. *)
 
 val to_json : stamped -> Obs.Json.t
 (** [to_json s] is [Obs.Event.to_json ~seq:s.seq ~ts:s.ts s.ev]. *)
 
 val parse_string : string -> (stamped array, string) result
 (** Parse a JSONL trace body.  Blank lines are skipped; the first
-    malformed line fails the whole parse with a [line N: ...] message. *)
+    malformed line fails the whole parse with a [line N: ...] message
+    (the rest is {!Obs.Event.of_json}'s).  Never raises. *)
 
 val load : string -> (stamped array, string) result
 (** [parse_string] over a file's contents ([Error] on IO failure). *)

@@ -570,6 +570,96 @@ let test_explore_finds_supervision_leak () =
       Alcotest.(check bool) "100-seed fault sweep misses it" true
         (sweep.X.Dpor.sw_found = None)
 
+(* ---------------- ingest robustness ------------------------------- *)
+
+let schedule_of_string s =
+  match Obs.Json.parse s with
+  | Ok j -> X.Schedule.of_json j
+  | Error m -> Alcotest.failf "%s is not JSON: %s" s m
+
+(* A schedule number the writer would not print exactly is an error,
+   never an int_of_float outside int's range. *)
+let test_out_of_range_schedule () =
+  List.iter
+    (fun s ->
+      match schedule_of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error _ -> ())
+    [
+      {|{"decisions":[1e30]}|};
+      {|{"decisions":[0,-1e15]}|};
+      {|{"decisions":[0],"faults":[{"at":1e30,"fault":"crash"}]}|};
+    ];
+  match
+    schedule_of_string
+      {|{"decisions":[999999999999999],"faults":[{"at":-999999999999999,"fault":"crash"}]}|}
+  with
+  | Ok { X.Schedule.decisions = [| 999_999_999_999_999 |]; faults = [ f ] }
+    when f.X.Fault.at = -999_999_999_999_999 -> ()
+  | Ok _ -> Alcotest.fail "boundary values misread"
+  | Error m -> Alcotest.failf "boundary values rejected: %s" m
+
+(* Recorded traces from both schedulers and a schedule file with every
+   fault kind: the inputs the mutations below start from. *)
+let fuzz_inputs =
+  lazy
+    (let _, native = native_trace (Sched.Randomized 5L) native_prog in
+     let _, pstack = pstack_trace (Concur.Randomized 5L) pstack_src in
+     let sched =
+       {
+         (X.Replay.record X.Workloads.gen_native).X.Replay.rec_schedule with
+         X.Schedule.faults =
+           [
+             { X.Fault.at = 3; kind = X.Fault.Crash };
+             { X.Fault.at = 5; kind = X.Fault.Wake "channel.send" };
+             { X.Fault.at = 7; kind = X.Fault.Drop 2 };
+           ];
+       }
+     in
+     [| native; pstack; Obs.Json.to_string (X.Schedule.to_json sched) ^ "\n" |])
+
+(* Substitute up to four characters, each by a structural character, a
+   digit, [e], or a snippet of them that retypes a value ([""], [[]])
+   or puts it out of range ([1e30]), and maybe truncate. *)
+let gen_mutation =
+  let open QCheck.Gen in
+  let snippets =
+    [ "{"; "}"; "["; "]"; ":"; ","; "\""; "0"; "1"; "7"; "e"; "\"\""; "[]"; "e99"; "1e30" ]
+  in
+  let* input = int_bound 2 in
+  let s = (Lazy.force fuzz_inputs).(input) in
+  let n = String.length s in
+  let+ edits = list_size (int_bound 4) (pair (int_bound (n - 1)) (oneofl snippets))
+  and+ cut = oneof [ return max_int; int_bound n ] in
+  let s =
+    List.fold_left
+      (fun s (i, sub) -> String.sub s 0 i ^ sub ^ String.sub s (i + 1) (String.length s - i - 1))
+      s edits
+  in
+  String.sub s 0 (min cut (String.length s))
+
+let names_its_line m =
+  match String.index_opt m ':' with
+  | Some i when starts_with ~prefix:"line " m ->
+      int_of_string_opt (String.sub m 5 (i - 5)) <> None
+  | _ -> false
+
+let prop_ingest_never_raises =
+  let path = Filename.temp_file "fuzz" ".json" in
+  at_exit (fun () -> Sys.remove path);
+  QCheck.Test.make ~name:"mutated traces and schedules never raise" ~count:2000
+    (QCheck.make ~print:String.escaped gen_mutation)
+    (fun s ->
+      (match Trace.parse_string s with
+      | Ok _ -> ()
+      | Error m ->
+          if not (names_its_line m) then
+            QCheck.Test.fail_reportf "trace error names no line: %s" m);
+      (match Obs.Json.parse s with Ok j -> ignore (X.Schedule.of_json j) | Error _ -> ());
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
+      ignore (X.Schedule.load path);
+      true)
+
 let () =
   Alcotest.run "explore"
     [
@@ -586,6 +676,12 @@ let () =
           Alcotest.test_case "driven" `Quick test_roundtrip_driven;
           Alcotest.test_case "schedule files" `Quick test_schedule_file_roundtrip;
           Alcotest.test_case "truncated schedule" `Quick test_truncated_schedule;
+        ] );
+      ( "ingest",
+        [
+          Alcotest.test_case "out-of-range schedules rejected" `Quick
+            test_out_of_range_schedule;
+          QCheck_alcotest.to_alcotest prop_ingest_never_raises;
         ] );
       ( "explore",
         [

@@ -1,8 +1,10 @@
-(* Tests for the always-on telemetry layer: the flight-recorder ring
-   (unboxed storage, wrap-around, dumps that the whole ptrace toolchain
-   accepts), the quantile sketch's relative-error bound on assorted
-   distributions, metrics merging, sink fan-out hardening, causal spans
-   on both schedulers, and deterministic head sampling. *)
+(* Tests for the always-on telemetry layer: the event wire schema
+   (one table behind JSONL encode/decode, the Chrome args and the
+   ring's codec), the flight-recorder ring (unboxed storage,
+   wrap-around, dumps that the whole ptrace toolchain accepts), the
+   quantile sketch's relative-error bound on assorted distributions,
+   metrics merging, sink fan-out hardening, causal spans on both
+   schedulers, and deterministic head sampling. *)
 
 module Obs = Pcont_obs.Obs
 module E = Pcont_obs.Obs.Event
@@ -32,38 +34,206 @@ let check_clean what s =
 let jsonl_lines s =
   String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
 
-(* ---------------- flight-recorder ring ---------------- *)
-
-(* One event per constructor, covering every arm of the ring's unboxed
-   encode/decode (including the boxed fallback for the two
-   array-carrying events). *)
-let all_constructors =
-  [
-    E.Spawn { pid = 1; parent = -1; kind = "root" };
-    E.Spawn_batch { pid = 1; kind = "graft"; nodes = [| (2, 1); (3, 2) |] };
-    E.Slice_begin { pid = 1 };
-    E.Slice_end { pid = 1; fuel = 17 };
-    E.Park { pid = 2; resource = "future" };
-    E.Wake { pid = 2; resource = "channel.send" };
-    E.Capture { pid = 1; label = 4; root_pid = 1; control_points = 2; size = 5 };
-    E.Reinstate { pid = 2; label = 4; size = 5 };
-    E.Send { pid = 1; chan = 0 };
-    E.Recv { pid = 2; chan = 0 };
-    E.Cancel { pid = 1; scope = 2; reason = "timeout"; pids = [| 2; 3 |] };
-    E.Timeout { pid = 9; deadline = 77 };
-    E.Crash { pid = 2; fault = "inject:crash" };
-    E.Restart { pid = 1; child = 2; attempt = 1; backoff = 8; limit = 3 };
-    E.Invalid_controller { pid = 5; label = 9 };
-    E.Deadlock { parked = 2 };
-    E.Span_begin { pid = 1; span = 0; parent = -1; name = "work" };
-    E.Span_end { pid = 1; span = 0 };
-    E.Exit { pid = 1 };
-  ]
-
 let ring_dump_string r =
   let buf = Buffer.create 1024 in
   Obs.Sink.ring_dump r (Buffer.add_string buf);
   Buffer.contents buf
+
+(* ---------------- wire schema ---------------- *)
+
+(* One event per constructor with its wire payload, pinned byte for
+   byte.  Three tests share it: the JSONL round trip, the Chrome args,
+   and the ring's unboxed encode/decode (including the boxed fallback
+   for the two array-carrying events). *)
+let all_constructors =
+  [
+    (E.Spawn { pid = 1; parent = -1; kind = "root" }, {|"pid":1,"parent":-1,"kind":"root"|});
+    ( E.Spawn_batch { pid = 1; kind = "graft"; nodes = [| (2, 1); (3, 2) |] },
+      {|"pid":1,"kind":"graft","nodes":[[2,1],[3,2]]|} );
+    (E.Slice_begin { pid = 1 }, {|"pid":1|});
+    (E.Slice_end { pid = 1; fuel = 17 }, {|"pid":1,"fuel":17|});
+    (E.Park { pid = 2; resource = "future" }, {|"pid":2,"resource":"future"|});
+    (E.Wake { pid = 2; resource = "channel.send" }, {|"pid":2,"resource":"channel.send"|});
+    ( E.Capture { pid = 1; label = 4; root_pid = 1; control_points = 2; size = 5 },
+      {|"pid":1,"label":4,"root_pid":1,"control_points":2,"size":5|} );
+    (E.Reinstate { pid = 2; label = 4; size = 5 }, {|"pid":2,"label":4,"size":5|});
+    (E.Send { pid = 1; chan = 0 }, {|"pid":1,"chan":0|});
+    (E.Recv { pid = 2; chan = 0 }, {|"pid":2,"chan":0|});
+    ( E.Cancel { pid = 1; scope = 2; reason = "timeout"; pids = [| 2; 3 |] },
+      {|"pid":1,"scope":2,"reason":"timeout","pids":[2,3]|} );
+    (E.Timeout { pid = 9; deadline = 77 }, {|"pid":9,"deadline":77|});
+    (E.Crash { pid = 2; fault = "inject:crash" }, {|"pid":2,"fault":"inject:crash"|});
+    ( E.Restart { pid = 1; child = 2; attempt = 1; backoff = 8; limit = 3 },
+      {|"pid":1,"child":2,"attempt":1,"backoff":8,"limit":3|} );
+    (E.Invalid_controller { pid = 5; label = 9 }, {|"pid":5,"label":9|});
+    (E.Deadlock { parked = 2 }, {|"parked":2|});
+    ( E.Span_begin { pid = 1; span = 0; parent = -1; name = "work" },
+      {|"pid":1,"span":0,"parent":-1,"name":"work"|} );
+    (E.Span_end { pid = 1; span = 0 }, {|"pid":1,"span":0|});
+    (E.Exit { pid = 1 }, {|"pid":1|});
+  ]
+
+let events = List.map fst all_constructors
+
+let test_schema_round_trip () =
+  Alcotest.(check int) "one entry per constructor" 19
+    (List.length (List.sort_uniq compare (List.map E.name events)));
+  List.iteri
+    (fun seq (ev, payload) ->
+      let ts = 3 * seq in
+      let line = Json.to_string (E.to_json ~seq ~ts ev) in
+      Alcotest.(check string) "wire bytes"
+        (Printf.sprintf {|{"seq":%d,"ts":%d,"ev":"%s",%s}|} seq ts (E.name ev) payload)
+        line;
+      match Result.bind (Json.parse line) E.of_json with
+      | Ok (seq', ts', ev') when seq' = seq && ts' = ts && ev' = ev -> ()
+      | Ok (_, _, ev') -> Alcotest.failf "%s decoded to %s" line (E.to_human ev')
+      | Error m -> Alcotest.failf "%s does not decode: %s" line m)
+    all_constructors
+
+(* Every instant's args are its wire fields minus pid, each array shown
+   as its length; slices and spans are the only other records. *)
+let test_chrome_args_are_wire_fields () =
+  let buf = Buffer.create 1024 in
+  let o = Obs.create () in
+  Obs.attach o (Obs.Sink.chrome (Buffer.add_string buf));
+  List.iter (Obs.emit o) events;
+  Obs.close o;
+  let records =
+    match Json.parse (Buffer.contents buf) with
+    | Ok (Json.Arr rs) -> rs
+    | Ok _ -> Alcotest.fail "chrome output is not an array"
+    | Error m -> Alcotest.failf "chrome output is not JSON: %s" m
+  in
+  let ph r = Json.member "ph" r in
+  let instants = List.filter (fun r -> ph r = Some (Json.Str "i")) records in
+  let expected =
+    List.filter
+      (function
+        | E.Slice_begin _ | E.Slice_end _ | E.Span_begin _ | E.Span_end _ -> false
+        | _ -> true)
+      events
+  in
+  Alcotest.(check int) "one instant per non-slice, non-span event" (List.length expected)
+    (List.length instants);
+  List.iter2
+    (fun ev r ->
+      let num v = Json.Num (float_of_int v) in
+      let args =
+        List.filter_map
+          (function
+            | "pid", _ -> None
+            | k, E.Int v -> Some (k, num v)
+            | k, E.Str s -> Some (k, Json.Str s)
+            | _, E.Ints a -> Some ("count", num (Array.length a))
+            | _, E.Pairs a -> Some ("count", num (Array.length a)))
+          (E.fields ev)
+      in
+      let got = Option.value ~default:(Json.Obj []) (Json.member "args" r) in
+      if got <> Json.Obj args then
+        Alcotest.failf "%s: args %s, expected %s" (E.name ev) (Json.to_string got)
+          (Json.to_string (Json.Obj args));
+      Alcotest.(check bool) "named after the event" true
+        (Json.member "name" r = Some (Json.Str (E.name ev)));
+      Alcotest.(check bool) "on the event's track" true
+        (Json.member "tid" r = Some (num (max 0 (E.pid ev)))))
+    expected instants;
+  Alcotest.(check int) "one B and one E" 2
+    (List.length
+       (List.filter (fun r -> ph r = Some (Json.Str "B") || ph r = Some (Json.Str "E")) records))
+
+(* A line with several bad fields is reported at the first in wire
+   order, whatever order the decoder happens to evaluate them in. *)
+let test_decoder_names_first_bad_field () =
+  List.iter
+    (fun (line, want) ->
+      match Result.bind (Json.parse line) E.of_json with
+      | Ok _ -> Alcotest.failf "%s decoded" line
+      | Error m -> Alcotest.(check string) line want m)
+    [
+      ({|{"seq":0,"ts":0,"ev":"spawn"}|}, {|missing field "pid"|});
+      ({|{"seq":0,"ts":0,"ev":"capture","pid":1}|}, {|missing field "label"|});
+      ( {|{"seq":0,"ts":0,"ev":"restart","pid":"a","child":2,"attempt":1,"backoff":8,"limit":"b"}|},
+        {|field "pid" is not an integer|} );
+      ({|{"ts":"x","ev":"bogus"}|}, {|missing field "seq"|});
+      ({|{"seq":0,"ts":0,"ev":"bogus","pid":"x"}|}, {|unknown event tag "bogus"|});
+      ({|{"seq":0,"ts":0,"ev":"cancel","pid":1,"scope":2,"reason":"r","pids":[1,"x",1e30]}|},
+        {|field "pids" entries must be integers|});
+      ({|{"seq":0,"ts":0,"ev":"cancel","pid":1,"scope":2,"reason":7,"pids":3}|},
+        {|field "reason" is not a string|});
+      ({|{"seq":0,"ts":0,"ev":"cancel","pid":1,"scope":2,"reason":"r","pids":3}|},
+        {|field "pids" is not an array|});
+      ({|{"seq":0,"ts":0,"ev":"spawn-batch","pid":1,"kind":"graft","nodes":[[2]]}|},
+        {|field "nodes" entries must be [pid,parent] int pairs|});
+    ]
+
+(* Random events, with ints anywhere in the exact range and strings
+   carrying quotes, backslashes, control and non-ASCII bytes, encode to
+   the same bytes after a decode, and the ring dumps exactly the JSONL
+   sink's bytes. *)
+let gen_event =
+  let open QCheck.Gen in
+  let bound = 999_999_999_999_999 in
+  let i = oneof [ small_signed_int; int_range (-bound) bound; oneofl [ bound; -bound ] ] in
+  let s = string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\000'; '\x7f' ] ]) (int_bound 8) in
+  let is n = array_size (int_bound 4) n in
+  oneof
+    [
+      (let+ pid = i and+ parent = i and+ kind = s in E.Spawn { pid; parent; kind });
+      (let+ pid = i and+ kind = s and+ nodes = is (pair i i) in
+       E.Spawn_batch { pid; kind; nodes });
+      map (fun pid -> E.Exit { pid }) i;
+      map (fun pid -> E.Slice_begin { pid }) i;
+      map2 (fun pid fuel -> E.Slice_end { pid; fuel }) i i;
+      map2 (fun pid resource -> E.Park { pid; resource }) i s;
+      map2 (fun pid resource -> E.Wake { pid; resource }) i s;
+      (let+ pid = i and+ label = i and+ root_pid = i and+ control_points = i and+ size = i in
+       E.Capture { pid; label; root_pid; control_points; size });
+      map3 (fun pid label size -> E.Reinstate { pid; label; size }) i i i;
+      map2 (fun pid chan -> E.Send { pid; chan }) i i;
+      map2 (fun pid chan -> E.Recv { pid; chan }) i i;
+      (let+ pid = i and+ scope = i and+ reason = s and+ pids = is i in
+       E.Cancel { pid; scope; reason; pids });
+      map2 (fun pid deadline -> E.Timeout { pid; deadline }) i i;
+      map2 (fun pid fault -> E.Crash { pid; fault }) i s;
+      (let+ pid = i and+ child = i and+ attempt = i and+ backoff = i and+ limit = i in
+       E.Restart { pid; child; attempt; backoff; limit });
+      map2 (fun pid label -> E.Invalid_controller { pid; label }) i i;
+      map (fun parked -> E.Deadlock { parked }) i;
+      (let+ pid = i and+ span = i and+ parent = i and+ name = s in
+       E.Span_begin { pid; span; parent; name });
+      map2 (fun pid span -> E.Span_end { pid; span }) i i;
+    ]
+
+let prop_schema_round_trip =
+  QCheck.Test.make ~name:"random events round-trip through JSONL and the ring" ~count:300
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.map E.to_human evs))
+       QCheck.Gen.(list_size (int_range 1 8) gen_event))
+    (fun evs ->
+      let buf = Buffer.create 256 in
+      let r = Obs.Sink.ring ~capacity:8 () in
+      let o = Obs.create () in
+      Obs.attach o (Obs.Sink.jsonl (Buffer.add_string buf));
+      Obs.attach o (Obs.Sink.ring_sink r);
+      List.iteri
+        (fun k ev ->
+          Obs.advance o k;
+          Obs.emit o ev)
+        evs;
+      let jsonl = Buffer.contents buf in
+      let reencoded =
+        List.map2
+          (fun line ev ->
+            match Result.bind (Json.parse line) E.of_json with
+            | Ok (seq, ts, ev') when ev' = ev -> Json.to_string (E.to_json ~seq ~ts ev') ^ "\n"
+            | Ok _ -> QCheck.Test.fail_reportf "%s decoded to a different event" line
+            | Error m -> QCheck.Test.fail_reportf "%s does not decode: %s" line m)
+          (jsonl_lines jsonl) evs
+      in
+      String.concat "" reencoded = jsonl && ring_dump_string r = jsonl)
+
+(* ---------------- flight-recorder ring ---------------- *)
 
 let test_ring_roundtrip_all_constructors () =
   let r = Obs.Sink.ring ~capacity:32 () in
@@ -73,10 +243,9 @@ let test_ring_roundtrip_all_constructors () =
     (fun i ev ->
       Obs.advance o (if i mod 3 = 0 then 2 else 0);
       Obs.emit o ev)
-    all_constructors;
+    events;
   let evs = parse_ok "ring dump" (ring_dump_string r) in
-  Alcotest.(check int) "all events stored" (List.length all_constructors)
-    (Array.length evs);
+  Alcotest.(check int) "all events stored" (List.length events) (Array.length evs);
   List.iteri
     (fun i expected ->
       let got = evs.(i) in
@@ -84,7 +253,7 @@ let test_ring_roundtrip_all_constructors () =
       if got.Trace.ev <> expected then
         Alcotest.failf "event %d decoded to %s, expected %s" i
           (E.to_human got.Trace.ev) (E.to_human expected))
-    all_constructors
+    events
 
 let test_ring_wraparound () =
   let cap = 8 and total = 21 in
@@ -540,6 +709,15 @@ let test_record_with_ring_attached () =
 let () =
   Alcotest.run "telemetry"
     [
+      ( "schema",
+        [
+          Alcotest.test_case "every constructor round-trips" `Quick test_schema_round_trip;
+          Alcotest.test_case "chrome args are the wire fields" `Quick
+            test_chrome_args_are_wire_fields;
+          Alcotest.test_case "decoder names the first bad field" `Quick
+            test_decoder_names_first_bad_field;
+          QCheck_alcotest.to_alcotest prop_schema_round_trip;
+        ] );
       ( "ring",
         [
           Alcotest.test_case "all constructors round-trip" `Quick

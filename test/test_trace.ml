@@ -585,6 +585,36 @@ let test_to_json_round_trip () =
   in
   Alcotest.(check string) "parse then re-serialize is identity" trace rebuilt
 
+(* ---------------- integer range ---------------- *)
+
+(* The writer prints integers exactly only below 1e15 in magnitude, so
+   that is all a reader accepts: a larger number is an error naming its
+   field, never an int_of_float outside int's range. *)
+let test_out_of_range_rejected () =
+  let parse line = Trace.parse_string (line ^ "\n") in
+  List.iter
+    (fun (line, want) ->
+      match parse line with
+      | Ok _ -> Alcotest.failf "%s parsed" line
+      | Error m -> Alcotest.(check string) line want m)
+    [
+      ( {|{"seq":0,"ts":0,"ev":"spawn","pid":1e30,"parent":-1,"kind":"root"}|},
+        {|line 1: field "pid" is out of range|} );
+      ( {|{"seq":0,"ts":1e19,"ev":"slice-end","pid":0,"fuel":1e19}|},
+        {|line 1: field "ts" is out of range|} );
+      ({|{"seq":0,"ts":0,"ev":"exit","pid":1000000000000000}|}, {|line 1: field "pid" is out of range|});
+      ( {|{"seq":0,"ts":0,"ev":"cancel","pid":0,"scope":0,"reason":"r","pids":[1,-1e15]}|},
+        {|line 1: field "pids" is out of range|} );
+      ( {|{"seq":0,"ts":0,"ev":"spawn-batch","pid":0,"kind":"graft","nodes":[[1,0],[2,1e16]]}|},
+        {|line 1: field "nodes" is out of range|} );
+      ({|{"seq":0,"ts":0,"ev":"exit","pid":1.5}|}, {|line 1: field "pid" is not an integer|});
+    ];
+  match parse {|{"seq":0,"ts":999999999999999,"ev":"exit","pid":-999999999999999}|} with
+  | Ok [| { Trace.ts = 999_999_999_999_999; ev = E.Exit { pid = -999_999_999_999_999 }; _ } |] ->
+      ()
+  | Ok _ -> Alcotest.fail "boundary values misread"
+  | Error m -> Alcotest.failf "boundary values rejected: %s" m
+
 let () =
   Alcotest.run "trace"
     [
@@ -608,6 +638,8 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_to_json_round_trip;
           Alcotest.test_case "spawn-batch round-trip" `Quick
             test_spawn_batch_round_trip;
+          Alcotest.test_case "out-of-range integers rejected" `Quick
+            test_out_of_range_rejected;
         ] );
       ( "report",
         [
