@@ -168,10 +168,6 @@ let app e1 e2 = App (e1, e2)
 
 let app2 e1 e2 e3 = App (App (e1, e2), e3)
 
-let lams xs body = List.fold_right (fun x acc -> Lam (x, acc)) xs body
-
-let apps f args = List.fold_left (fun acc a -> App (acc, a)) f args
-
 let let_ x e body = App (Lam (x, body), e)
 
 let seq e1 e2 = App (Lam ("_", e2), e1)

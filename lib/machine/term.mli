@@ -88,10 +88,6 @@ val app : term -> term -> term
 
 val app2 : term -> term -> term -> term
 
-val lams : string list -> term -> term
-
-val apps : term -> term list -> term
-
 val let_ : string -> term -> term -> term
 (** [let_ x e body] is [(λx. body) e]. *)
 

@@ -28,31 +28,33 @@ let outcome_to_string = function
    pcall) as its extra state. *)
 type node = (state, segment list, value) Core.node
 
-let control_points ptree =
-  let count_roots segs =
-    List.length (List.filter (fun s -> match s.root with Rspawn _ -> true | _ -> false) segs)
-  in
-  let rec go = function
-    | Pleaf st -> count_roots st.pstack
-    | Phole segs -> count_roots segs
-    | Pdone -> 0
-    | Pfork pf ->
-        1 + count_roots pf.pf_trunk + Array.fold_left (fun n t -> n + go t) 0 pf.pf_children
-  in
-  go ptree
+let count_roots segs =
+  List.length (List.filter (fun s -> match s.root with Rspawn _ -> true | _ -> false) segs)
+
+(* Labels plus forks in a captured subtree — the quantity the paper's
+   complexity claim is stated in. *)
+let control_points =
+  Core.ptree_sum
+    ~leaf:(fun st -> count_roots st.pstack)
+    ~hole:count_roots ~done_:0
+    ~wait:(fun trunk -> 1 + count_roots trunk)
 
 (* Total segments in a captured subtree — the "size" reported by capture
    and reinstate events (what a copying implementation would touch). *)
-let tree_segments ptree =
-  let rec go = function
-    | Pleaf st -> List.length st.pstack
-    | Phole segs -> List.length segs
-    | Pdone -> 0
-    | Pfork pf ->
-        List.length pf.pf_trunk
-        + Array.fold_left (fun n t -> n + go t) 0 pf.pf_children
-  in
-  go ptree
+let tree_segments =
+  Core.ptree_sum ~leaf:(fun st -> List.length st.pstack) ~hole:List.length ~done_:0 ~wait:List.length
+
+(* Every stack a captured subtree aliases must be pinned: segments are
+   mutable records and a multi-shot continuation can graft the same
+   records back twice, so the machine has to copy-on-write rather than
+   mutate them (and never pool them). *)
+let rec pin_tree : ptree -> unit = function
+  | Pleaf st -> Machine.pin_segments st.pstack
+  | Phole segs -> Machine.pin_segments segs
+  | Pdone -> ()
+  | Pwait (trunk, children, _) ->
+      Machine.pin_segments trunk;
+      Array.iter pin_tree children
 
 let invalid_controller l =
   Printf.sprintf
@@ -60,8 +62,7 @@ let invalid_controller l =
      current continuation"
     l
 
-let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
-    ?(drain_futures = true) ?obs ?cfg genv ir =
+let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin) ?obs ?cfg genv ir =
   if quantum < 1 then invalid_arg "Concur.run: quantum must be at least 1";
   let cfg = match cfg with Some c -> c | None -> Machine.config () in
   let counters = cfg.Machine.counters in
@@ -95,19 +96,10 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
   let failure = ref None in
   let fuel_left = ref fuel in
 
-  let fork_of (n : node) = match n.body with Core.Nwait f -> f | _ -> assert false in
-
-  (* Wake the branches parked on a delivered future's cell, in park
-     (FIFO) order: [fwaiters] is newest-first. *)
   let deliver_future cell v =
     cell.fvalue <- Some v;
     decr live_futures;
-    match cell.fwaiters with
-    | [] -> ()
-    | ws ->
-        cell.fwaiters <- [];
-        List.iter (fun wake -> wake ()) (List.rev ws);
-        Core.flush_woken c
+    Core.wake_all c cell.fwaiters
   in
 
   (* pcall: turn this leaf into a fork; every subexpression becomes a child
@@ -124,66 +116,16 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
      the subtree of stacks it delimits, and apply the controller's argument
      to the packaged process continuation in the remaining trunk. *)
   let do_capture (n : node) st l body_fn =
-    (* Every stack that ends up aliased by the packaged [Pktree] must be
-       pinned: segments are mutable records and a multi-shot continuation
-       can graft the same records back twice, so the machine has to
-       copy-on-write rather than mutate them (and never pool them). *)
-    let rec ptree_of (m : node) =
-      if m == n then (
-        Machine.pin_segments st.pstack;
-        Phole st.pstack)
-      else
-        match m.body with
-        | Core.Nleaf s ->
-            Machine.pin_segments s.pstack;
-            Pleaf s
-        | Nparked p ->
-            (* Pruning a parked waiter: invalidate its entry (the cell
-               may resolve while the subtree is captured) and capture it
-               as an ordinary suspended leaf; on graft the rebuilt branch
-               re-applies its pending touch, which either finds the cell
-               resolved or parks again. *)
-            Core.release c p;
-            Machine.pin_segments p.e_leaf.pstack;
-            Pleaf p.e_leaf
-        | Ndone -> Pdone
-        | Nwait f ->
-            Machine.pin_segments f.wx;
-            Pfork
-              {
-                pf_trunk = f.wx;
-                pf_children = Array.map ptree_of f.children;
-                pf_results = Array.copy f.results;
-              }
-    in
-    let rec climb (cur : node) =
-      match cur.parent with
-      | Ptop | Pfut _ -> None
-      | Pchild (p, _) -> (
-          let f = fork_of p in
-          match Machine.split_at_spawn_label l f.wx with
-          | Some (above_incl, below) -> Some (p, f, above_incl, below)
-          | None -> climb p)
-    in
-    match climb n with
-    | None ->
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label = l }));
-        failure := Some (invalid_controller l)
-    | Some (p, f, above_incl, below) ->
-        Core.prune c;
+    match Core.find_root c n l (Machine.split_at_spawn_label l) with
+    | None -> failure := Some (invalid_controller l)
+    | Some (p, f, (above_incl, below)) ->
         Counters.incr counters "concur.capture";
         Counters.incr counters "sync.lock";
-        Machine.pin_segments above_incl;
         let tree =
-          Pfork
-            {
-              pf_trunk = above_incl;
-              pf_children = Array.map ptree_of f.children;
-              pf_results = Array.copy f.results;
-            }
+          Core.Pwait
+            (above_incl, Array.map (Core.capture c n st.pstack) f.children, Array.copy f.results)
         in
+        pin_tree tree;
         let cp = control_points tree in
         Counters.add counters "concur.capture.control-points" cp;
         (match obs with
@@ -210,12 +152,9 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
           (E.Reinstate
              { pid = n.nid; label = pkt.pkt_label; size = tree_segments pkt.pkt_tree }));
     match pkt.pkt_tree with
-    | Pfork pf ->
-        Core.graft c n (pf.pf_trunk @ st.pstack) pf.pf_children pf.pf_results (function
-          | Phole segs -> Core.Sleaf { control = Creturn v; pstack = segs }
-          | Pleaf s -> Sleaf s
-          | Pdone -> Sdone
-          | Pfork pf -> Swait (pf.pf_trunk, pf.pf_children, pf.pf_results))
+    | Pwait (trunk, children, results) ->
+        Core.graft c n (trunk @ st.pstack) children results (fun segs ->
+            { control = Creturn v; pstack = segs })
     | Phole _ | Pleaf _ | Pdone ->
         (* Captures always package a fork at the top. *)
         assert false
@@ -240,7 +179,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                    branch continues immediately with the (pending)
                    future. *)
                 Counters.incr counters "concur.future";
-                let cell = { fvalue = None; fwaiters = [] } in
+                let cell = Machine.future_cell () in
                 Core.plant c n
                   { control = Ceval (e, env'); pstack = Machine.initial_pstack }
                   (deliver_future cell);
@@ -252,8 +191,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
                    transitions — and the branch keeps its state, so the
                    wake-up re-step re-applies the touch against the
                    now-resolved cell. *)
-                let e = Core.park c n ~res:"future" st in
-                cell.fwaiters <- (fun () -> Core.wake c e) :: cell.fwaiters
+                Core.block c cell.fwaiters n st
             | Machine.Esc_sleep d ->
                 (* The saved state returns 0 from the sleep call, so a
                    woken — or captured-and-grafted — sleeper resumes past
@@ -317,7 +255,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin)
            queue, and spinning on it would never terminate — but a tree
            that is merely sleeping is not quiescent: the clock jumps and
            the drain continues. *)
-        if drain_futures && !live_futures > 0 && !fuel_left > 0 && Core.advance c step
+        if !live_futures > 0 && !fuel_left > 0 && Core.advance c step
         then drive ()
         else Value v
     | None, None ->

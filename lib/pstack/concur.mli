@@ -49,7 +49,6 @@ val run :
   ?fuel:int ->
   ?quantum:int ->
   ?sched:sched ->
-  ?drain_futures:bool ->
   ?obs:Pcont_obs.Obs.t ->
   ?cfg:Machine.config ->
   Types.genv ->
@@ -68,20 +67,20 @@ val run :
 
     [(future e)] plants an {e independent} tree in the process forest
     (Section 8): controllers cannot capture across its boundary, and
-    pruning the creating subtree does not disturb it.  With [drain_futures]
-    (default true) the scheduler keeps running remaining future trees after
-    the main tree finishes, so futures stay touchable across top-level
-    forms; with it off they are discarded, and touching one later is an
-    error.
+    pruning the creating subtree does not disturb it.  The scheduler
+    keeps running remaining future trees after the main tree finishes
+    (until they deliver, park for good, or the fuel runs out), so
+    futures stay touchable across top-level forms.
 
     A branch that touches a pending future {e parks} on the future's
     cell: it leaves the run queue (consuming no fuel while blocked) and
     is re-enqueued by the delivery of the cell's value, so a round costs
     O(runnable), not O(runnable + blocked).  When the queue drains while
     parked branches remain, the run terminates with {!Deadlock} instead
-    of burning the remaining fuel.  A capture that prunes parked
-    branches into a process continuation invalidates their wake thunks
-    and captures them as ordinary suspended leaves: grafting the
+    of burning the remaining fuel.  The cell's waiters are a
+    {!Pcont_sched_core.Sched_core.waitset}: a capture that prunes parked
+    branches into a process continuation kills their entries and
+    captures them as ordinary suspended leaves, so grafting the
     continuation re-applies their pending touches, which find the cell
     resolved or park again.
 
@@ -97,7 +96,3 @@ val run :
     instrumentation reduces to one pattern match per site: no events
     are allocated and results, counters and schedules are bit-for-bit
     those of an uninstrumented run. *)
-
-val control_points : Types.ptree -> int
-(** Labels plus forks in a captured subtree — the quantity the paper's
-    complexity claim is stated in terms of. *)

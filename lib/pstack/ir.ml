@@ -167,44 +167,3 @@ and pp_bindings ppf bs =
     ppf bs
 
 let to_string e = Format.asprintf "%a" pp e
-
-let pp_resolved ~pp_value ~global_name ppf r =
-  let rec go ppf = function
-    | Rconst v -> pp_value ppf v
-    | Rquoted q -> Format.fprintf ppf "'%a" pp_quoted q
-    | Rlocal (d, s) -> Format.fprintf ppf "%%%d.%d" d s
-    | Rglobal g -> Format.fprintf ppf "%s" (global_name g)
-    | Rlam { rnparams; rhas_rest; rbody } ->
-        Format.fprintf ppf "@[<hov 1>(lambda %d%s@ %a)@]" rnparams
-          (if rhas_rest then "+rest" else "")
-          go rbody
-    | Rapp (f, args) -> Format.fprintf ppf "@[<hov 1>(%a%a)@]" go f tail args
-    | Rif (a, b, c) ->
-        Format.fprintf ppf "@[<hov 1>(if %a@ %a@ %a)@]" go a go b go c
-    | Rseq es -> Format.fprintf ppf "@[<hov 1>(begin%a)@]" tail es
-    | Rlet (inits, body) ->
-        Format.fprintf ppf "@[<hov 1>(let (%a)@ %a)@]" inits_pp inits go body
-    | Rletrec (inits, body) ->
-        Format.fprintf ppf "@[<hov 1>(letrec (%a)@ %a)@]" inits_pp inits go body
-    | Rset_local (d, s, e) ->
-        Format.fprintf ppf "@[<hov 1>(set! %%%d.%d@ %a)@]" d s go e
-    | Rset_global (g, e) ->
-        Format.fprintf ppf "@[<hov 1>(set! %s@ %a)@]" (global_name g) go e
-    | Rfuture e -> Format.fprintf ppf "@[<hov 1>(future@ %a)@]" go e
-    | Rpcall es -> Format.fprintf ppf "@[<hov 1>(pcall%a)@]" tail es
-  and tail ppf = function
-    | [] -> ()
-    | e :: rest ->
-        Format.fprintf ppf "@ %a" go e;
-        tail ppf rest
-  and inits_pp ppf es =
-    Format.pp_print_list ~pp_sep:Format.pp_print_space go ppf es
-  in
-  go ppf r
-
-let resolved_to_string ~value_to_string ~global_name r =
-  Format.asprintf "%a"
-    (pp_resolved
-       ~pp_value:(fun ppf v -> Format.pp_print_string ppf (value_to_string v))
-       ~global_name)
-    r

@@ -113,17 +113,3 @@ val pp_quoted : Format.formatter -> quoted -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
-
-val pp_resolved :
-  pp_value:(Format.formatter -> 'v -> unit) ->
-  global_name:('g -> string) ->
-  Format.formatter ->
-  ('v, 'g) resolved ->
-  unit
-(** Print resolved IR; locals appear as [%depth.slot], globals by name. *)
-
-val resolved_to_string :
-  value_to_string:('v -> string) ->
-  global_name:('g -> string) ->
-  ('v, 'g) resolved ->
-  string

@@ -139,6 +139,9 @@ let pin_segments segs = List.iter (fun seg -> seg.shared <- true) segs
 
 let initial ir = { control = Ceval (ir, []); pstack = initial_pstack }
 
+let future_cell () =
+  { fvalue = None; fwaiters = { Pcont_sched_core.Sched_core.ws_name = "future"; ws_parked = [] } }
+
 type stepped =
   | Next of Types.state
   | Final of Types.value
@@ -223,9 +226,6 @@ and afters_of segs = List.concat_map (fun seg -> List.map snd seg.winders) segs
 and befores_of segs = List.rev (befores_rev segs)
 
 and befores_rev segs = List.concat_map (fun seg -> List.map fst seg.winders) segs
-
-let find_spawn_label l pstack =
-  List.exists (fun seg -> seg.root = Rspawn l) pstack
 
 let split_at_spawn_label l pstack =
   let rec go captured = function
@@ -805,7 +805,7 @@ let step_gen ~conc cfg st =
           else
             (* Sequential fallback: evaluate eagerly; the future is
                resolved by the time it is returned. *)
-            let pstack = push_frame (Ffuture { fvalue = None; fwaiters = [] }) st.pstack in
+            let pstack = push_frame (Ffuture (future_cell ())) st.pstack in
             { control = Ceval (e, env); pstack }
       | Ir.Rpcall [] -> err "pcall: expects at least an operator expression"
       | Ir.Rpcall exprs ->

@@ -71,6 +71,9 @@ val initial : Types.rir -> Types.state
 (** Initial state for a resolved top-level form; top-level forms close
     over no ribs, so the lexical environment starts empty. *)
 
+val future_cell : unit -> Types.future_cell
+(** A pending future's cell, with no waiters. *)
+
 type stepped =
   | Next of Types.state
   | Final of Types.value
@@ -146,9 +149,6 @@ val pin_segments : Types.segment list -> unit
     the machine must copy-on-write instead of mutating in place and must
     never recycle the record into the pool.  The concurrent scheduler
     pins every stack it packages into a [Pktree]. *)
-
-val find_spawn_label : Types.label -> Types.segment list -> bool
-(** Does the process stack contain a segment rooted at [Rspawn l]? *)
 
 val split_at_spawn_label :
   Types.label ->

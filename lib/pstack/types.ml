@@ -55,11 +55,9 @@ and pair = { mutable car : value; mutable cdr : value }
 
 and future_cell = {
   mutable fvalue : value option;
-  mutable fwaiters : (unit -> unit) list;
-      (* wake thunks registered (newest first) by the concurrent
-         scheduler for branches parked on a pending touch; run once, in
-         park order, when the cell's value is delivered (a thunk whose
-         branch a capture pruned does nothing) *)
+  fwaiters : (state, segment list, value) Pcont_sched_core.Sched_core.waitset;
+      (* branches the concurrent scheduler parked on a pending touch,
+         woken in park order when the cell's value is delivered *)
 }
 
 (* The runtime environment is a chain of flat "rib" frames: one value
@@ -172,20 +170,11 @@ and pk_local = {
 
 and cont = { ck_pstack : segment list }
 
-(* A captured subtree of the process tree.  [pkt_tree] is always a [Pfork]
-   whose trunk ends (at the bottom) with the segment labeled [pkt_label]. *)
+(* A captured subtree of the process tree.  [pkt_tree] is always a
+   [Pwait] whose trunk ends (at the bottom) with the segment labeled
+   [pkt_label].  A wait's state is its trunk (the segments between the
+   fork and its parent); the hole is the local stack of the branch that
+   invoked the controller, where the continuation's argument returns. *)
 and pktree = { pkt_label : label; pkt_tree : ptree }
 
-and ptree =
-  | Pleaf of state  (* a suspended sibling branch *)
-  | Phole of segment list
-      (* the branch that invoked the controller: its local segments; on
-         reinstatement the process continuation's argument is returned here *)
-  | Pdone  (* a branch that had already finished; its value is in results *)
-  | Pfork of pfork
-
-and pfork = {
-  pf_trunk : segment list;  (* segments between this fork and its parent *)
-  pf_children : ptree array;
-  pf_results : value option array;
-}
+and ptree = (state, segment list, value, segment list) Pcont_sched_core.Sched_core.ptree

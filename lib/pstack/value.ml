@@ -39,25 +39,6 @@ let rec equal a b =
   | Str x, Str y -> String.equal x y
   | _ -> eqv a b
 
-let type_name = function
-  | Int _ -> "integer"
-  | Bool _ -> "boolean"
-  | Str _ -> "string"
-  | Sym _ -> "symbol"
-  | Char _ -> "character"
-  | Nil -> "null"
-  | Unit -> "void"
-  | Undef -> "undefined"
-  | Pair _ -> "pair"
-  | Vector _ -> "vector"
-  | Closure _ -> "procedure"
-  | Prim _ -> "procedure"
-  | Controller _ -> "controller"
-  | Pk _ | Pktree _ -> "process-continuation"
-  | Cont _ -> "continuation"
-  | Future _ -> "future"
-  | Fcont _ -> "functional-continuation"
-
 let rec pp_gen ~display ppf v =
   match v with
   | Int n -> Format.fprintf ppf "%d" n

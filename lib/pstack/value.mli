@@ -17,8 +17,6 @@ val eqv : Types.value -> Types.value -> bool
 val equal : Types.value -> Types.value -> bool
 (** Deep structural equality ([equal?]).  Cycle-free values only. *)
 
-val type_name : Types.value -> string
-
 val pp : Format.formatter -> Types.value -> unit
 (** [write]-style printing: strings quoted, characters in [#\c] form. *)
 

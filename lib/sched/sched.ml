@@ -1,7 +1,6 @@
 open Effect
 open Effect.Deep
 module Core = Pcont_sched_core.Sched_core
-module Univ = Pcont_util.Univ
 module Obs = Pcont_obs.Obs
 module E = Pcont_obs.Obs.Event
 
@@ -32,83 +31,88 @@ type fault =
   | Fdrop of int  (* silently drop one buffered element from the channel *)
 
 (* ------------------------------------------------------------------ *)
-(* Untyped scheduler: every fiber computes a Univ.t.                   *)
+(* Fibers and typed result cells.                                      *)
+(*                                                                     *)
+(* Every fiber's body returns unit.  A value travels in a typed cell:  *)
+(* the fiber fills it just before it returns, and the return resumes   *)
+(* the waiting fiber, which reads it.  A continuation's type fixes     *)
+(* what it is resumed with, so no projection can fail.                 *)
 (* ------------------------------------------------------------------ *)
 
-type step_result = Sdone of Univ.t | Ssuspended
-
-type fiber_k = (Univ.t, step_result) continuation
+(* A suspended fiber waiting for an ['a]. *)
+type 'a fiber = ('a, unit) continuation
 
 (* A runnable fiber: a body not yet started, or a suspended fiber to
    continue with a value or to raise an exception into. *)
 type leaf =
-  | Start of (unit -> Univ.t)
-  | Resume of fiber_k * Univ.t
-  | Raise of fiber_k * exn
+  | Start : (unit -> unit) -> leaf
+  | Resume : 'a fiber * 'a -> leaf
+  | Raise : 'a fiber * exn -> leaf
 
-(* A wait node's suspended fiber and what it waits for: the return of a
-   spawned process (a labeled root), the completion of pcall branches
-   (combined by the join), or the value of a controller body evaluated
-   after a capture. *)
+(* A controller names its process's root.  Its cell carries the value
+   of whatever runs in the root's place — the process body, a
+   controller body, a cancel replacement — to the fiber that waits on
+   the root. *)
+type 'r controller = { c_label : int; mutable c_result : 'r option }
+
+(* A wait node's suspended fiber and the cell it resumes from: a
+   process root (a spawn, or a grafted continuation), a controller body
+   or cancel replacement running in a root's place, or pcall branches
+   combined by the join. *)
 type wx =
-  | Wroot of int * fiber_k
-  | Wfork of fiber_k * (Univ.t array -> Univ.t)
-  | Wbody of fiber_k
+  | Wroot : 'r controller * 'r fiber -> wx
+  | Wbody : 'r controller * 'r fiber -> wx
+  | Wfork : 'a fiber * (unit -> 'a) -> wx
 
 (* The live process tree: fibers at the leaves. *)
-type node = (leaf, wx, Univ.t) Core.node
+type node = (leaf, wx, unit) Core.node
 
-type entry = (leaf, wx, Univ.t) Core.entry
+type waitset = (leaf, wx, unit) Core.waitset
 
-(* A waitset owns the fibers parked on one blocking resource (a future
-   cell, a channel's senders, a channel's receivers).  Entries are
-   invalidated — never removed eagerly — when a capture prunes the
-   parked node into a process continuation; the wake sweep skips dead
-   entries. *)
-type waitset = { ws_name : string; mutable ws_parked : entry list }
+(* A process continuation: the captured subtree below the root, with
+   the fiber that invoked the controller kept typed here as its hole. *)
+type ('a, 'r) pk = {
+  p_ctl : 'r controller;
+  p_tree : (leaf, wx, unit, unit) Core.ptree;
+  p_hole : 'a fiber;
+  mutable p_taken : bool;
+}
 
-type request =
-  | Rspawn of int * (unit -> Univ.t)  (* root label, process body *)
-  | Rcontrol of int * (upk -> Univ.t)  (* root label, controller argument *)
-  | Rgraft of upk * Univ.t
-  | Rpcall of (unit -> Univ.t) list * (Univ.t array -> Univ.t)
-  | Rfuture of (unit -> Univ.t) * Univ.t option ref * waitset
-      (* an INDEPENDENT process tree (Section 8's forest): its result is
-         stored in the cell; control operations cannot cross into it *)
-  | Ryield
-  | Rsleep of int
+type _ request =
+  | Rspawn : 'r controller * (unit -> unit) -> 'r request
+  | Rcontrol : 'r controller * (('a, 'r) pk -> 'r) -> 'a request
+  | Rgraft : ('a, 'r) pk * 'a -> 'r request
+  | Rpcall : (unit -> unit) list * (unit -> 'a) -> 'a request
+  | Rfuture : (unit -> unit) * waitset -> unit request
+      (* an INDEPENDENT process tree (Section 8's forest): its body
+         fills the future's cell; control operations cannot cross into
+         it *)
+  | Ryield : unit request
+  | Rsleep : int -> unit request
       (* park the fiber until the run's virtual clock reaches now+d; the
          timer heap wakes due sleepers in deadline order, and quiescence
          jumps the clock to the earliest pending deadline instead of
          declaring deadlock *)
-  | Rabort of int * string * (unit -> Univ.t)
+  | Rabort : 'r controller * string * (unit -> unit) -> 'a request
       (* cancellation as declined reinstatement: capture the subtree
-         delimited by the labeled root — releasing parked entries — and
-         discard it (the invoking fiber included), running the
+         delimited by the controller's root — releasing parked entries —
+         and discard it (the invoking fiber included), running the
          replacement body in the root's place.  The string is the
          cancel reason recorded in the trace. *)
-  | Rblock of waitset
+  | Rblock : waitset -> unit request
       (* park the fiber on the waitset until a matching Rwake (or the
          delivery of the owning future); parked fibers leave the run
          queue entirely, so rounds cost O(runnable), not O(blocked) *)
-  | Rwake of waitset  (* make every fiber parked on the waitset runnable *)
+  | Rwake : waitset -> unit request  (* make every fiber parked on the waitset runnable *)
 
-(* A captured subtree.  [PHole] marks the fiber that invoked the
-   controller; it receives the process continuation's argument on graft.
-   [PWait] keeps a wait's state, children and results so far. *)
-and upk = { upk_label : int; upk_tree : ptree; mutable upk_taken : bool }
+type _ Effect.t += Sched : 'a request -> 'a Effect.t
 
-and ptree =
-  | PLeaf of leaf
-  | PHole of fiber_k
-  | PDone
-  | PWait of wx * ptree array * Univ.t option array
-
-type _ Effect.t += Sched : request -> Univ.t Effect.t
-
-let inj_unit, _ = Univ.embed ()
-
-let u_unit = inj_unit ()
+(* Read a root's cell, filled by the fiber whose return resumes the
+   root's waiter, and empty it so it keeps nothing alive. *)
+let take ctl =
+  let v = Option.get ctl.c_result in
+  ctl.c_result <- None;
+  v
 
 let label_counter = ref 0
 
@@ -139,7 +143,7 @@ let cur_span = ref (-1)
 let cur_clock = ref 0
 
 (* The innermost run's scheduling core, for its live-node census. *)
-let cur_core : (leaf, wx, Univ.t) Core.t option ref = ref None
+let cur_core : (leaf, wx, unit) Core.t option ref = ref None
 
 (* Channel (and other user-resource) ids: allocated per run so traces
    of identical runs are identical. *)
@@ -147,8 +151,12 @@ let chan_ids = ref 0
 
 (* Channel-drop fault hooks: channels register how to discard one
    buffered element (returning the waitset to wake, since dropping frees
-   capacity).  Per run, like [chan_ids]. *)
+   capacity).  Per run, like [chan_ids], and kept only while the
+   innermost run injects faults: a hook holds its channel until the run
+   ends. *)
 let droppers : (int * (unit -> waitset option)) list ref = ref []
+
+let injecting = ref false
 
 let obs () = !cur_obs
 
@@ -162,25 +170,20 @@ let fresh_chan_id () =
   incr chan_ids;
   !chan_ids
 
-let register_dropper id f = droppers := (id, f) :: !droppers
+let register_dropper id f = if !injecting then droppers := (id, f) :: !droppers
 
 (* Control points (labels and forks) and node count of a captured
    subtree — the quantities the paper's complexity claim is stated in. *)
-let rec ptree_control_points = function
-  | PLeaf _ | PHole _ | PDone -> 0
-  | PWait (x, children, _) ->
-      (match x with Wroot _ -> 2 | Wfork _ | Wbody _ -> 1)
-      + Array.fold_left (fun n t -> n + ptree_control_points t) 0 children
+let ptree_control_points =
+  Core.ptree_sum ~leaf:(fun _ -> 0) ~hole:(fun () -> 0) ~done_:0 ~wait:(function
+    | Wroot _ -> 2
+    | Wbody _ | Wfork _ -> 1)
 
-let rec ptree_size = function
-  | PLeaf _ | PHole _ | PDone -> 1
-  | PWait (_, children, _) -> 1 + Array.fold_left (fun n t -> n + ptree_size t) 0 children
+let ptree_size = Core.ptree_sum ~leaf:(fun _ -> 1) ~hole:(fun () -> 1) ~done_:1 ~wait:(fun _ -> 1)
 
 let start body = Start body
 
-let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a) : a
-    =
-  let obs = obs_arg in
+let run ?(policy = Round_robin) ?obs ?inject main =
   (* Install the observability context; restored on every exit path so
      nested runs and exceptions leave the outer context intact.  Labels
      and channel ids restart per run, which keeps traces of identical
@@ -188,6 +191,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   let saved_obs = !cur_obs and saved_pid = !cur_pid in
   let saved_chans = !chan_ids and saved_labels = !label_counter in
   let saved_clock = !cur_clock and saved_droppers = !droppers in
+  let saved_injecting = !injecting in
   let saved_span = !cur_span and saved_core = !cur_core in
   cur_obs := obs;
   chan_ids := 0;
@@ -195,6 +199,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   cur_clock := 0;
   cur_span := -1;
   droppers := [];
+  injecting := Option.is_some inject;
   let restore () =
     cur_obs := saved_obs;
     cur_pid := saved_pid;
@@ -203,53 +208,22 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
     cur_clock := saved_clock;
     cur_span := saved_span;
     cur_core := saved_core;
-    droppers := saved_droppers
+    droppers := saved_droppers;
+    injecting := saved_injecting
   in
-  let inj_a, prj_a = Univ.embed () in
-  let pending_request : (request * fiber_k) option ref = ref None in
+  (* The main fiber's result cell. *)
+  let result = ref None in
   (* An injected crash for the fiber about to step: consumed by
      [run_leaf] below, so the exception materializes at the fiber's
      suspension point (catchable by its own try/with); a fiber that has
      never run yet crashes before its body — spawn-failure semantics. *)
   let pending_crash : exn option ref = ref None in
-  let handler : (Univ.t, step_result) handler =
-    {
-      retc = (fun v -> Sdone v);
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Sched req ->
-              Some
-                (fun (k : (b, step_result) continuation) ->
-                  pending_request := Some (req, k);
-                  Ssuspended)
-          | _ -> None);
-    }
-  in
-  let run_leaf = function
-    | Start body ->
-        match_with
-          (fun () ->
-            (match !pending_crash with
-            | Some e ->
-                pending_crash := None;
-                raise e
-            | None -> ());
-            body ())
-          () handler
-    | Resume (k, v) -> (
-        match !pending_crash with
-        | None -> continue k v
-        | Some e ->
-            pending_crash := None;
-            discontinue k e)
-    | Raise (k, exn) -> discontinue k exn
-  in
-  let resume x vs =
+  (* A wait resumes its fiber from the cell its last child filled. *)
+  let resume x (_ : unit array) =
     match x with
-    | Wroot (_, k) | Wbody k -> Resume (k, vs.(0))
-    | Wfork (k, join) -> Resume (k, join vs)
+    | Wroot (ctl, k) -> Resume (k, take ctl)
+    | Wbody (ctl, k) -> Resume (k, take ctl)
+    | Wfork (k, join) -> Resume (k, join ())
   in
   (* The native scheduler does not meter fiber work: a slice runs the
      fiber to its next request and is charged one unit of virtual
@@ -257,72 +231,35 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   let c =
     Core.create ?obs ~prefix:"sched" ~nouns:("fibers", "fiber(s)") ~clock:cur_clock
       ~span:cur_span ~resume policy
-      (Start (fun () -> inj_a (main ())))
+      (Start (fun () -> result := Some (main ())))
   in
   cur_core := Some c;
   let failure = ref None in
   (* Global slice index, the unit fault placements are expressed in. *)
   let nslices = ref 0 in
 
-  (* Re-enqueue every live fiber parked on [ws], in park (FIFO) order:
-     [ws_parked] is newest-first. *)
-  let wake_ws ws =
-    match ws.ws_parked with
-    | [] -> ()
-    | entries ->
-        ws.ws_parked <- [];
-        List.iter (Core.wake c) (List.rev entries);
-        Core.flush_woken c
-  in
-
-  (* The nearest root labeled [label] above [n] with its wait and
-     waiting fiber, or else a dead controller: raised inside the invoking
-     fiber so user code can observe Dead_controller, mirroring the
-     direct-style embedding. *)
-  let find_root (n : node) k label =
-    let rec climb (cur : node) =
-      match cur.parent with
-      | Ptop | Pfut _ -> None
-      | Pchild (p, _) -> (
-          match p.body with
-          | Nwait ({ wx = Wroot (l, root_k); _ } as w) when l = label -> Some (p, w, root_k)
-          | _ -> climb p)
+  (* The root of the controller [ctl] above [n], as the wait a body run
+     in its place takes, or else a dead controller: raised inside the
+     invoking fiber so user code can observe Dead_controller, mirroring
+     the direct-style embedding. *)
+  let root_of (n : node) k ctl =
+    let found =
+      Core.find_root c n ctl.c_label (function
+        | Wroot (r, rk) when r.c_label = ctl.c_label -> Some (Wbody (r, rk))
+        | _ -> None)
     in
-    match climb n with
-    | Some _ as r -> r
-    | None ->
-        (match obs with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label }));
-        n.body <- Nleaf (Raise (k, Dead_controller));
-        None
+    if Option.is_none found then n.body <- Nleaf (Raise (k, Dead_controller));
+    found
   in
 
-  (* Prune the subtree delimited by the nearest root labeled [label] above
-     the invoking fiber and hand it, as a process continuation, to the
+  (* Prune the subtree delimited by the controller's root above the
+     invoking fiber and hand it, as a process continuation, to the
      controller's body, which runs in the root's former position. *)
-  let do_capture n k label body_fn =
-    let rec ptree_of (m : node) =
-      if m == n then PHole k
-      else
-        match m.body with
-        | Nleaf s -> PLeaf s
-        | Nparked e ->
-            (* Pruning a parked waiter: invalidate its waitset entry (the
-               resource may be woken while the subtree is captured) and
-               capture it as a runnable leaf, so that on graft it resumes
-               and re-checks its blocking condition — parking is always a
-               re-check loop, so a spurious wake-up is harmless. *)
-            Core.release c e;
-            PLeaf e.e_leaf
-        | Ndone -> PDone
-        | Nwait w -> PWait (w.wx, Array.map ptree_of w.children, Array.copy w.results)
-    in
-    match find_root n k label with
+  let do_capture n k ctl body =
+    match root_of n k ctl with
     | None -> ()
-    | Some (p, w, root_k) ->
-        Core.prune c;
-        let tree = ptree_of w.children.(0) in
+    | Some (p, w, wbody) ->
+        let tree = Core.capture c n () w.children.(0) in
         (match obs with
         | None -> ()
         | Some o ->
@@ -330,45 +267,32 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
             let size = ptree_size tree in
             Obs.emit o
               (E.Capture
-                 { pid = n.nid; label; root_pid = p.nid; control_points = cp; size }));
-        let upk = { upk_label = label; upk_tree = tree; upk_taken = false } in
-        Core.fork c p (Wbody root_k) "controller" start [ (fun () -> body_fn upk) ]
-  in
-
-  (* Cancellation as declined reinstatement: capture the subtree under
-     the nearest root labeled [label] exactly as [do_capture] would —
-     invalidating parked entries — but discard it instead of handing it
-     to a controller body.  The invoking fiber is part of the discarded
-     subtree (its continuation is dropped; [abort] never returns); the
-     replacement body runs in the root's former position and its value
-     becomes the root's. *)
-  let do_abort n k label reason replacement =
-    match find_root n k label with
-    | None -> ()
-    | Some (p, _, root_k) ->
-        Core.discard c n p ~reason;
-        Core.fork c p (Wbody root_k) "cancel" start [ replacement ]
+                 {
+                   pid = n.nid;
+                   label = ctl.c_label;
+                   root_pid = p.nid;
+                   control_points = cp;
+                   size;
+                 }));
+        let pk = { p_ctl = ctl; p_tree = tree; p_hole = k; p_taken = false } in
+        Core.fork c p wbody "controller" start [ (fun () -> ctl.c_result <- Some (body pk)) ]
   in
 
   (* Graft a captured subtree onto the invoking fiber: the fiber waits (as
      a reinstated root) for the subtree's result; the capture point inside
      receives [v]; every captured branch becomes runnable. *)
-  let do_graft (n : node) k upk v =
-    if upk.upk_taken then n.body <- Nleaf (Raise (k, Expired_pk))
+  let do_graft (n : node) k pk v =
+    if pk.p_taken then n.body <- Nleaf (Raise (k, Expired_pk))
     else begin
-      upk.upk_taken <- true;
+      pk.p_taken <- true;
       (match obs with
       | None -> ()
       | Some o ->
           Obs.emit o
             (E.Reinstate
-               { pid = n.nid; label = upk.upk_label; size = ptree_size upk.upk_tree }));
-      Core.graft c n (Wroot (upk.upk_label, k)) [| upk.upk_tree |] [| None |]
-        (function
-          | PHole hole_k -> Core.Sleaf (Resume (hole_k, v))
-          | PLeaf s -> Sleaf s
-          | PDone -> Sdone
-          | PWait (x, children, results) -> Swait (x, children, results))
+               { pid = n.nid; label = pk.p_ctl.c_label; size = ptree_size pk.p_tree }));
+      Core.graft c n (Wroot (pk.p_ctl, k)) [| pk.p_tree |] [| None |] (fun () ->
+          Resume (pk.p_hole, v))
     end
   in
 
@@ -397,13 +321,74 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
               (E.Crash { pid = -1; fault = "inject:drop:" ^ string_of_int chan }));
         match List.assoc_opt chan !droppers with
         | None -> ()
-        | Some drop -> (
-            match drop () with
-            | None -> ()
-            | Some ws -> wake_ws ws))
+        | Some drop -> Option.iter (Core.wake_all c) (drop ()))
+  in
+
+  (* Serve one request of the stepping fiber [n], suspended as [k]. *)
+  let dispatch : type b. node -> b fiber -> b request -> unit =
+   fun n k req ->
+    match req with
+    | Ryield -> n.body <- Nleaf (Resume (k, ()))
+    | Rsleep d ->
+        (* Timers are never woken collectively, only by expiry (or
+           discarded by capture/cancel, like any park). *)
+        Core.sleep c n (Resume (k, ())) d
+    | Rabort (ctl, reason, replacement) -> (
+        (* The invoking fiber is part of the discarded subtree: its
+           continuation is dropped, and the replacement's value becomes
+           the root's. *)
+        match root_of n k ctl with
+        | None -> ()
+        | Some (p, _, wbody) ->
+            Core.discard c n p ~reason;
+            Core.fork c p wbody "cancel" start [ replacement ])
+    | Rspawn (ctl, body) -> Core.fork c n (Wroot (ctl, k)) "process" start [ body ]
+    | Rpcall (bodies, join) -> Core.fork c n (Wfork (k, join)) "branch" start bodies
+    | Rblock ws -> Core.block c ws n (Resume (k, ()))
+    | Rwake ws ->
+        Core.wake_all c ws;
+        n.body <- Nleaf (Resume (k, ()))
+    | Rfuture (body, ws) ->
+        Core.plant c n (Start body) (fun () -> Core.wake_all c ws);
+        n.body <- Nleaf (Resume (k, ()))
+    | Rcontrol (ctl, body) -> do_capture n k ctl body
+    | Rgraft (pk, v) -> do_graft n k pk v
+  in
+  (* The node being stepped, set before each slice: its fiber's return
+     delivers it, and its requests are served as the fiber suspends. *)
+  let stepping : node ref = ref { Core.nid = -1; parent = Ptop; body = Ndone; span = -1 } in
+  let handler : (unit, unit) handler =
+    {
+      retc = (fun () -> Core.deliver c !stepping ());
+      exnc = raise;
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Sched req -> Some (fun (k : b fiber) -> dispatch !stepping k req)
+          | _ -> None);
+    }
+  in
+  let run_leaf = function
+    | Start body ->
+        match_with
+          (fun () ->
+            (match !pending_crash with
+            | Some e ->
+                pending_crash := None;
+                raise e
+            | None -> ());
+            body ())
+          () handler
+    | Resume (k, v) -> (
+        match !pending_crash with
+        | None -> continue k v
+        | Some e ->
+            pending_crash := None;
+            discontinue k e)
+    | Raise (k, exn) -> discontinue k exn
   in
   let step (n : node) leaf =
-    pending_request := None;
+    stepping := n;
     cur_pid := n.nid;
     (match inject with
     | None -> ()
@@ -411,37 +396,7 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
         match f !nslices with None -> () | Some fault -> apply_fault n fault));
     incr nslices;
     Core.slice_begin c n;
-    (match run_leaf leaf with
-    | Sdone v -> Core.deliver c n v
-    | Ssuspended -> (
-        match !pending_request with
-        | None -> assert false
-        | Some (req, k) -> (
-            match req with
-            | Ryield -> n.body <- Nleaf (Resume (k, u_unit))
-            | Rsleep d ->
-                (* Timers are never woken collectively, only by expiry
-                   (or discarded by capture/cancel, like any park). *)
-                Core.sleep c n (Resume (k, u_unit)) d
-            | Rabort (label, reason, replacement) ->
-                do_abort n k label reason replacement
-            | Rspawn (label, body) -> Core.fork c n (Wroot (label, k)) "process" start [ body ]
-            | Rpcall ([], join) -> n.body <- Nleaf (Resume (k, join [||]))
-            | Rpcall (thunks, join) -> Core.fork c n (Wfork (k, join)) "branch" start thunks
-            | Rblock ws ->
-                let e = Core.park c n ~res:ws.ws_name (Resume (k, u_unit)) in
-                ws.ws_parked <- e :: ws.ws_parked
-            | Rwake ws ->
-                wake_ws ws;
-                n.body <- Nleaf (Resume (k, u_unit))
-            | Rfuture (body, cell, ws) ->
-                Core.plant c n (Start body) (fun v ->
-                    cell := Some v;
-                    wake_ws ws);
-                n.body <- Nleaf (Resume (k, u_unit))
-            | Rcontrol (label, body_fn) -> do_capture n k label body_fn
-            | Rgraft (upk, v) -> do_graft n k upk v))
-    | exception e -> failure := Some e);
+    (try run_leaf leaf with e -> failure := Some e);
     Core.slice_end c n 1;
     (* an unconsumed crash (the target delivered or raised before its
        suspension point was resumed) must not leak to the next slice *)
@@ -450,9 +405,8 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
   in
 
   let rec drive () =
-    match (Core.final c, !failure) with
-    | Some v, _ -> (
-        match prj_a v with Some a -> a | None -> assert false)
+    match (!result, !failure) with
+    | Some a, _ -> a
     | None, Some e -> raise e
     | None, None ->
         if Core.advance c step then drive ()
@@ -464,66 +418,45 @@ let run ?(policy = Round_robin) ?obs:obs_arg ?inject (type a) (main : unit -> a)
 (* Typed front end.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type 'r controller = {
-  c_label : int;
-  c_inj : 'r -> Univ.t;
-  c_prj : Univ.t -> 'r option;
-}
-
-type ('a, 'r) pk = {
-  p_upk : upk;
-  p_inj_a : 'a -> Univ.t;
-  p_prj_r : Univ.t -> 'r option;
-}
-
 let perform_sched req =
-  try perform (Sched req)
-  with Effect.Unhandled (Sched _) -> raise Not_in_scheduler
+  try perform (Sched req) with Effect.Unhandled (Sched _) -> raise Not_in_scheduler
 
-let get_exn prj u = match prj u with Some v -> v | None -> assert false
-
-let spawn (type r) (f : r controller -> r) : r =
-  let c_inj, c_prj = Univ.embed () in
+let spawn f =
   incr label_counter;
-  let c = { c_label = !label_counter; c_inj; c_prj } in
-  get_exn c_prj (perform_sched (Rspawn (c.c_label, fun () -> c_inj (f c))))
+  let c = { c_label = !label_counter; c_result = None } in
+  perform_sched (Rspawn (c, fun () -> c.c_result <- Some (f c)))
 
-let control (type a) c (body : (a, _) pk -> _) : a =
-  let p_inj_a, prj_a = Univ.embed () in
-  let body_u upk = c.c_inj (body { p_upk = upk; p_inj_a; p_prj_r = c.c_prj }) in
-  get_exn prj_a (perform_sched (Rcontrol (c.c_label, body_u)))
+let control c body = perform_sched (Rcontrol (c, body))
 
-let resume pk v =
-  get_exn pk.p_prj_r (perform_sched (Rgraft (pk.p_upk, pk.p_inj_a v)))
+let resume pk v = perform_sched (Rgraft (pk, v))
 
-let pcall (type a) (thunks : (unit -> a) list) : a list =
+(* One result array for all branches: a branch's cell holds only its
+   value, never its thunk, so nothing else of a finished branch stays
+   alive until the join. *)
+let pcall thunks =
   match thunks with
   | [] -> []
   | _ ->
-      let inj, prj = Univ.embed () in
-      let inj_l, prj_l = Univ.embed () in
-      let bodies = List.map (fun t () -> inj (t ())) thunks in
-      let join vs = inj_l (List.map (get_exn prj) (Array.to_list vs)) in
-      get_exn prj_l (perform_sched (Rpcall (bodies, join)))
+      let results = Array.make (List.length thunks) None in
+      let bodies = List.mapi (fun i t () -> results.(i) <- Some (t ())) thunks in
+      perform_sched
+        (Rpcall (bodies, fun () -> Array.fold_right (fun r vs -> Option.get r :: vs) results []))
 
-let pcall2 (type a b) (ta : unit -> a) (tb : unit -> b) : a * b =
-  let inj_a, prj_a = Univ.embed () in
-  let inj_b, prj_b = Univ.embed () in
-  let inj_p, prj_p = Univ.embed () in
-  let join vs = inj_p (get_exn prj_a vs.(0), get_exn prj_b vs.(1)) in
-  get_exn prj_p
-    (perform_sched (Rpcall ([ (fun () -> inj_a (ta ())); (fun () -> inj_b (tb ())) ], join)))
+let pcall2 ta tb =
+  let a = ref None and b = ref None in
+  perform_sched
+    (Rpcall
+       ( [ (fun () -> a := Some (ta ())); (fun () -> b := Some (tb ())) ],
+         fun () -> (Option.get !a, Option.get !b) ))
 
-let yield () = ignore (perform_sched Ryield)
+let yield () = perform_sched Ryield
 
-let sleep d = ignore (perform_sched (Rsleep d))
+let sleep d = perform_sched (Rsleep d)
 
-let abort (type r) (c : r controller) ~reason (f : unit -> r) : 'a =
-  ignore (perform_sched (Rabort (c.c_label, reason, fun () -> c.c_inj (f ()))));
-  (* The scheduler discards this fiber's continuation: the replacement
-     body runs at the controller root instead, so control never returns
-     here.  (A dead controller label raises via [discontinue] above.) *)
-  assert false
+(* The scheduler discards this fiber's continuation: the replacement
+   body runs at the controller root instead, so control never returns
+   here.  (A dead controller raises Dead_controller into the fiber.) *)
+let abort c ~reason f = perform_sched (Rabort (c, reason, fun () -> c.c_result <- Some (f ())))
 
 (* ------------------------------------------------------------------ *)
 (* Causal spans.                                                       *)
@@ -557,41 +490,32 @@ end
 module Waitset = struct
   type t = waitset
 
-  let create name = { ws_name = name; ws_parked = [] }
+  let create name = { Core.ws_name = name; ws_parked = [] }
 
-  let name ws = ws.ws_name
+  let name ws = ws.Core.ws_name
 
-  let parked ws = List.length (List.filter (fun (e : entry) -> e.e_live) ws.ws_parked)
+  let parked = Core.parked
 end
 
-let block ws = ignore (perform_sched (Rblock ws))
+let block ws = perform_sched (Rblock ws)
 
 let wake ws =
   (* Performing the effect costs a suspension, so skip it when nothing is
      parked — the common uncontended case stays effect-free. *)
-  if ws.ws_parked <> [] then ignore (perform_sched (Rwake ws))
+  if ws.Core.ws_parked <> [] then perform_sched (Rwake ws)
 
 (* ------------------------------------------------------------------ *)
 (* Futures: independent trees in the forest (Section 8).               *)
 (* ------------------------------------------------------------------ *)
 
-type 'a future = {
-  f_cell : Univ.t option ref;
-  f_prj : Univ.t -> 'a option;
-  f_ws : waitset;
-}
+type 'a future = { mutable f_value : 'a option; f_ws : waitset }
 
-let future (type a) (thunk : unit -> a) : a future =
-  let inj, prj = Univ.embed () in
-  let cell = ref None in
-  let ws = Waitset.create "future" in
-  ignore (perform_sched (Rfuture ((fun () -> inj (thunk ())), cell, ws)));
-  { f_cell = cell; f_prj = prj; f_ws = ws }
+let future thunk =
+  let fut = { f_value = None; f_ws = Waitset.create "future" } in
+  perform_sched (Rfuture ((fun () -> fut.f_value <- Some (thunk ())), fut.f_ws));
+  fut
 
-let poll fut =
-  match !(fut.f_cell) with
-  | None -> None
-  | Some u -> Some (get_exn fut.f_prj u)
+let poll fut = fut.f_value
 
 (* Touch parks on the future's waitset; the scheduler wakes the parked
    fibers when the future's tree delivers its value.  A parked toucher is
@@ -599,7 +523,7 @@ let poll fut =
    its waitset entry and re-captures it as a runnable leaf, so on graft
    it resumes here and re-checks the cell. *)
 let rec touch fut =
-  match poll fut with
+  match fut.f_value with
   | Some v -> v
   | None ->
       block fut.f_ws;

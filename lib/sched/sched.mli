@@ -21,6 +21,12 @@
     {!yield}.  Scheduling order is deterministic (tree order) by default, or
     seeded-random with {!Randomized}.
 
+    Results travel in typed cells: a fiber writes its value into a cell
+    (its controller's, its [pcall]'s result array, its future's) that
+    the fiber it resumes reads, and the scheduler's effect is indexed by
+    the type a request resumes with.  No value crosses a universal type,
+    so no projection can fail.
+
     Everything here is one-shot (see {!Pcont.Spawn}): the multi-shot
     variants live in the machine implementations. *)
 
@@ -242,7 +248,10 @@ val register_dropper : int -> (unit -> Waitset.t option) -> unit
 (** Register the {!Fdrop} hook for a channel id: the thunk drops one
     buffered message if any and returns the waitset to wake (senders
     parked on a full buffer), or [None] when there was nothing to drop.
-    Called by {!Channel.create}; registrations are per-run. *)
+    Called by {!Channel.create}.  Registrations are per run and kept
+    only when the innermost {!run} has an [inject] hook: a registered
+    hook keeps its channel alive until the run ends, so without
+    injection this is a no-op. *)
 
 (** {1 Causal spans}
 

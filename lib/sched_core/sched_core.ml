@@ -11,10 +11,10 @@ type policy =
 (* The live process forest.  A node is a runnable leaf, a wait over its
    children (a pcall fork, a process root, a controller body), a leaf
    parked on a resource, or done (its value delivered to the parent).
-   Captured subtrees are converted to a backend's immutable form and
-   their nodes discarded.  [span] is the causal span the node's work
-   runs in (-1 = none): a new node starts in its creator's, and each
-   slice saves the leaf's current one. *)
+   A capture copies a subtree into an immutable [ptree] and discards its
+   nodes.  [span] is the causal span the node's work runs in (-1 =
+   none): a new node starts in its creator's, and each slice saves the
+   leaf's current one. *)
 type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
@@ -52,10 +52,22 @@ and ('l, 'w, 'v) entry = {
   mutable e_live : bool;
 }
 
-type ('l, 'w, 'v, 'pt) shape =
-  | Sleaf of 'l
-  | Sdone
-  | Swait of 'w * 'pt array * 'v option array
+type ('l, 'w, 'v) waitset = { ws_name : string; mutable ws_parked : ('l, 'w, 'v) entry list }
+
+(* A captured subtree; immutable, so a pstack continuation can graft it
+   many times. *)
+type ('l, 'w, 'v, 'h) ptree =
+  | Pleaf of 'l
+  | Phole of 'h
+  | Pdone
+  | Pwait of 'w * ('l, 'w, 'v, 'h) ptree array * 'v option array
+
+let rec ptree_sum ~leaf ~hole ~done_ ~wait = function
+  | Pleaf l -> leaf l
+  | Phole h -> hole h
+  | Pdone -> done_
+  | Pwait (wx, children, _) ->
+      Array.fold_left (fun s pt -> s + ptree_sum ~leaf ~hole ~done_ ~wait pt) (wait wx) children
 
 (* A binary min-heap slot: (deadline, insertion seq, sleeper). *)
 type ('l, 'w, 'v) timer = (int * int * ('l, 'w, 'v) entry) option
@@ -249,10 +261,29 @@ let plant t n leaf deliver =
   | None -> ()
   | Some o -> Obs.emit o (E.Spawn { pid = f.nid; parent = n.nid; kind = "future" })
 
-(* Graft a captured subtree onto [n]: [n] becomes a wait carrying [wx]
-   over the rebuilt [pts] (with their saved [results]); [view] exposes
-   each captured node.  Every rebuilt leaf becomes runnable. *)
-let graft t n wx pts results view =
+(* A future's tree ends the climb, so no capture crosses into another
+   tree. *)
+let find_root t n label root =
+  let rec climb m =
+    match m.parent with
+    | Ptop | Pfut _ -> None
+    | Pchild (p, _) -> (
+        match p.body with
+        | Nwait w -> ( match root w.wx with Some r -> Some (p, w, r) | None -> climb p)
+        | _ -> climb p)
+  in
+  match climb n with
+  | Some _ as found -> found
+  | None ->
+      (match t.obs with
+      | None -> ()
+      | Some o -> Obs.emit o (E.Invalid_controller { pid = n.nid; label }));
+      None
+
+(* Graft captured subtrees onto [n]: [n] becomes a wait carrying [wx]
+   over the rebuilt [pts] (with their saved [results]), and the hole
+   resumes as [hole h].  Every rebuilt leaf becomes runnable. *)
+let graft t n wx pts results hole =
   let rec wait_of m wx pts results =
     let w =
       {
@@ -270,10 +301,11 @@ let graft t n wx pts results view =
        what made them runnable again, so their work is causally part of
        the reinstating request *)
     let m = new_node t parent Ndone in
-    (match view pt with
-    | Sleaf l -> m.body <- Nleaf l
-    | Sdone -> ()
-    | Swait (wx, pts, results) -> ignore (wait_of m wx pts results));
+    (match pt with
+    | Pleaf l -> m.body <- Nleaf l
+    | Phole h -> m.body <- Nleaf (hole h)
+    | Pdone -> ()
+    | Pwait (wx, pts, results) -> ignore (wait_of m wx pts results));
     m
   in
   let w = wait_of n wx pts results in
@@ -326,6 +358,24 @@ let release t e =
     t.n_dead <- 0
   end
 
+(* A parked leaf's resource may be woken while the subtree is captured,
+   so its entry dies with the capture; parking is always a re-check
+   loop, so the grafted leaf just resumes and re-checks. *)
+let capture t n hole m =
+  prune t;
+  let rec walk m =
+    if m == n then Phole hole
+    else
+      match m.body with
+      | Nleaf l -> Pleaf l
+      | Nparked e ->
+          release t e;
+          Pleaf e.e_leaf
+      | Ndone -> Pdone
+      | Nwait w -> Pwait (w.wx, Array.map walk w.children, Array.copy w.results)
+  in
+  walk m
+
 (* Cancellation as declined reinstatement: prune everything under the
    wait [scope] and announce it as one Cancel by [n].  The sweep is
    pre-order, collecting every live pid (exactly what an invariant
@@ -373,6 +423,19 @@ let wake t e =
 let flush_woken t =
   t.born <- List.rev_append t.woken t.born;
   t.woken <- []
+
+let block t ws n leaf = ws.ws_parked <- park t n ~res:ws.ws_name leaf :: ws.ws_parked
+
+(* Wake every live entry of [ws], in park (FIFO) order. *)
+let wake_all t ws =
+  match ws.ws_parked with
+  | [] -> ()
+  | entries ->
+      ws.ws_parked <- [];
+      List.iter (wake t) (List.rev entries);
+      flush_woken t
+
+let parked ws = List.length (List.filter (fun e -> e.e_live) ws.ws_parked)
 
 (* Spuriously wake every live entry parked on the named resource. *)
 let wake_resource t res =

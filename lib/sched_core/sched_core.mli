@@ -4,14 +4,16 @@
 
     The core owns everything about the process forest that does not
     depend on what a leaf is: the live tree and its attachment test, the
-    run queue and the policies that order it, parked entries with their
+    run queue and the policies that order it, the climb to a
+    controller's root, captured subtrees with the capture walk and the
+    graft that rebuilds them, waitsets and parked entries with their
     wake emission and deadlock census, the timer heap and the virtual
     clock, each node's span, the live-node census, cancellation sweeps,
-    and every lifecycle and slice event.  A backend supplies
-    the payload types — a leaf ['l], the extra state of a wait ['w], a
-    result value ['v] — and one closure that steps a leaf for a slice.
-    Every event and distribution the core emits is named by the backend's
-    prefix ([concur.*] or [sched.*]). *)
+    and every lifecycle and slice event.  A backend supplies the payload
+    types — a leaf ['l], the extra state of a wait ['w], a result value
+    ['v], the hole of a capture ['h] — and one closure that steps a leaf
+    for a slice.  Every event and distribution the core emits is named
+    by the backend's prefix ([concur.*] or [sched.*]). *)
 
 type policy =
   | Round_robin  (** deterministic: leaves step in process-tree order *)
@@ -63,11 +65,22 @@ and ('l, 'w, 'v) entry = {
   mutable e_live : bool;
 }
 
-(** One node of a captured subtree, as {!graft} sees it. *)
-type ('l, 'w, 'v, 'pt) shape =
-  | Sleaf of 'l
-  | Sdone
-  | Swait of 'w * 'pt array * 'v option array
+(** The entries parked on one blocking resource, newest first; the name
+    is the resource class events and deadlock diagnoses report.  A
+    capture or cancel kills an entry but leaves it on the list. *)
+type ('l, 'w, 'v) waitset = { ws_name : string; mutable ws_parked : ('l, 'w, 'v) entry list }
+
+(** A captured subtree: [Phole] is the leaf that invoked the controller,
+    [Pwait] a wait's state with its children and results so far. *)
+type ('l, 'w, 'v, 'h) ptree =
+  | Pleaf of 'l
+  | Phole of 'h
+  | Pdone
+  | Pwait of 'w * ('l, 'w, 'v, 'h) ptree array * 'v option array
+
+val ptree_sum :
+  leaf:('l -> int) -> hole:('h -> int) -> done_:int -> wait:('w -> int) -> ('l, 'w, 'v, 'h) ptree -> int
+(** A measure summed over a captured subtree's nodes. *)
 
 type ('l, 'w, 'v) t
 
@@ -103,9 +116,6 @@ val peak : ('l, 'w, 'v) t -> int
 val halt : ('l, 'w, 'v) t -> unit
 (** Step nothing more: rounds keep their queue but run no slice. *)
 
-val prune : ('l, 'w, 'v) t -> unit
-(** Record that a capture detached a subtree from the live forest. *)
-
 (** {1 The live tree} *)
 
 val become_leaf : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> 'l -> unit
@@ -121,16 +131,36 @@ val fork :
 val plant : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> 'l -> ('v -> unit) -> unit
 (** Plant an independent future tree, spawned by the given node. *)
 
+(** {1 Capture and graft} *)
+
+val find_root :
+  ('l, 'w, 'v) t ->
+  ('l, 'w, 'v) node ->
+  int ->
+  ('w -> 'r option) ->
+  (('l, 'w, 'v) node * ('l, 'w, 'v) wait * 'r) option
+(** [find_root t n label root] climbs from [n], within its own tree, to
+    the nearest wait whose state [root] accepts: the root of controller
+    [label].  With none it emits [Invalid_controller]. *)
+
+val capture :
+  ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> 'h -> ('l, 'w, 'v) node -> ('l, 'w, 'v, 'h) ptree
+(** [capture t n hole m] copies the subtree [m], with [Phole hole] for
+    the invoking node [n].  A parked leaf's entry is killed and the leaf
+    captured as runnable, so on graft it re-checks its condition.  The
+    caller then puts something else in [m]'s place. *)
+
 val graft :
   ('l, 'w, 'v) t ->
   ('l, 'w, 'v) node ->
   'w ->
-  'pt array ->
+  ('l, 'w, 'v, 'h) ptree array ->
   'v option array ->
-  ('pt -> ('l, 'w, 'v, 'pt) shape) ->
+  ('h -> 'l) ->
   unit
-(** Rebuild captured subtrees as fresh children of a wait on the node,
-    make their leaves runnable, and announce them as one graft batch. *)
+(** [graft t n wx pts results hole] rebuilds captured subtrees as fresh
+    children of a wait [wx] on [n], the hole as leaf [hole h], makes
+    their leaves runnable and announces them as one graft batch. *)
 
 val discard :
   ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> ('l, 'w, 'v) node -> reason:string -> unit
@@ -141,19 +171,17 @@ val discard :
 
 (** {1 Parking and timers} *)
 
-val park : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> res:string -> 'l -> ('l, 'w, 'v) entry
+val block : ('l, 'w, 'v) t -> ('l, 'w, 'v) waitset -> ('l, 'w, 'v) node -> 'l -> unit
+(** Park the node on the waitset; it resumes as the given leaf. *)
+
+val wake_all : ('l, 'w, 'v) t -> ('l, 'w, 'v) waitset -> unit
+(** Wake every live entry of the waitset, in park order, and empty it. *)
+
+val parked : ('l, 'w, 'v) waitset -> int
+(** Live entries on the waitset. *)
 
 val sleep : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> 'l -> int -> unit
 (** Park on the timer heap until the clock reaches now + d. *)
-
-val release : ('l, 'w, 'v) t -> ('l, 'w, 'v) entry -> unit
-(** Invalidate the live entry of a node a capture prunes. *)
-
-val wake : ('l, 'w, 'v) t -> ('l, 'w, 'v) entry -> unit
-(** Wake a live entry (a dead one is ignored) and emit its wake.  The
-    node becomes runnable at the next {!flush_woken}. *)
-
-val flush_woken : ('l, 'w, 'v) t -> unit
 
 val wake_resource : ('l, 'w, 'v) t -> string -> unit
 (** Wake every live entry parked on the named resource, in park order. *)

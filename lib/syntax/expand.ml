@@ -248,11 +248,6 @@ let make_expander (mt : Macro.table) =
 
 let default_table = Macro.create ()
 
-let expand_expr ?(macros = default_table) d =
-  match make_expander macros d with
-  | e -> Ok e
-  | exception Expand_error msg -> Error msg
-
 let expand_top ?(macros = default_table) d =
   match
     match d with
@@ -278,11 +273,6 @@ let expand_program ?macros ds =
         | Error msg -> Error msg)
   in
   go [] ds
-
-let parse_expr ?macros src =
-  match Reader.parse src with
-  | Ok d -> expand_expr ?macros d
-  | Error msg -> Error ("read error: " ^ msg)
 
 let parse_program ?macros src =
   match Reader.parse_all src with

@@ -8,8 +8,6 @@ type table = (string, def) Hashtbl.t
 
 let create () : table = Hashtbl.create 16
 
-let is_defined tbl name = Hashtbl.mem tbl name
-
 let names tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
 

@@ -29,8 +29,6 @@ val define : table -> Reader.datum -> (string, string) result
 (** [define tbl d] processes an [(extend-syntax (name kw ...) rule ...)]
     form, registering (or replacing) the macro; returns its name. *)
 
-val is_defined : table -> string -> bool
-
 val try_expand : table -> Reader.datum -> (Reader.datum option, string) result
 (** [try_expand tbl d] rewrites [d] once if it is a use of a defined macro
     ([Some rewritten]); [None] if [d]'s head is not a defined macro.

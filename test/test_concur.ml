@@ -280,23 +280,6 @@ let test_future_many () =
     "(define fs (map1 (lambda (i) (future (* i i))) (iota 10)))
      (fold-left + 0 (map1 touch fs))"
 
-let test_future_no_drain () =
-  let t = Interp.create () in
-  let slow = "(define f (future (let loop ([i 0]) (if (= i 1000) 1 (loop (+ i 1))))))" in
-  (match
-     Pstack.Concur.run ~drain_futures:false ~cfg:(Interp.config t) (Interp.env t)
-       (match Pcont_syntax.Expand.parse_program slow with
-       | Ok [ Pcont_syntax.Expand.Define (_, ir) ] -> ir
-       | _ -> Alcotest.fail "parse")
-   with
-  | Pstack.Concur.Value v -> Pstack.Env.define_global (Interp.env t) "f" v
-  | _ -> Alcotest.fail "future definition failed");
-  (* Without draining, the tree was discarded: touching it later errors. *)
-  match List.rev (Interp.eval_string ~mode:conc ~fuel:20_000 t "(touch f)") with
-  | Interp.Error _ :: _ -> ()
-  | r :: _ -> Alcotest.failf "expected error, got %s" (Interp.result_to_string r)
-  | [] -> Alcotest.fail "no results"
-
 (* ---------------- scheduler mechanics ---------------- *)
 
 let test_counters () =
@@ -717,7 +700,6 @@ let () =
             test_future_controller_cannot_cross;
           Alcotest.test_case "survives pruning" `Quick test_future_survives_pruning;
           Alcotest.test_case "fan-out" `Quick test_future_many;
-          Alcotest.test_case "no drain discards" `Quick test_future_no_drain;
         ] );
       ( "multi-shot",
         [ Alcotest.test_case "pk twice" `Quick test_multishot_pk_concurrent ] );

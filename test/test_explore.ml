@@ -488,6 +488,44 @@ let test_explore_cancel_races () =
         (List.length (reachable_outcomes target) >= 2))
     [ cancel_wake_target; cancel_capture_target ]
 
+(* A capture of a pcall subtree while a sibling may be parked on a
+   waitset, grafted straight back: the capture kills the parked entry
+   and the graft revives the waiter, which re-checks its gate and parks
+   again until the opener (captured too, or already done) wakes it.
+   Every schedule gives the same value. *)
+let capture_parked_target =
+  X.native_target "capture-parked" (fun () ->
+      let gate = Sched.Waitset.create "gate" in
+      let opened = ref false in
+      let waiter () =
+        while not !opened do
+          Sched.block gate
+        done;
+        100
+      in
+      let opener () =
+        Sched.yield ();
+        Sched.yield ();
+        opened := true;
+        Sched.wake gate;
+        10
+      in
+      let capturer c () =
+        Sched.yield ();
+        Sched.control c (fun pk -> Sched.resume pk 1)
+      in
+      string_of_int
+        (Sched.spawn (fun c ->
+             List.fold_left ( + ) 0 (Sched.pcall [ waiter; opener; capturer c ]))))
+
+let test_explore_capture_parked () =
+  let stats = X.Dpor.explore ~max_runs:80 capture_parked_target in
+  Alcotest.(check bool) "no witness" true (stats.X.Dpor.s_witness = None);
+  Alcotest.(check bool) "explored distinct schedules" true
+    (stats.X.Dpor.s_schedules >= 2 && stats.X.Dpor.s_races > 0);
+  Alcotest.(check (list string)) "one outcome" [ "value 111" ]
+    (reachable_outcomes capture_parked_target)
+
 let test_explore_timeout_races () =
   (* timeout vs completion, native: both arms are deterministic in
      virtual time, so every schedule is clean *)
@@ -692,6 +730,8 @@ let () =
             test_explore_cancel_races;
           Alcotest.test_case "timeout races stay clean" `Quick
             test_explore_timeout_races;
+          Alcotest.test_case "capture of a parked sibling" `Quick
+            test_explore_capture_parked;
           Alcotest.test_case "skeleton classes pinned" `Quick test_skeleton_classes;
         ] );
       ( "faults",

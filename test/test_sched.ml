@@ -44,6 +44,26 @@ let test_pcall_branch_exception () =
   | _ -> Alcotest.fail "expected exception"
   | exception Exit -> ()
 
+(* A pcall keeps nothing of a finished branch alive until its join: each
+   branch's thunk holds a buffer, and the last branch, once every other
+   has returned, finds their buffers collected. *)
+let test_pcall_releases_finished_branches () =
+  let n = 64 in
+  let bufs = Weak.create n in
+  let live = ref (-1) in
+  let branch i =
+    let buf = Bytes.make 1024 'x' in
+    Weak.set bufs i (Some buf);
+    if i < n - 1 then fun () -> Bytes.length buf
+    else fun () ->
+      S.yield ();
+      Gc.full_major ();
+      live := List.length (List.filter (Weak.check bufs) (List.init (n - 1) Fun.id));
+      0
+  in
+  ignore (S.run (fun () -> S.pcall (List.init n branch)));
+  Alcotest.(check int) "finished branches' buffers live" 0 !live
+
 let test_yield_interleaves () =
   (* Two branches record their steps; with yields, the trace alternates. *)
   let trace = ref [] in
@@ -369,6 +389,24 @@ let test_channel_basic () =
         | _ -> assert false)
   in
   Alcotest.(check int) "ordered" 123 r
+
+(* Outside fault injection only its users hold a channel: one that no
+   fiber can reach is collected while the run goes on. *)
+let test_channel_collected () =
+  let chans = Weak.create 1 in
+  let use () =
+    let ch = Ch.create () in
+    Weak.set chans 0 (Some ch);
+    Ch.send ch 1;
+    ignore (Ch.recv ch)
+  in
+  let live =
+    S.run (fun () ->
+        use ();
+        Gc.full_major ();
+        Weak.check chans 0)
+  in
+  Alcotest.(check bool) "unreachable channel collected" false live
 
 let test_channel_backpressure () =
   (* capacity 1: the producer can never run more than one element ahead. *)
@@ -884,6 +922,8 @@ let () =
           Alcotest.test_case "nested" `Quick test_pcall_nested;
           Alcotest.test_case "branch exception" `Quick test_pcall_branch_exception;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
+          Alcotest.test_case "finished branches released" `Quick
+            test_pcall_releases_finished_branches;
         ] );
       ( "control",
         [
@@ -910,6 +950,7 @@ let () =
         [
           Alcotest.test_case "basic pipeline" `Quick test_channel_basic;
           Alcotest.test_case "backpressure" `Quick test_channel_backpressure;
+          Alcotest.test_case "unreachable channel collected" `Quick test_channel_collected;
           Alcotest.test_case "closed errors" `Quick test_channel_closed_errors;
           Alcotest.test_case "try_recv" `Quick test_channel_try_recv;
           Alcotest.test_case "of_producer" `Quick test_channel_of_producer;

@@ -1,9 +1,8 @@
-(* Tests for the utility substrate: ids, PRNG, counters, univ. *)
+(* Tests for the utility substrate: ids, PRNG, counters. *)
 
 module Id = Pcont_util.Id
 module Xorshift = Pcont_util.Xorshift
 module Counters = Pcont_util.Counters
-module Univ = Pcont_util.Univ
 
 let test_id_sequence () =
   let g = Id.create () in
@@ -85,21 +84,6 @@ let test_counters_to_list_sorted () =
     [ "alpha"; "mid"; "zeta" ]
     (List.map fst (Counters.to_list c))
 
-let test_univ_roundtrip () =
-  let inj, prj = Univ.embed () in
-  Alcotest.(check (option int)) "roundtrip" (Some 42) (prj (inj 42))
-
-let test_univ_cross_pair () =
-  let inj1, _ = Univ.embed () in
-  let _, prj2 = Univ.embed () in
-  Alcotest.(check (option int)) "cross-pair projection fails" None (prj2 (inj1 1))
-
-let test_univ_polymorphic () =
-  let inj, prj = Univ.embed () in
-  match prj (inj "hello") with
-  | Some s -> Alcotest.(check string) "string payload" "hello" s
-  | None -> Alcotest.fail "projection failed"
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -123,11 +107,5 @@ let () =
           Alcotest.test_case "incr/add/get" `Quick test_counters_basic;
           Alcotest.test_case "reset" `Quick test_counters_reset;
           Alcotest.test_case "to_list sorted" `Quick test_counters_to_list_sorted;
-        ] );
-      ( "univ",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_univ_roundtrip;
-          Alcotest.test_case "cross-pair" `Quick test_univ_cross_pair;
-          Alcotest.test_case "polymorphic" `Quick test_univ_polymorphic;
         ] );
     ]
