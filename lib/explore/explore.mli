@@ -56,11 +56,6 @@ module Fault : sig
   val to_string : t -> string
   (** ["<kind>@<at>"]. *)
 
-  val to_sched : kind -> Pcont_sched.Sched.fault
-
-  val to_inject : t list -> int -> Pcont_sched.Sched.fault option
-  (** The [?inject] hook for {!Pcont_sched.Sched.run}. *)
-
   val kind_of_marker : string -> kind option
   (** Parse the scheduler's in-trace [Crash] marker faults
       (["inject:crash"], ["inject:wake:<r>"], ["inject:drop:<c>"]). *)

@@ -138,8 +138,6 @@ module Report : sig
     r_deadlock : int option;
   }
 
-  val of_run : Trace.run -> t
-
   val of_trace : Trace.stamped array -> t list
   (** One report per run. *)
 
@@ -263,9 +261,6 @@ module Slo : sig
   }
 
   val of_trace : Trace.stamped array -> t
-
-  val goodput : t -> scen -> float
-  (** Completed requests per 1000 virtual ticks of trace extent. *)
 
   type assertion = { a_scen : string option; a_q : float; a_limit : float }
 

@@ -156,9 +156,3 @@ val split_at_spawn_label :
   (Types.segment list * Types.segment list) option
 (** [(captured, rest)] where [captured] ends with the topmost segment rooted
     at the label. *)
-
-val count_frames : Types.segment list -> int
-
-val copy_segments : Types.segment list -> Types.segment list
-(** Reconstruct every frame-list cell, modeling a stack-copying
-    implementation; used by the [Copying] strategy. *)

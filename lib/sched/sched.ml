@@ -49,11 +49,11 @@ type leaf =
   | Resume : 'a fiber * 'a -> leaf
   | Raise : 'a fiber * exn -> leaf
 
-(* A controller names its process's root.  Its cell carries the value
-   of whatever runs in the root's place — the process body, a
-   controller body, a cancel replacement — to the fiber that waits on
-   the root. *)
-type 'r controller = { c_label : int; mutable c_result : 'r option }
+(* A controller names its process's root: its label, unique within the
+   run [c_run] that spawned it.  Its cell carries the value of whatever
+   runs in the root's place — the process body, a controller body, a
+   cancel replacement — to the fiber that waits on the root. *)
+type 'r controller = { c_label : int; c_run : int; mutable c_result : 'r option }
 
 (* A wait node's suspended fiber and the cell it resumes from: a
    process root (a spawn, or a grafted continuation), a controller body
@@ -115,6 +115,13 @@ let take ctl =
   v
 
 let label_counter = ref 0
+
+(* Runs started so far, and the generation of the innermost one.
+   Labels restart in every run, so a controller from an enclosing run
+   is told apart by its generation. *)
+let runs = ref 0
+
+let cur_run = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Observability context.                                              *)
@@ -193,6 +200,9 @@ let run ?(policy = Round_robin) ?obs ?inject main =
   let saved_clock = !cur_clock and saved_droppers = !droppers in
   let saved_injecting = !injecting in
   let saved_span = !cur_span and saved_core = !cur_core in
+  let saved_run = !cur_run in
+  incr runs;
+  cur_run := !runs;
   cur_obs := obs;
   chan_ids := 0;
   label_counter := 0;
@@ -208,6 +218,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     cur_clock := saved_clock;
     cur_span := saved_span;
     cur_core := saved_core;
+    cur_run := saved_run;
     droppers := saved_droppers;
     injecting := saved_injecting
   in
@@ -245,7 +256,8 @@ let run ?(policy = Round_robin) ?obs ?inject main =
   let root_of (n : node) k ctl =
     let found =
       Core.find_root c n ctl.c_label (function
-        | Wroot (r, rk) when r.c_label = ctl.c_label -> Some (Wbody (r, rk))
+        | Wroot (r, rk) when r.c_label = ctl.c_label && r.c_run = ctl.c_run ->
+            Some (Wbody (r, rk))
         | _ -> None)
     in
     if Option.is_none found then n.body <- Nleaf (Raise (k, Dead_controller));
@@ -423,7 +435,7 @@ let perform_sched req =
 
 let spawn f =
   incr label_counter;
-  let c = { c_label = !label_counter; c_result = None } in
+  let c = { c_label = !label_counter; c_run = !cur_run; c_result = None } in
   perform_sched (Rspawn (c, fun () -> c.c_result <- Some (f c)))
 
 let control c body = perform_sched (Rcontrol (c, body))

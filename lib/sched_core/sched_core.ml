@@ -40,16 +40,20 @@ and ('l, 'w, 'v) wait = {
   mutable pending : int;
 }
 
-(* A parked leaf.  [e_live] is cleared when the leaf is woken or when a
-   capture prunes it into a process continuation, so a stale reference
-   left on a waitset or the timer heap does nothing.  [e_round] is the
-   scheduling round the leaf parked in, for the park-latency sketch. *)
+(* A parked leaf.  While live, the entry is linked, in park order, into
+   the core's parked census through [e_prev]/[e_next].  Waking the leaf,
+   or a capture pruning it into a process continuation, kills the entry:
+   it is unlinked and links to itself, so it keeps no other entry alive,
+   and a stale reference left on a waitset or the timer heap does
+   nothing.  [e_round] is the scheduling round the leaf parked in, for
+   the park-latency sketch. *)
 and ('l, 'w, 'v) entry = {
   e_node : ('l, 'w, 'v) node;
   e_leaf : 'l;
   e_res : string;
   e_round : int;
-  mutable e_live : bool;
+  mutable e_prev : ('l, 'w, 'v) entry;
+  mutable e_next : ('l, 'w, 'v) entry;
 }
 
 type ('l, 'w, 'v) waitset = { ws_name : string; mutable ws_parked : ('l, 'w, 'v) entry list }
@@ -69,8 +73,25 @@ let rec ptree_sum ~leaf ~hole ~done_ ~wait = function
   | Pwait (wx, children, _) ->
       Array.fold_left (fun s pt -> s + ptree_sum ~leaf ~hole ~done_ ~wait pt) (wait wx) children
 
-(* A binary min-heap slot: (deadline, insertion seq, sleeper). *)
-type ('l, 'w, 'v) timer = (int * int * ('l, 'w, 'v) entry) option
+(* A growable array of nodes: [len] slots in use, the rest hold [nil],
+   a node that is never live, so no slot keeps a node that has left. *)
+type 'n buf = { mutable arr : 'n array; mutable len : int; nil : 'n }
+
+let buf nil = { arr = Array.make 16 nil; len = 0; nil }
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let push b x =
+  if b.len = Array.length b.arr then b.arr <- grow b.arr b.nil;
+  b.arr.(b.len) <- x;
+  b.len <- b.len + 1
+
+let clear b =
+  Array.fill b.arr 0 b.len b.nil;
+  b.len <- 0
 
 type ('l, 'w, 'v) t = {
   root : ('l, 'w, 'v) node;
@@ -86,10 +107,10 @@ type ('l, 'w, 'v) t = {
   cur_span : int ref;  (* the stepping leaf's span *)
   s_runq : Obs.Metrics.series;
   s_park : Obs.Metrics.series;
-  mutable queue : ('l, 'w, 'v) node list;
-  mutable born : ('l, 'w, 'v) node list;
-  mutable woken : ('l, 'w, 'v) node list;
-  mutable new_trees : ('l, 'w, 'v) node list;
+  mutable queue : ('l, 'w, 'v) node buf;  (* this round's runnable leaves *)
+  mutable next : ('l, 'w, 'v) node buf;  (* the next round's, being written *)
+  born : ('l, 'w, 'v) node buf;  (* made runnable by the current step *)
+  planted : ('l, 'w, 'v) node buf;  (* future trees planted this round *)
   mutable next_id : int;
   mutable rounds : int;
   mutable prunes : int;
@@ -97,10 +118,11 @@ type ('l, 'w, 'v) t = {
   mutable final : 'v option;
   mutable live : int;  (* nodes announced and not yet exited or cancelled *)
   mutable peak : int;
-  mutable parked : ('l, 'w, 'v) entry list;  (* newest first *)
+  parked : ('l, 'w, 'v) entry;  (* sentinel of the live entries, oldest next *)
   mutable n_parked : int;  (* live entries *)
-  mutable n_dead : int;  (* dead entries still on [parked] *)
-  mutable heap : ('l, 'w, 'v) timer array;
+  mutable th_due : int array;  (* timer heap: deadline, seq and sleeper per slot *)
+  mutable th_seq : int array;
+  mutable th_entry : ('l, 'w, 'v) entry array;
   mutable heap_n : int;
   mutable heap_seq : int;
 }
@@ -115,6 +137,21 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     | None -> Lazy.force unobserved
   in
   let root = { nid = 0; parent = Ptop; body = Nleaf leaf; span = -1 } in
+  let nil = { nid = -1; parent = Ptop; body = Ndone; span = -1 } in
+  (* The census sentinel, also the filler of the timer heap's unused
+     slots, is never woken: the root's leaf only fills its leaf slot. *)
+  let rec parked =
+    {
+      e_node = nil;
+      e_leaf = leaf;
+      e_res = "";
+      e_round = 0;
+      e_prev = parked;
+      e_next = parked;
+    }
+  in
+  let queue = buf nil in
+  push queue root;
   (match obs with
   | None -> ()
   | Some o -> Obs.emit o (E.Spawn { pid = 0; parent = -1; kind = "root" }));
@@ -132,10 +169,10 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     cur_span = span;
     s_runq = series ".runq.depth";
     s_park = series ".park.rounds";
-    queue = [ root ];
-    born = [];
-    woken = [];
-    new_trees = [];
+    queue;
+    next = buf nil;
+    born = buf nil;
+    planted = buf nil;
     next_id = 0;
     rounds = 0;
     prunes = 0;
@@ -143,10 +180,11 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     final = None;
     live = 1;
     peak = 1;
-    parked = [];
+    parked;
     n_parked = 0;
-    n_dead = 0;
-    heap = Array.make 64 None;
+    th_due = Array.make 64 0;
+    th_seq = Array.make 64 0;
+    th_entry = Array.make 64 parked;
     heap_n = 0;
     heap_seq = 0;
   }
@@ -203,15 +241,16 @@ let attached t n =
 
 let is_leaf n = match n.body with Nleaf _ -> true | _ -> false
 
-let rec collect_leaves acc n =
+let rec push_leaves t n =
   match n.body with
-  | Nleaf _ -> n :: acc
-  | Nparked _ | Ndone -> acc
-  | Nwait w -> Array.fold_left collect_leaves acc w.children
+  | Nleaf _ -> push t.born n
+  | Nparked _ | Ndone -> ()
+  | Nwait w -> Array.iter (push_leaves t) w.children
 
 let become_leaf t n leaf =
   n.body <- Nleaf leaf;
-  t.born <- [ n ]
+  clear t.born;
+  push t.born n
 
 (* Deliver a leaf's final value to its parent: the run's result at the
    top, the future's delivery action for a forest tree, or a result slot
@@ -247,16 +286,16 @@ let fork t n wx kind leaf xs =
       | None -> ()
       | Some o -> Obs.emit o (E.Spawn { pid = c.nid; parent = n.nid; kind }))
     xs;
-  t.born <- Array.to_list w.children
+  clear t.born;
+  Array.iter (push t.born) w.children
 
 (* Plant an independent tree in the forest (Section 8); [deliver]
    receives its value. *)
 let plant t n leaf deliver =
   let f = new_node t (Pfut deliver) (Nleaf leaf) in
-  (* Prepended here, reversed at round end: future trees keep their
-     creation order at the back of the forest without an O(n) append
-     per registration. *)
-  t.new_trees <- f :: t.new_trees;
+  (* Appended to the next round's queue at round end: future trees keep
+     their creation order at the back of the forest. *)
+  push t.planted f;
   match t.obs with
   | None -> ()
   | Some o -> Obs.emit o (E.Spawn { pid = f.nid; parent = n.nid; kind = "future" })
@@ -309,7 +348,8 @@ let graft t n wx pts results hole =
     m
   in
   let w = wait_of n wx pts results in
-  t.born <- List.rev (collect_leaves [] n);
+  clear t.born;
+  push_leaves t n;
   match t.obs with
   | None -> ()
   | Some o ->
@@ -333,12 +373,23 @@ let graft t n wx pts results hole =
 (* ------------------------------------------------------------------ *)
 
 (* Take [n] out of the run queue until woken; [leaf] is what it resumes
-   as.  Live entries are kept, in park order, for the deadlock census
-   and [wake_resource]. *)
+   as.  Live entries are linked, in park order, before the census
+   sentinel, for the deadlock census and [wake_resource]. *)
 let park t n ~res leaf =
   count t t.c_park;
-  let e = { e_node = n; e_leaf = leaf; e_res = res; e_round = t.rounds; e_live = true } in
-  t.parked <- e :: t.parked;
+  let s = t.parked in
+  let e =
+    {
+      e_node = n;
+      e_leaf = leaf;
+      e_res = res;
+      e_round = t.rounds;
+      e_prev = s.e_prev;
+      e_next = s;
+    }
+  in
+  s.e_prev.e_next <- e;
+  s.e_prev <- e;
   t.n_parked <- t.n_parked + 1;
   n.body <- Nparked e;
   (match t.obs with
@@ -346,17 +397,16 @@ let park t n ~res leaf =
   | Some o -> Obs.emit o (E.Park { pid = n.nid; resource = res }));
   e
 
-(* Invalidate a live parked entry (woken, or its node pruned).  Dead
-   entries are dropped from [parked] once they outnumber the live ones,
-   which keeps park order at amortised O(1) per entry. *)
+let live e = e.e_next != e
+
+(* Kill a live parked entry (woken, or its node pruned): unlink it from
+   the census. *)
 let release t e =
-  e.e_live <- false;
   t.n_parked <- t.n_parked - 1;
-  t.n_dead <- t.n_dead + 1;
-  if t.n_dead > t.n_parked then begin
-    t.parked <- List.filter (fun e -> e.e_live) t.parked;
-    t.n_dead <- 0
-  end
+  e.e_prev.e_next <- e.e_next;
+  e.e_next.e_prev <- e.e_prev;
+  e.e_prev <- e;
+  e.e_next <- e
 
 (* A parked leaf's resource may be woken while the subtree is captured,
    so its entry dies with the capture; parking is always a re-check
@@ -404,15 +454,14 @@ let discard t n scope ~reason =
   | Some o -> Obs.emit o (E.Cancel { pid = n.nid; scope = scope.nid; reason; pids })
 
 (* Make a live entry runnable again, emitting its wake now; the node
-   joins [woken] until the caller splices the batch in with
-   [flush_woken].  Callers wake in park (FIFO) order, so the trace shows
+   joins [born].  Callers wake in park (FIFO) order, so the trace shows
    the order the leaves will actually run in. *)
 let wake t e =
-  if e.e_live then begin
+  if live e then begin
     release t e;
     count t t.c_wake;
     e.e_node.body <- Nleaf e.e_leaf;
-    t.woken <- e.e_node :: t.woken;
+    push t.born e.e_node;
     match t.obs with
     | None -> ()
     | Some o ->
@@ -420,9 +469,16 @@ let wake t e =
         Obs.emit o (E.Wake { pid = e.e_node.nid; resource = e.e_res })
   end
 
-let flush_woken t =
-  t.born <- List.rev_append t.woken t.born;
-  t.woken <- []
+(* Move the leaves woken since [born] held [mark] nodes ahead of those
+   [mark]: a batch of wakes runs before whatever the step made runnable
+   earlier. *)
+let wakes_first t mark =
+  let b = t.born in
+  if mark > 0 && b.len > mark then begin
+    let before = Array.sub b.arr 0 mark in
+    Array.blit b.arr mark b.arr 0 (b.len - mark);
+    Array.blit before 0 b.arr (b.len - mark) mark
+  end
 
 let block t ws n leaf = ws.ws_parked <- park t n ~res:ws.ws_name leaf :: ws.ws_parked
 
@@ -432,65 +488,79 @@ let wake_all t ws =
   | [] -> ()
   | entries ->
       ws.ws_parked <- [];
+      let mark = t.born.len in
       List.iter (wake t) (List.rev entries);
-      flush_woken t
+      wakes_first t mark
 
-let parked ws = List.length (List.filter (fun e -> e.e_live) ws.ws_parked)
+let parked ws = List.length (List.filter live ws.ws_parked)
 
-(* Spuriously wake every live entry parked on the named resource. *)
+(* Spuriously wake every live entry parked on the named resource, in
+   park order. *)
 let wake_resource t res =
-  List.iter (fun e -> if e.e_res = res then wake t e) (List.rev t.parked);
-  flush_woken t
+  let mark = t.born.len in
+  let rec go e =
+    if e != t.parked then begin
+      let next = e.e_next in
+      if e.e_res = res then wake t e;
+      go next
+    end
+  in
+  go t.parked.e_next;
+  wakes_first t mark
 
-(* The timer heap: sleepers ordered by (deadline, park order).  Entries
-   are ordinary parked entries, so a capture that prunes a sleeper
-   invalidates it here as on any waitset — the grafted leaf then
-   resumes (early) from its sleep.  The seq tiebreak keeps sleepers with
-   equal deadlines in FIFO order; insert and pop are O(log n). *)
-let th_less a i j =
-  match (a.(i), a.(j)) with
-  | Some (di, si, _), Some (dj, sj, _) -> di < dj || (di = dj && si < sj)
-  | _ -> assert false
+(* The timer heap: sleepers ordered by (deadline, park order), one slot
+   across three arrays.  Entries are ordinary parked entries, so a
+   capture that prunes a sleeper invalidates it here as on any waitset —
+   the grafted leaf then resumes (early) from its sleep.  The seq
+   tiebreak keeps sleepers with equal deadlines in FIFO order; insert
+   and pop are O(log n). *)
+let th_less t i j =
+  let di = t.th_due.(i) and dj = t.th_due.(j) in
+  di < dj || (di = dj && t.th_seq.(i) < t.th_seq.(j))
 
-let th_swap a i j =
-  let x = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- x
+let th_swap t i j =
+  let d = t.th_due.(i) and s = t.th_seq.(i) and e = t.th_entry.(i) in
+  t.th_due.(i) <- t.th_due.(j);
+  t.th_seq.(i) <- t.th_seq.(j);
+  t.th_entry.(i) <- t.th_entry.(j);
+  t.th_due.(j) <- d;
+  t.th_seq.(j) <- s;
+  t.th_entry.(j) <- e
 
 let insert_timer t deadline e =
   let n = t.heap_n in
-  if n = Array.length t.heap then begin
-    let b = Array.make (2 * n) None in
-    Array.blit t.heap 0 b 0 n;
-    t.heap <- b
+  if n = Array.length t.th_due then begin
+    t.th_due <- grow t.th_due 0;
+    t.th_seq <- grow t.th_seq 0;
+    t.th_entry <- grow t.th_entry t.parked
   end;
-  let a = t.heap in
-  a.(n) <- Some (deadline, t.heap_seq, e);
+  t.th_due.(n) <- deadline;
+  t.th_seq.(n) <- t.heap_seq;
+  t.th_entry.(n) <- e;
   t.heap_seq <- t.heap_seq + 1;
   t.heap_n <- n + 1;
   let i = ref n in
-  while !i > 0 && th_less a !i ((!i - 1) / 2) do
-    th_swap a !i ((!i - 1) / 2);
+  while !i > 0 && th_less t !i ((!i - 1) / 2) do
+    th_swap t !i ((!i - 1) / 2);
     i := (!i - 1) / 2
   done
 
-let th_peek t = match t.heap.(0) with Some (d, _, e) -> (d, e) | None -> assert false
-
 let th_pop t =
-  let a = t.heap in
-  let r = match a.(0) with Some (_, _, e) -> e | None -> assert false in
+  let r = t.th_entry.(0) in
   let n = t.heap_n - 1 in
   t.heap_n <- n;
-  a.(0) <- a.(n);
-  a.(n) <- None;
+  t.th_due.(0) <- t.th_due.(n);
+  t.th_seq.(0) <- t.th_seq.(n);
+  t.th_entry.(0) <- t.th_entry.(n);
+  t.th_entry.(n) <- t.parked;
   let i = ref 0 and fin = ref false in
   while not !fin do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
     let m = ref !i in
-    if l < n && th_less a l !m then m := l;
-    if r < n && th_less a r !m then m := r;
+    if l < n && th_less t l !m then m := l;
+    if r < n && th_less t r !m then m := r;
     if !m <> !i then begin
-      th_swap a !i !m;
+      th_swap t !i !m;
       i := !m
     end
     else fin := true
@@ -501,16 +571,16 @@ let th_pop t =
 let sleep t n leaf d = insert_timer t (!(t.clock) + max d 0) (park t n ~res:"timer" leaf)
 
 (* Wake every live timer whose deadline has been reached.  Expiry
-   happens between rounds, so appending to the queue is safe: the
-   driven leaf's queue snapshot has already been written back. *)
+   happens between rounds, when [born] is empty and the queue complete,
+   so the woken leaves go straight to the queue's end. *)
 let expire_due t =
-  while t.heap_n > 0 && fst (th_peek t) <= !(t.clock) do
+  while t.heap_n > 0 && t.th_due.(0) <= !(t.clock) do
     wake t (th_pop t)
   done;
-  if t.woken <> [] then begin
-    t.queue <- t.queue @ List.rev t.woken;
-    t.woken <- []
-  end
+  for i = 0 to t.born.len - 1 do
+    push t.queue t.born.arr.(i)
+  done;
+  clear t.born
 
 (* ------------------------------------------------------------------ *)
 (* Slices and rounds.                                                  *)
@@ -536,23 +606,67 @@ let slice_end t n used =
       Obs.advance o d;
       Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
 
-(* The nodes that take the stepped node's place in the queue: itself if
-   it is still a runnable leaf, then whatever the step made runnable
-   (fork children, a resumed parent, a grafted subtree's leaves).  A
-   subtree's leaves are contiguous in tree order, so splicing them at
-   the stepped node's position keeps the queue in exactly the order a
-   full forest walk would produce next round. *)
+(* Write the nodes that take the stepped node's place to the next
+   round's queue: itself if it is still a runnable leaf, then whatever
+   the step made runnable (fork children, a resumed parent, a grafted
+   subtree's leaves, woken leaves).  A subtree's leaves are contiguous
+   in tree order, so putting them at the stepped node's position keeps
+   the queue in exactly the order a full forest walk would produce next
+   round. *)
 let successors t n =
-  match t.born with
-  | [] ->
-      (* Nothing was born, so the node's attachment is unchanged from
-         the pre-step check; skip the parent-chain walk. *)
-      if is_leaf n then [ n ] else []
-  | b -> if is_leaf n && attached t n then n :: b else b
+  let b = t.born in
+  if b.len = 0 then begin
+    (* Nothing was born, so the node's attachment is unchanged from the
+       pre-step check; skip the parent-chain walk. *)
+    if is_leaf n then push t.next n
+  end
+  else begin
+    if is_leaf n && attached t n then push t.next n;
+    for i = 0 to b.len - 1 do
+      push t.next b.arr.(i)
+    done;
+    clear b
+  end
+
+(* Step a queued node if it is still an attached runnable leaf (once
+   halted, keep it queued unstepped); a detached or resolved one leaves
+   the queue. *)
+let step_one t step n =
+  match n.body with
+  | Nleaf l when attached t n ->
+      if t.halted then push t.next n
+      else begin
+        step n l;
+        successors t n
+      end
+  | _ -> ()
+
+(* Drop the queue's detached and resolved nodes in place, keeping the
+   order; the number of runnable leaves left. *)
+let compact t =
+  let q = t.queue in
+  let k = ref 0 in
+  for i = 0 to q.len - 1 do
+    let n = q.arr.(i) in
+    q.arr.(i) <- q.nil;
+    if is_leaf n && attached t n then begin
+      q.arr.(!k) <- n;
+      incr k
+    end
+  done;
+  q.len <- !k;
+  !k
+
+let swap t =
+  let q = t.queue in
+  t.queue <- t.next;
+  t.next <- q
 
 (* One scheduling round over the run queue: runnable leaves of the whole
    forest in tree order, maintained incrementally and lazily validated
    against [attached], so a round costs O(runnable), not O(forest).
+   Each policy reads [queue], clearing every slot it consumes, and
+   writes the next round's queue to [next]; the two swap at round end.
    [step n l] runs leaf [n] (payload [l]) for one slice. *)
 let round t step =
   t.rounds <- t.rounds + 1;
@@ -561,86 +675,62 @@ let round t step =
   | Some _ ->
       (* Queue length may include entries gone stale since the last
          compaction; it is the work the round is about to look at. *)
-      Obs.Metrics.Sketch.observe t.s_runq (List.length t.queue));
-  t.new_trees <- [];
+      Obs.Metrics.Sketch.observe t.s_runq t.queue.len);
+  let q = t.queue in
   (match t.policy with
   | Driven_pids pick ->
       (* Systematic exploration: one decision, one leaf, one slice.  The
          pick contract needs the exact live count, so compact the queue
          up front. *)
-      let arr = Array.of_list (List.filter (fun n -> is_leaf n && attached t n) t.queue) in
-      let count = Array.length arr in
-      if count = 0 then t.queue <- []
-      else begin
+      let count = compact t in
+      if count > 0 then begin
         (* Out-of-range picks are reduced modulo the runnable count, so
            a decision function written against one schedule stays total
            when the run diverges. *)
-        let raw = pick (Array.map (fun n -> n.nid) arr) in
+        let raw = pick (Array.init count (fun i -> q.arr.(i).nid)) in
         let idx = ((raw mod count) + count) mod count in
-        let n = arr.(idx) in
-        t.born <- [];
-        (if (not t.halted) && attached t n then
-           match n.body with Nleaf l -> step n l | Nwait _ | Nparked _ | Ndone -> ());
-        let before = Array.to_list (Array.sub arr 0 idx) in
-        let after = Array.to_list (Array.sub arr (idx + 1) (count - idx - 1)) in
-        t.queue <- before @ successors t n @ after
+        for i = 0 to count - 1 do
+          if i = idx then step_one t step q.arr.(i) else push t.next q.arr.(i)
+        done;
+        clear q
       end
   | Round_robin ->
-      (* Single fused pass: compact lazily while stepping, replacing each
-         stepped position by its successors in place.  One queue
-         traversal and no intermediate arrays per round. *)
-      let rec go acc = function
-        | [] -> t.queue <- List.rev acc
-        | n :: rest -> (
-            match n.body with
-            | Nleaf l when attached t n ->
-                if not t.halted then begin
-                  t.born <- [];
-                  step n l;
-                  (* [successors] inlined to avoid building the singleton
-                     list on the common nothing-born path. *)
-                  match t.born with
-                  | [] -> if is_leaf n then go (n :: acc) rest else go acc rest
-                  | b ->
-                      let acc =
-                        if is_leaf n && attached t n then List.rev_append b (n :: acc)
-                        else List.rev_append b acc
-                      in
-                      go acc rest
-                end
-                else go (n :: acc) rest
-            | _ -> go acc rest)
-      in
-      go [] t.queue
+      (* One pass: each position is replaced by its successors. *)
+      for i = 0 to q.len - 1 do
+        let n = q.arr.(i) in
+        q.arr.(i) <- q.nil;
+        step_one t step n
+      done;
+      q.len <- 0
   | Randomized _ ->
       (* The shuffle must range over exactly the live leaves (the same
          permutation a fresh forest walk would be dealt), so compact
-         first.  Only the processing order is shuffled; each node's
-         successors still land in its tree-order bucket. *)
-      let arr = Array.of_list (List.filter (fun n -> is_leaf n && attached t n) t.queue) in
-      let count = Array.length arr in
-      let buckets = Array.make (max count 1) [] in
-      let order = Array.init count (fun i -> i) in
-      (match t.rng with None -> () | Some g -> Xorshift.shuffle g order);
+         first.  Only the processing order is shuffled: successors are
+         written in processing order, each leaf's bounded by [first] and
+         [last], and laid back out in tree order. *)
+      let count = compact t in
+      let order = Array.init count Fun.id in
+      Option.iter (fun g -> Xorshift.shuffle g order) t.rng;
+      let first = Array.make count 0 and last = Array.make count 0 in
       Array.iter
         (fun i ->
-          let n = arr.(i) in
-          t.born <- [];
-          match n.body with
-          | Nleaf l when attached t n ->
-              if not t.halted then begin
-                step n l;
-                buckets.(i) <- successors t n
-              end
-              else buckets.(i) <- [ n ]
-          | _ ->
-              (* Detached or resolved since the compaction at the top of
-                 the round (a sibling's step pruned or completed it):
-                 drop it, exactly as the Round_robin pass does. *)
-              buckets.(i) <- [])
+          first.(i) <- t.next.len;
+          step_one t step q.arr.(i);
+          last.(i) <- t.next.len)
         order;
-      t.queue <- List.concat (Array.to_list buckets));
-  if t.new_trees <> [] then t.queue <- t.queue @ List.rev t.new_trees
+      clear q;
+      for i = 0 to count - 1 do
+        for j = first.(i) to last.(i) - 1 do
+          push q t.next.arr.(j)
+        done
+      done;
+      clear t.next;
+      swap t);
+  for i = 0 to t.planted.len - 1 do
+    push t.next t.planted.arr.(i)
+  done;
+  clear t.planted;
+  swap t
 
 (* One turn of the driver loop: expire due timers, then run a round.
    Quiescent with timers pending, jump the virtual clock to the earliest
@@ -649,7 +739,7 @@ let round t step =
    quiescence: nothing runnable and no timer pending. *)
 let advance t step =
   expire_due t;
-  if t.queue <> [] then begin
+  if t.queue.len > 0 then begin
     round t step;
     true
   end
@@ -657,12 +747,12 @@ let advance t step =
     (* Discard dead (captured/cancelled) sleepers at the top of the
        heap so the peek sees the earliest live deadline; dead entries
        deeper down are dropped when they surface. *)
-    while t.heap_n > 0 && not (snd (th_peek t)).e_live do
+    while t.heap_n > 0 && not (live t.th_entry.(0)) do
       ignore (th_pop t)
     done;
     if t.heap_n = 0 then false
     else begin
-      let d, _ = th_peek t in
+      let d = t.th_due.(0) in
       let delta = d - !(t.clock) in
       t.clock := d;
       (match t.obs with Some o when delta > 0 -> Obs.advance o delta | _ -> ());
@@ -679,7 +769,8 @@ let deadlock_msg t =
   | None -> ()
   | Some o -> Obs.emit o (E.Deadlock { parked = t.n_parked }));
   let plural, counted = t.nouns in
-  let live = List.filter (fun e -> e.e_live) (List.rev t.parked) in
+  let rec walk acc e = if e == t.parked then acc else walk (e :: acc) e.e_prev in
+  let live = walk [] t.parked.e_prev in
   match live with
   | [] -> "no runnable " ^ plural
   | _ ->

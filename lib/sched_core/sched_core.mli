@@ -57,13 +57,9 @@ and ('l, 'w, 'v) wait = {
   mutable pending : int;
 }
 
-and ('l, 'w, 'v) entry = {
-  e_node : ('l, 'w, 'v) node;
-  e_leaf : 'l;  (** what the node resumes as when woken or captured *)
-  e_res : string;  (** resource class, for wake events and diagnoses *)
-  e_round : int;
-  mutable e_live : bool;
-}
+and ('l, 'w, 'v) entry
+(** A parked leaf: its node, what it resumes as when woken or captured,
+    and the resource class its wake events and diagnoses name. *)
 
 (** The entries parked on one blocking resource, newest first; the name
     is the resource class events and deadlock diagnoses report.  A

@@ -20,14 +20,5 @@ type top =
   | Defsyntax of string  (** top-level [extend-syntax]; carries the name *)
   | Expr of Pcont_pstack.Ir.t
 
-val expand_top : ?macros:Macro.table -> Reader.datum -> (top, string) result
-(** Expand one top-level form: an expression, a [define] (including the
-    [(define (f . args) body ...)] shorthand), or an [extend-syntax]
-    form, which is registered into [macros]. *)
-
-val expand_program : ?macros:Macro.table -> Reader.datum list -> (top list, string) result
-(** Expands a whole program with a shared macro table (a fresh one if none
-    is supplied), so macros defined early are available to later forms. *)
-
 val parse_program : ?macros:Macro.table -> string -> (top list, string) result
 (** Read and expand a whole program. *)

@@ -1,9 +1,11 @@
-(* Golden traces: [traces native] and [traces pstack] print the JSONL
-   trace of one program per scheduler at a fixed [Randomized] seed.  The
-   dune rules beside this file diff them against the committed
-   [*.trace.expected] files, so any change to the event stream of
-   either scheduler shows up in [dune runtest]; [dune promote] accepts
-   an intentional one. *)
+(* Golden traces: [traces native POLICY] and [traces pstack POLICY]
+   print the JSONL trace of one program per scheduler under one of the
+   three policies: [random] (a fixed [Randomized] seed), [rr]
+   ([Round_robin]) or [last] (a [Driven_pids] policy that always steps
+   the last runnable pid).  The dune rules beside this file diff them
+   against the committed [*.trace.expected] files, so any change to the
+   event stream of either scheduler under any of its round loops shows
+   up in [dune runtest]; [dune promote] accepts an intentional one. *)
 
 module Obs = Pcont_obs.Obs
 module Sched = Pcont_sched.Sched
@@ -84,15 +86,25 @@ let pstack_src =
   \    (spawn (lambda (c) (pcall + 1 (c (lambda (k) (* (k 2) (k 5)))))))\n\
   \    (touch f)))"
 
+let usage () =
+  prerr_endline "usage: traces (native|pstack) [random|rr|last]";
+  exit 2
+
 let () =
+  let policy =
+    match Array.sub Sys.argv 2 (Array.length Sys.argv - 2) with
+    | [||] | [| "random" |] -> Sched.Randomized seed
+    | [| "rr" |] -> Sched.Round_robin
+    | [| "last" |] -> Sched.Driven_pids (fun pids -> Array.length pids - 1)
+    | _ -> usage ()
+    | exception Invalid_argument _ -> usage ()
+  in
   let o = Obs.create () in
   Obs.attach o (Obs.Sink.jsonl print_string);
-  (match Sys.argv with
-  | [| _; "native" |] -> ignore (Sched.run ~policy:(Sched.Randomized seed) ~obs:o native_main)
-  | [| _; "pstack" |] ->
-      let mode = Interp.Concurrent (Concur.Randomized seed) in
+  (match Sys.argv.(1) with
+  | "native" -> ignore (Sched.run ~policy ~obs:o native_main)
+  | "pstack" ->
+      let mode = Interp.Concurrent policy in
       ignore (Interp.eval_value ~mode ~obs:o (Interp.create ()) pstack_src)
-  | _ ->
-      prerr_endline "usage: traces (native|pstack)";
-      exit 2);
+  | _ -> usage ());
   Obs.close o

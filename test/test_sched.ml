@@ -64,6 +64,64 @@ let test_pcall_releases_finished_branches () =
   ignore (S.run (fun () -> S.pcall (List.init n branch)));
   Alcotest.(check int) "finished branches' buffers live" 0 !live
 
+(* A cancelled scope's parked body is dropped with its continuation while
+   other fibers stay parked: nothing in the core keeps its entry. *)
+let test_cancelled_waiter_released () =
+  let bufs = Weak.create 1 in
+  let live = ref true in
+  ignore
+    (S.run (fun () ->
+         let gate = S.Waitset.create "gate" in
+         let opened = ref false in
+         let waiter () =
+           while not !opened do
+             S.block gate
+           done
+         in
+         let a = S.future waiter and b = S.future waiter in
+         let r =
+           S.spawn (fun c ->
+               fst
+                 (S.pcall2
+                    (fun () ->
+                      let buf = Bytes.make 4096 'x' in
+                      Weak.set bufs 0 (Some buf);
+                      S.block (S.Waitset.create "scope");
+                      Bytes.length buf)
+                    (fun () ->
+                      S.yield ();
+                      S.abort c ~reason:"test" (fun () -> 0))))
+         in
+         Gc.full_major ();
+         live := Weak.check bufs 0;
+         opened := true;
+         S.wake gate;
+         S.touch a;
+         S.touch b;
+         r));
+  Alcotest.(check bool) "cancelled body's buffer live" false !live
+
+(* Sleepers that wake from the timer heap and finish leave nothing
+   behind in the run queue, the heap or the parked census. *)
+let test_woken_sleepers_released () =
+  let n = 1000 in
+  let bufs = Weak.create n in
+  let live = ref (-1) in
+  ignore
+    (S.run (fun () ->
+         let sleeper i () =
+           let buf = Bytes.make 4096 'x' in
+           Weak.set bufs i (Some buf);
+           S.sleep (1 + (i mod 10));
+           Bytes.length buf
+         in
+         let futs = List.init n (fun i -> S.future (sleeper i)) in
+         List.iter (fun f -> ignore (S.touch f)) futs;
+         S.yield ();
+         Gc.full_major ();
+         live := List.length (List.filter (Weak.check bufs) (List.init n Fun.id))));
+  Alcotest.(check int) "finished sleepers' buffers live" 0 !live
+
 let test_yield_interleaves () =
   (* Two branches record their steps; with yields, the trace alternates. *)
   let trace = ref [] in
@@ -146,6 +204,18 @@ let test_dead_controller_catchable () =
         with S.Dead_controller -> 42)
   in
   Alcotest.(check int) "caught in fiber" 42 r
+
+let test_outer_run_controller () =
+  (* Labels restart in every run, so the nested run's first root carries
+     the outer controller's label: it must not be taken for that
+     controller's root. *)
+  match
+    S.run (fun () ->
+        S.spawn (fun outer ->
+            S.run (fun () -> S.spawn (fun _ -> S.control outer (fun _ -> 42)))))
+  with
+  | (_ : int) -> Alcotest.fail "expected Dead_controller"
+  | exception S.Dead_controller -> ()
 
 let test_expired_pk () =
   let r =
@@ -924,6 +994,9 @@ let () =
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "finished branches released" `Quick
             test_pcall_releases_finished_branches;
+          Alcotest.test_case "cancelled waiter released" `Quick
+            test_cancelled_waiter_released;
+          Alcotest.test_case "woken sleepers released" `Quick test_woken_sleepers_released;
         ] );
       ( "control",
         [
@@ -933,6 +1006,7 @@ let () =
           Alcotest.test_case "prunes siblings" `Quick test_control_prunes_sibling;
           Alcotest.test_case "dead controller" `Quick test_dead_controller;
           Alcotest.test_case "dead controller catchable" `Quick test_dead_controller_catchable;
+          Alcotest.test_case "outer run's controller" `Quick test_outer_run_controller;
           Alcotest.test_case "expired pk" `Quick test_expired_pk;
           Alcotest.test_case "outside scheduler" `Quick test_not_in_scheduler;
           Alcotest.test_case "deep cross-fiber exit" `Quick test_nested_spawn_cross_fiber;
