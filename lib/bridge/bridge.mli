@@ -10,7 +10,7 @@
     construct otherwise (strings, vectors, [set!], [call/cc], [pcall],
     [future], variadic procedures).
 
-    [program_to_term] additionally folds a whole top-level program into one
+    [scheme_to_term] additionally folds a whole top-level program into one
     closed term, turning each [(define x e)] into a [let] over the
     remaining forms, so the paper's multi-form Scheme examples run
     unchanged on the semantics machine. *)
@@ -26,8 +26,6 @@ val of_term : T.term -> Ir.t
 val to_term : Ir.t -> (T.term, string) result
 (** Partial translation IR → machine. *)
 
-val program_to_term : Pcont_syntax.Expand.top list -> (T.term, string) result
-(** Whole-program translation; the last form must be an expression. *)
-
 val scheme_to_term : string -> (T.term, string) result
-(** Read, expand and translate a Scheme program for the machine. *)
+(** Read, expand and translate a Scheme program for the machine; the
+    last form must be an expression. *)

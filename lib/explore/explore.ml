@@ -41,7 +41,7 @@ let find_idx (a : int array) (x : int) : int option =
 (* ------------------------------------------------------------------ *)
 
 module Fault = struct
-  type kind = Crash | Wake of string | Drop of int
+  type kind = Sched.fault = Crash | Wake of string | Drop of int
 
   type t = { at : int; kind : kind }
 
@@ -52,17 +52,9 @@ module Fault = struct
 
   let to_string f = Printf.sprintf "%s@%d" (kind_to_string f.kind) f.at
 
-  let to_sched = function
-    | Crash -> Sched.Fcrash
-    | Wake r -> Sched.Fwake r
-    | Drop c -> Sched.Fdrop c
-
   (* The injection hook for [Sched.run]: one lookup per slice index. *)
   let to_inject faults =
-    fun i ->
-      List.find_map
-        (fun f -> if f.at = i then Some (to_sched f.kind) else None)
-        faults
+    fun i -> List.find_map (fun f -> if f.at = i then Some f.kind else None) faults
 
   (* Inverse of the scheduler's in-trace markers ("inject:crash",
      "inject:wake:<res>", "inject:drop:<id>"). *)

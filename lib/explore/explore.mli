@@ -41,7 +41,7 @@ module Obs := Pcont_obs.Obs
     byte-identically like any other. *)
 
 module Fault : sig
-  type kind =
+  type kind = Pcont_sched.Sched.fault =
     | Crash  (** deliver {!Pcont_sched.Sched.Injected_crash} *)
     | Wake of string  (** spurious wake of a waitset, by name *)
     | Drop of int  (** drop one buffered message from a channel, by id *)
@@ -252,8 +252,6 @@ module Workloads : sig
 
   val gen_pstack : target
   (** The mirrored Scheme workload ([ptrace gen --scheduler pstack]). *)
-
-  val gen_pstack_src : string
 
   val racing : int -> target
   (** [racing n]: n producers and n consumers racing on one capacity-1

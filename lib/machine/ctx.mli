@@ -25,8 +25,6 @@ type t = frame list
 val plug : t -> Term.term -> Term.term
 (** [plug c e] is [C\[e\]]. *)
 
-val plug_frame : frame -> Term.term -> Term.term
-
 val split_at_label : Term.label -> t -> (t * t) option
 (** [split_at_label l c] splits [c] as [(inner, outer)] where [inner] is the
     largest prefix of [c] not containing a frame [Flabel l] — the context

@@ -39,9 +39,6 @@ val product0 : Term.term
 val product : Term.term
 (** [product : list -> int] built from [spawn_exit] and [product0]. *)
 
-val int_list : int list -> Term.term
-(** A machine-level list of integers. *)
-
 val product_of : int list -> Term.term
 (** [product] applied to the given list. *)
 

@@ -10,6 +10,7 @@ type redex =
   | Rspawn of Term.term
   | Rif of bool * Term.term * Term.term
 
+(* Short rule name, for tracing and statistics. *)
 let redex_rule = function
   | Rbeta _ -> "beta"
   | Rfix _ -> "fix"

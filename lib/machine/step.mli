@@ -21,10 +21,6 @@ type redex =
   | Rspawn of Term.term  (** [spawn v] *)
   | Rif of bool * Term.term * Term.term
 
-val redex_rule : redex -> string
-(** Short rule name ("beta", "label-return", "control", "spawn", …) used for
-    tracing and statistics. *)
-
 type decomposition =
   | Value  (** the program is a value: evaluation is complete *)
   | Decomp of Ctx.t * redex

@@ -517,21 +517,25 @@ end
 module Metrics = struct
   (* DDSketch-style quantile sketch.  Bucket [i] (i >= 0) holds every
      observation v with gamma^(i-1) < v <= gamma^i, where
-     gamma = (1+alpha)/(1-alpha); zeros are counted exactly.  Reporting
-     the bucket midpoint 2*gamma^i/(gamma+1) makes every quantile
-     estimate within relative error alpha of some true observation:
-     for v in the bucket, |est - v| / v <= alpha (the DDSketch bound).
-     The estimate is clamped to the exact max, which keeps the bound:
-     a midpoint above the max lies further from every v in the bucket
-     than the max does. *)
+     gamma = (1+alpha)/(1-alpha) and alpha = 0.01; zeros are counted
+     exactly.  Reporting the bucket midpoint 2*gamma^i/(gamma+1) makes
+     every quantile estimate within relative error alpha of some true
+     observation: for v in the bucket, |est - v| / v <= alpha (the
+     DDSketch bound).  The estimate is clamped to the exact max, which
+     keeps the bound: a midpoint above the max lies further from every
+     v in the bucket than the max does. *)
   module Sketch = struct
+    let alpha = 0.01
+
+    let gamma = (1. +. alpha) /. (1. -. alpha)
+
+    let inv_log_gamma = 1. /. log gamma
+
     type t = {
-      sk_gamma : float;
-      sk_log_gamma : float;  (* cached 1/ln gamma *)
       (* bucket counts indexed directly by bucket number — observation is
          an array increment, not a hashtable probe (this runs once per
          scheduler slice); grown by doubling when a large value lands
-         past the end.  ~1150 buckets cover [1, 2^62] at alpha = 0.01. *)
+         past the end.  ~1150 buckets cover [1, 2^62]. *)
       mutable sk_buckets : int array;
       mutable sk_zero : int;  (* exact count of zero observations *)
       mutable sk_n : int;
@@ -539,19 +543,7 @@ module Metrics = struct
       mutable sk_max : int;
     }
 
-    let create ?(alpha = 0.01) () =
-      if alpha <= 0. || alpha >= 1. then
-        invalid_arg "Sketch.create: alpha must be in (0, 1)";
-      let gamma = (1. +. alpha) /. (1. -. alpha) in
-      {
-        sk_gamma = gamma;
-        sk_log_gamma = 1. /. log gamma;
-        sk_buckets = Array.make 64 0;
-        sk_zero = 0;
-        sk_n = 0;
-        sk_sum = 0;
-        sk_max = 0;
-      }
+    let create () = { sk_buckets = Array.make 64 0; sk_zero = 0; sk_n = 0; sk_sum = 0; sk_max = 0 }
 
     let count sk = sk.sk_n
 
@@ -565,7 +557,7 @@ module Metrics = struct
     (* ceil(log_gamma v), clamped so v=1 lands in bucket 0.  The float
        log is exact enough: an off-by-one bucket is still within the
        advertised bound because adjacent buckets overlap at gamma^i. *)
-    let bucket_of sk v = int_of_float (Float.ceil (log (float_of_int v) *. sk.sk_log_gamma))
+    let bucket_of v = int_of_float (Float.ceil (log (float_of_int v) *. inv_log_gamma))
 
     let grow sk i =
       let rec cap m = if i < m then m else cap (2 * m) in
@@ -580,7 +572,7 @@ module Metrics = struct
       if v > sk.sk_max then sk.sk_max <- v;
       if v = 0 then sk.sk_zero <- sk.sk_zero + 1
       else begin
-        let i = bucket_of sk v in
+        let i = bucket_of v in
         if i >= Array.length sk.sk_buckets then grow sk i;
         sk.sk_buckets.(i) <- sk.sk_buckets.(i) + 1
       end
@@ -601,7 +593,7 @@ module Metrics = struct
               let acc = acc + sk.sk_buckets.(i) in
               if rank < acc then
                 Float.min
-                  (2. *. (sk.sk_gamma ** float_of_int i) /. (sk.sk_gamma +. 1.))
+                  (2. *. (gamma ** float_of_int i) /. (gamma +. 1.))
                   (float_of_int sk.sk_max)
               else walk acc (i + 1)
           in

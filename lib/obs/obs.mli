@@ -219,20 +219,19 @@ module Metrics : sig
   type t
 
   (** A DDSketch-style quantile sketch over non-negative ints.
-      Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha) give
-      every quantile estimate a {e proven relative-error bound}: bucket
-      [i] holds values in (gamma{^i-1}, gamma{^i}] and reports the
-      midpoint 2·gamma{^i}/(gamma+1), clamped to the exact max, so for
-      any observation v in the bucket |estimate − v|/v ≤ alpha.  Zeros
-      are counted exactly.  Storage is O(buckets), independent of the
+      Log-spaced buckets with ratio gamma = (1+alpha)/(1-alpha), where
+      alpha = 0.01, give every quantile estimate a {e proven
+      relative-error bound}: bucket [i] holds values in
+      (gamma{^i-1}, gamma{^i}] and reports the midpoint
+      2·gamma{^i}/(gamma+1), clamped to the exact max, so for any
+      observation v in the bucket |estimate − v|/v ≤ alpha.  Zeros are
+      counted exactly.  Storage is O(buckets), independent of the
       observation count — p50/p99/p999 without storing observations. *)
   module Sketch : sig
     type t
 
-    val create : ?alpha:float -> unit -> t
-    (** Fresh sketch with relative-error bound [alpha] (default 0.01,
-        i.e. quantiles within 1%).  Raises [Invalid_argument] unless
-        0 < alpha < 1. *)
+    val create : unit -> t
+    (** Fresh sketch: quantiles within 1% of a true observation. *)
 
     val observe : t -> int -> unit
     (** O(1): one log, one array bump (the bucket array grows by

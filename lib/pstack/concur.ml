@@ -72,13 +72,6 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin) ?obs ?cfg ge
   (match obs with
   | None -> ()
   | Some o -> cfg.Machine.metrics <- Some (Obs.metrics o));
-  (* Virtual time: advanced by the fuel each slice charges, with or
-     without a trace handle, so [sleep] never depends on whether the run
-     is observed. *)
-  let vclock = ref 0 in
-  (* Causal-span context: the span the branch being stepped is inside
-     (-1 = none). *)
-  let cur_span = ref (-1) in
   let span_parent : (int, int) Hashtbl.t = Hashtbl.create 16 in
   (* A fork resumes as a leaf applying the first child's value to the
      rest in the trunk. *)
@@ -88,8 +81,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin) ?obs ?cfg ge
     | [] -> assert false
   in
   let c =
-    Core.create ?obs ~counters ~prefix:"concur" ~nouns:("branches", "branch(es)")
-      ~clock:vclock ~span:cur_span ~resume sched
+    Core.create ?obs ~counters ~prefix:"concur" ~nouns:("branches", "branch(es)") ~resume sched
       (Machine.initial (Resolve.toplevel genv ir))
   in
   let live_futures = ref 0 in
@@ -203,21 +195,22 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin) ?obs ?cfg ge
                    flight dumps and live traces agree, or else from the
                    configuration, which numbers a session's spans the
                    same way.  No fuel: like fork/future, an interception
-                   rather than a machine transition. *)
+                   rather than a machine transition.  The branch's span
+                   context is its node's. *)
                 let id =
                   match obs with
-                  | Some o -> Obs.Span.begin_ o ~pid:n.nid ~parent:!cur_span name
+                  | Some o -> Obs.Span.begin_ o ~pid:n.nid ~parent:n.span name
                   | None -> Pcont_util.Id.fresh cfg.Machine.spans
                 in
-                Hashtbl.replace span_parent id !cur_span;
-                cur_span := id;
+                Hashtbl.replace span_parent id n.span;
+                n.span <- id;
                 go { st with control = Creturn (Int id) } (q - 1)
             | Machine.Esc_span_end id ->
                 (match obs with
                 | None -> ()
                 | Some o -> Obs.Span.end_ o ~pid:n.nid id);
-                if !cur_span = id then
-                  cur_span :=
+                if n.span = id then
+                  n.span <-
                     (match Hashtbl.find_opt span_parent id with
                     | Some parent -> parent
                     | None -> -1);
@@ -240,7 +233,7 @@ let run ?(fuel = 10_000_000) ?(quantum = 16) ?(sched = Round_robin) ?obs ?cfg ge
     Core.slice_begin c n;
     let fuel0 = !fuel_left in
     go st quantum;
-    Core.slice_end c n (fuel0 - !fuel_left);
+    Core.slice_end c (fuel0 - !fuel_left);
     if !failure <> None || !fuel_left <= 0 then Core.halt c
   in
 

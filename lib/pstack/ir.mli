@@ -108,8 +108,6 @@ val seq : t list -> t
 val size : t -> int
 (** Number of IR nodes, for generators and statistics. *)
 
-val pp_quoted : Format.formatter -> quoted -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

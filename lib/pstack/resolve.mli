@@ -21,7 +21,5 @@ val resolve : Types.genv -> (string * int) list list -> Ir.t -> Types.rir
 (** Resolve under explicit compile-time scopes (innermost rib first);
     exposed for tests. *)
 
-val const_value : Ir.const -> Types.value
-
 val quoted_value : Ir.quoted -> Types.value
 (** Build the (fresh, possibly mutable) value of a quoted literal. *)

@@ -12,8 +12,6 @@ type outcome =
   | Error of string
   | Out_of_fuel
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val outcome_to_string : outcome -> string
 
 val run : ?fuel:int -> Machine.config -> Types.state -> outcome

@@ -20,9 +20,6 @@ val equal : Types.value -> Types.value -> bool
 val pp : Format.formatter -> Types.value -> unit
 (** [write]-style printing: strings quoted, characters in [#\c] form. *)
 
-val pp_display : Format.formatter -> Types.value -> unit
-(** [display]-style printing: strings and characters unquoted. *)
-
 val to_string : Types.value -> string
 
 val display_string : Types.value -> string

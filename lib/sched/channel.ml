@@ -24,7 +24,7 @@ let create ?(capacity = 16) () =
       receivers = Sched.Waitset.create "channel.recv";
     }
   in
-  (* Fault-injection hook (Fdrop): losing a buffered message frees a
+  (* Fault-injection hook (Drop): losing a buffered message frees a
      slot, so parked senders must be woken exactly as a real consumer
      would wake them. *)
   Sched.register_dropper ch.id (fun () ->

@@ -13,7 +13,7 @@ exception Not_in_scheduler
 exception Deadlock of string
 
 exception Injected_crash
-(* delivered at a fiber's suspension point by the [Fcrash] fault *)
+(* delivered at a fiber's suspension point by the [Crash] fault *)
 
 type policy = Core.policy =
   | Round_robin
@@ -26,9 +26,9 @@ type policy = Core.policy =
    and each one emits an [E.Crash "inject:..."] marker so the plan can
    be re-extracted from the trace. *)
 type fault =
-  | Fcrash  (* raise [Injected_crash] at the target fiber's suspension point *)
-  | Fwake of string  (* spurious wake: wake everything parked on the resource *)
-  | Fdrop of int  (* silently drop one buffered element from the channel *)
+  | Crash  (* raise [Injected_crash] at the target fiber's suspension point *)
+  | Wake of string  (* spurious wake: wake everything parked on the resource *)
+  | Drop of int  (* silently drop one buffered element from the channel *)
 
 (* ------------------------------------------------------------------ *)
 (* Fibers and typed result cells.                                      *)
@@ -114,70 +114,67 @@ let take ctl =
   ctl.c_result <- None;
   v
 
-let label_counter = ref 0
-
-(* Runs started so far, and the generation of the innermost one.
-   Labels restart in every run, so a controller from an enclosing run
-   is told apart by its generation. *)
+(* Runs started so far.  Labels restart in every run, so a controller
+   from an enclosing run is told apart by its run's generation. *)
 let runs = ref 0
 
-let cur_run = ref 0
-
 (* ------------------------------------------------------------------ *)
-(* Observability context.                                              *)
+(* The run context.                                                    *)
 (*                                                                     *)
-(* The scheduler is cooperative and single-threaded, so the handle of  *)
-(* the innermost running [run] can live in globals that [run] saves    *)
-(* and restores.  User-level code running inside a fiber (channels,    *)
-(* user blocking abstractions) reads them to tag its events with the   *)
-(* stepping fiber's id.                                                *)
+(* The scheduler is cooperative and single-threaded, so the state of   *)
+(* the innermost running [run] can live behind one global that [run]   *)
+(* saves and restores.  User-level code running inside a fiber         *)
+(* (channels, user blocking abstractions) reads it for the handle, and *)
+(* through the core for the clock and the stepping fiber's id and span *)
+(* (its innermost open span, which channels carry across sends).       *)
 (* ------------------------------------------------------------------ *)
 
-let cur_obs : Obs.t option ref = ref None
+type context = {
+  x_core : (leaf, wx, unit) Core.t option;  (* None outside every run *)
+  x_obs : Obs.t option;
+  x_run : int;  (* the run's generation *)
+  x_inject : bool;  (* the run injects faults *)
+  (* Controller labels and channel (and other user-resource) ids:
+     allocated per run so traces of identical runs are identical. *)
+  mutable x_labels : int;
+  mutable x_chans : int;
+  (* Channel-drop fault hooks: channels register how to discard one
+     buffered element (returning the waitset to wake, since dropping
+     frees capacity).  Kept only while the run injects faults: a hook
+     holds its channel until the run ends. *)
+  mutable x_droppers : (int * (unit -> waitset option)) list;
+}
 
-let cur_pid = ref 0
+let context ?core ?obs ~run ~inject () =
+  {
+    x_core = core;
+    x_obs = obs;
+    x_run = run;
+    x_inject = inject;
+    x_labels = 0;
+    x_chans = 0;
+    x_droppers = [];
+  }
 
-(* The stepping fiber's innermost open span (-1 = none): user-level
-   code (channels) reads it to propagate request context across sends;
-   the scheduler saves/loads it around every slice so each fiber keeps
-   its own context. *)
-let cur_span = ref (-1)
+(* The innermost run's context; outside every run, one without a core. *)
+let cur = ref (context ~run:0 ~inject:false ())
 
-(* The innermost run's virtual clock: slices since the run started, plus
-   any quiescence jumps to pending timer deadlines.  Advances whether or
-   not an obs handle is installed, so timer behavior never depends on
-   tracing. *)
-let cur_clock = ref 0
+let obs () = !cur.x_obs
 
-(* The innermost run's scheduling core, for its live-node census. *)
-let cur_core : (leaf, wx, unit) Core.t option ref = ref None
+let self_pid () = match !cur.x_core with Some c -> (Core.stepping c).nid | None -> 0
 
-(* Channel (and other user-resource) ids: allocated per run so traces
-   of identical runs are identical. *)
-let chan_ids = ref 0
+let now () = match !cur.x_core with Some c -> Core.now c | None -> 0
 
-(* Channel-drop fault hooks: channels register how to discard one
-   buffered element (returning the waitset to wake, since dropping frees
-   capacity).  Per run, like [chan_ids], and kept only while the
-   innermost run injects faults: a hook holds its channel until the run
-   ends. *)
-let droppers : (int * (unit -> waitset option)) list ref = ref []
-
-let injecting = ref false
-
-let obs () = !cur_obs
-
-let self_pid () = !cur_pid
-
-let now () = !cur_clock
-
-let peak () = match !cur_core with Some c -> Core.peak c | None -> 0
+let peak () = match !cur.x_core with Some c -> Core.peak c | None -> 0
 
 let fresh_chan_id () =
-  incr chan_ids;
-  !chan_ids
+  let x = !cur in
+  x.x_chans <- x.x_chans + 1;
+  x.x_chans
 
-let register_dropper id f = if !injecting then droppers := (id, f) :: !droppers
+let register_dropper id f =
+  let x = !cur in
+  if x.x_inject then x.x_droppers <- (id, f) :: x.x_droppers
 
 (* Control points (labels and forks) and node count of a captured
    subtree — the quantities the paper's complexity claim is stated in. *)
@@ -191,37 +188,6 @@ let ptree_size = Core.ptree_sum ~leaf:(fun _ -> 1) ~hole:(fun () -> 1) ~done_:1 
 let start body = Start body
 
 let run ?(policy = Round_robin) ?obs ?inject main =
-  (* Install the observability context; restored on every exit path so
-     nested runs and exceptions leave the outer context intact.  Labels
-     and channel ids restart per run, which keeps traces of identical
-     runs byte-identical. *)
-  let saved_obs = !cur_obs and saved_pid = !cur_pid in
-  let saved_chans = !chan_ids and saved_labels = !label_counter in
-  let saved_clock = !cur_clock and saved_droppers = !droppers in
-  let saved_injecting = !injecting in
-  let saved_span = !cur_span and saved_core = !cur_core in
-  let saved_run = !cur_run in
-  incr runs;
-  cur_run := !runs;
-  cur_obs := obs;
-  chan_ids := 0;
-  label_counter := 0;
-  cur_clock := 0;
-  cur_span := -1;
-  droppers := [];
-  injecting := Option.is_some inject;
-  let restore () =
-    cur_obs := saved_obs;
-    cur_pid := saved_pid;
-    chan_ids := saved_chans;
-    label_counter := saved_labels;
-    cur_clock := saved_clock;
-    cur_span := saved_span;
-    cur_core := saved_core;
-    cur_run := saved_run;
-    droppers := saved_droppers;
-    injecting := saved_injecting
-  in
   (* The main fiber's result cell. *)
   let result = ref None in
   (* An injected crash for the fiber about to step: consumed by
@@ -240,11 +206,11 @@ let run ?(policy = Round_robin) ?obs ?inject main =
      fiber to its next request and is charged one unit of virtual
      time. *)
   let c =
-    Core.create ?obs ~prefix:"sched" ~nouns:("fibers", "fiber(s)") ~clock:cur_clock
-      ~span:cur_span ~resume policy
+    Core.create ?obs ~prefix:"sched" ~nouns:("fibers", "fiber(s)") ~resume policy
       (Start (fun () -> result := Some (main ())))
   in
-  cur_core := Some c;
+  incr runs;
+  let ctx = context ~core:c ?obs ~run:!runs ~inject:(Option.is_some inject) () in
   let failure = ref None in
   (* Global slice index, the unit fault placements are expressed in. *)
   let nslices = ref 0 in
@@ -313,25 +279,25 @@ let run ?(policy = Round_robin) ?obs ?inject main =
      re-extracted from the trace re-injects at the same slice index. *)
   let apply_fault (n : node) fault =
     match fault with
-    | Fcrash ->
+    | Crash ->
         (match obs with
         | None -> ()
         | Some o -> Obs.emit o (E.Crash { pid = n.nid; fault = "inject:crash" }));
         pending_crash := Some Injected_crash
-    | Fwake res ->
+    | Wake res ->
         (match obs with
         | None -> ()
         | Some o -> Obs.emit o (E.Crash { pid = -1; fault = "inject:wake:" ^ res }));
         (* Parking is a re-check loop, so correct waiters re-park;
            anything that stays woken revealed a missing re-check. *)
         Core.wake_resource c res
-    | Fdrop chan -> (
+    | Drop chan -> (
         (match obs with
         | None -> ()
         | Some o ->
             Obs.emit o
               (E.Crash { pid = -1; fault = "inject:drop:" ^ string_of_int chan }));
-        match List.assoc_opt chan !droppers with
+        match List.assoc_opt chan ctx.x_droppers with
         | None -> ()
         | Some drop -> Option.iter (Core.wake_all c) (drop ()))
   in
@@ -366,17 +332,16 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     | Rcontrol (ctl, body) -> do_capture n k ctl body
     | Rgraft (pk, v) -> do_graft n k pk v
   in
-  (* The node being stepped, set before each slice: its fiber's return
-     delivers it, and its requests are served as the fiber suspends. *)
-  let stepping : node ref = ref { Core.nid = -1; parent = Ptop; body = Ndone; span = -1 } in
+  (* The stepping node's fiber's return delivers it, and its requests
+     are served as the fiber suspends. *)
   let handler : (unit, unit) handler =
     {
-      retc = (fun () -> Core.deliver c !stepping ());
+      retc = (fun () -> Core.deliver c (Core.stepping c) ());
       exnc = raise;
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
-          | Sched req -> Some (fun (k : b fiber) -> dispatch !stepping k req)
+          | Sched req -> Some (fun (k : b fiber) -> dispatch (Core.stepping c) k req)
           | _ -> None);
     }
   in
@@ -400,8 +365,6 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     | Raise (k, exn) -> discontinue k exn
   in
   let step (n : node) leaf =
-    stepping := n;
-    cur_pid := n.nid;
     (match inject with
     | None -> ()
     | Some f -> (
@@ -409,7 +372,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     incr nslices;
     Core.slice_begin c n;
     (try run_leaf leaf with e -> failure := Some e);
-    Core.slice_end c n 1;
+    Core.slice_end c 1;
     (* an unconsumed crash (the target delivered or raised before its
        suspension point was resumed) must not leak to the next slice *)
     pending_crash := None;
@@ -424,7 +387,11 @@ let run ?(policy = Round_robin) ?obs ?inject main =
         if Core.advance c step then drive ()
         else raise (Deadlock ("deadlock: " ^ Core.deadlock_msg c))
   in
-  Fun.protect ~finally:restore drive
+  (* Install the run's context; restored on every exit path so nested
+     runs and exceptions leave the outer context intact. *)
+  let saved = !cur in
+  cur := ctx;
+  Fun.protect ~finally:(fun () -> cur := saved) drive
 
 (* ------------------------------------------------------------------ *)
 (* Typed front end.                                                    *)
@@ -434,8 +401,9 @@ let perform_sched req =
   try perform (Sched req) with Effect.Unhandled (Sched _) -> raise Not_in_scheduler
 
 let spawn f =
-  incr label_counter;
-  let c = { c_label = !label_counter; c_run = !cur_run; c_result = None } in
+  let x = !cur in
+  x.x_labels <- x.x_labels + 1;
+  let c = { c_label = x.x_labels; c_run = x.x_run; c_result = None } in
   perform_sched (Rspawn (c, fun () -> c.c_result <- Some (f c)))
 
 let control c body = perform_sched (Rcontrol (c, body))
@@ -474,24 +442,29 @@ let abort c ~reason f = perform_sched (Rabort (c, reason, fun () -> c.c_result <
 (* Causal spans.                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A fiber's span context is its stepping node's. *)
 module Span = struct
-  let current () = !cur_span
+  let current () = match !cur.x_core with Some c -> (Core.stepping c).span | None -> -1
 
-  let adopt s = if s >= 0 then cur_span := s
+  let set s = match !cur.x_core with Some c -> (Core.stepping c).span <- s | None -> ()
+
+  let adopt s = if s >= 0 then set s
 
   let with_ name f =
-    match !cur_obs with
+    match !cur.x_obs with
     | None -> f ()
     | Some o ->
-        let parent = !cur_span in
-        let id = Obs.Span.begin_ o ~pid:!cur_pid ~parent name in
-        cur_span := id;
+        let parent = current () in
+        let id = Obs.Span.begin_ o ~pid:(self_pid ()) ~parent name in
+        set id;
         Fun.protect
           ~finally:(fun () ->
             (* runs on exception unwind too, so a crashing fiber still
-               closes its span before the crash propagates *)
-            Obs.Span.end_ o ~pid:!cur_pid id;
-            cur_span := parent)
+               closes its span before the crash propagates.  A capture
+               and graft may have moved the fiber to a fresh node since
+               the span opened, so read the stepping node again. *)
+            Obs.Span.end_ o ~pid:(self_pid ()) id;
+            set parent)
           f
 end
 

@@ -51,7 +51,7 @@ exception Deadlock of string
     {!run}). *)
 
 exception Injected_crash
-(** Delivered into a fiber by an injected {!Fcrash} fault (see {!run}'s
+(** Delivered into a fiber by an injected {!Crash} fault (see {!run}'s
     [inject] argument).  It is an ordinary exception: a fiber that
     catches it survives; one that does not aborts the whole run like any
     escaped exception — unless a supervisor ({!Pcont_resil}) converts it
@@ -65,16 +65,16 @@ type policy = Pcont_sched_core.Sched_core.policy =
           chosen by pid (see {!Pcont_sched_core.Sched_core.policy}) *)
 
 type fault =
-  | Fcrash
+  | Crash
       (** raise {!Injected_crash} inside the fiber about to be stepped:
           delivered at its suspension point (catchable by the fiber's
           own [try]) or, for a fiber that has not started, before its
           body runs *)
-  | Fwake of string
+  | Wake of string
       (** spuriously wake every fiber parked on the named resource
           (e.g. ["channel.recv"]).  Correct waiters re-check and re-park;
           a waiter that proceeds exposed a missing re-check loop. *)
-  | Fdrop of int
+  | Drop of int
       (** silently drop one buffered message from the channel with this
           id (see {!fresh_chan_id}), waking its senders as a real
           consumer would.  A no-op for unknown or empty channels. *)
@@ -162,7 +162,9 @@ val peak : unit -> int
     backstop for fully blocked systems. *)
 
 val now : unit -> int
-(** The current virtual time (slices elapsed in the innermost run). *)
+(** The innermost run's virtual time, kept by its scheduling core:
+    slices elapsed plus the jumps to timer deadlines; 0 outside every
+    run. *)
 
 val sleep : int -> unit
 (** Park the calling fiber until the virtual clock reaches
@@ -227,25 +229,26 @@ val wake : Waitset.t -> unit
 (** {1 Observability hooks for user-level abstractions}
 
     The scheduler is cooperative and single-threaded, so the innermost
-    running {!run} exposes its observability context through globals.
-    Blocking abstractions built on {!block}/{!wake} (e.g. {!Channel})
-    use these to tag their own events with the stepping fiber's id.
-    All three are meaningful only while a [run] is in progress. *)
+    running {!run} exposes its context through one global that [run]
+    saves and restores.  Blocking abstractions built on {!block}/{!wake}
+    (e.g. {!Channel}) use these to tag their own events with the
+    stepping fiber's id. *)
 
 val obs : unit -> Pcont_obs.Obs.t option
-(** The handle passed to the innermost running {!run}, if any.  Guard
-    event construction on the [Some] case to keep the no-handle path
-    allocation-free. *)
+(** The handle passed to the innermost running {!run}, if any ([None]
+    outside every run).  Guard event construction on the [Some] case to
+    keep the no-handle path allocation-free. *)
 
 val self_pid : unit -> int
-(** The node id of the fiber currently being stepped. *)
+(** The node id of the fiber currently being stepped: the innermost
+    run's stepping node; 0 outside every run. *)
 
 val fresh_chan_id : unit -> int
 (** Allocate a resource id (used by {!Channel}).  Ids restart at 1 in
     each {!run} so traces of identical runs are identical. *)
 
 val register_dropper : int -> (unit -> Waitset.t option) -> unit
-(** Register the {!Fdrop} hook for a channel id: the thunk drops one
+(** Register the {!Drop} hook for a channel id: the thunk drops one
     buffered message if any and returns the waitset to wake (senders
     parked on a full buffer), or [None] when there was nothing to drop.
     Called by {!Channel.create}.  Registrations are per run and kept
@@ -265,12 +268,13 @@ val register_dropper : int -> (unit -> Waitset.t option) -> unit
 
 module Span : sig
   val current : unit -> int
-  (** The stepping fiber's innermost open span, [-1] when none. *)
+  (** The stepping fiber's innermost open span, kept on its process-tree
+      node; [-1] when none and outside every run. *)
 
   val adopt : int -> unit
   (** Make the given span the fiber's current context (no-op for
-      negative ids).  Used by {!Channel.recv} to continue the sender's
-      span; user code rarely needs it directly. *)
+      negative ids and outside every run).  Used by {!Channel.recv} to
+      continue the sender's span; user code rarely needs it directly. *)
 
   val with_ : string -> (unit -> 'a) -> 'a
   (** [with_ name f] opens a span, runs [f], and closes the span —

@@ -10,11 +10,11 @@ type policy =
 
 (* The live process forest.  A node is a runnable leaf, a wait over its
    children (a pcall fork, a process root, a controller body), a leaf
-   parked on a resource, or done (its value delivered to the parent).
-   A capture copies a subtree into an immutable [ptree] and discards its
-   nodes.  [span] is the causal span the node's work runs in (-1 =
-   none): a new node starts in its creator's, and each slice saves the
-   leaf's current one. *)
+   parked on a resource, or done: its value delivered to the parent, or
+   pruned by a capture (which copies the subtree into an immutable
+   [ptree]) or a cancel.  [span] is the causal span the node's work runs
+   in (-1 = none): a new node starts in the stepping node's, and the
+   backends update the stepping node's in place. *)
 type ('l, 'w, 'v) node = {
   nid : int;
   mutable parent : ('l, 'w, 'v) parent;
@@ -42,14 +42,14 @@ and ('l, 'w, 'v) wait = {
 
 (* A parked leaf.  While live, the entry is linked, in park order, into
    the core's parked census through [e_prev]/[e_next].  Waking the leaf,
-   or a capture pruning it into a process continuation, kills the entry:
-   it is unlinked and links to itself, so it keeps no other entry alive,
-   and a stale reference left on a waitset or the timer heap does
-   nothing.  [e_round] is the scheduling round the leaf parked in, for
-   the park-latency sketch. *)
+   or a capture or cancel pruning it, kills the entry: it is unlinked,
+   links to itself and takes the census sentinel's node and leaf, so a
+   stale reference left on a waitset or the timer heap holds nothing.
+   [e_round] is the scheduling round the leaf parked in, for the
+   park-latency sketch. *)
 and ('l, 'w, 'v) entry = {
-  e_node : ('l, 'w, 'v) node;
-  e_leaf : 'l;
+  mutable e_node : ('l, 'w, 'v) node;
+  mutable e_leaf : 'l;
   e_res : string;
   e_round : int;
   mutable e_prev : ('l, 'w, 'v) entry;
@@ -94,7 +94,6 @@ let clear b =
   b.len <- 0
 
 type ('l, 'w, 'v) t = {
-  root : ('l, 'w, 'v) node;
   policy : policy;
   rng : Xorshift.t option;
   obs : Obs.t option;
@@ -103,8 +102,8 @@ type ('l, 'w, 'v) t = {
   c_wake : string;
   nouns : string * string;  (* "branches", "branch(es)" *)
   resume : 'w -> 'v array -> 'l;
-  clock : int ref;
-  cur_span : int ref;  (* the stepping leaf's span *)
+  mutable clock : int;  (* virtual time: fuel charged, plus timer jumps *)
+  mutable stepping : ('l, 'w, 'v) node;  (* the node whose slice runs *)
   s_runq : Obs.Metrics.series;
   s_park : Obs.Metrics.series;
   mutable queue : ('l, 'w, 'v) node buf;  (* this round's runnable leaves *)
@@ -113,13 +112,11 @@ type ('l, 'w, 'v) t = {
   planted : ('l, 'w, 'v) node buf;  (* future trees planted this round *)
   mutable next_id : int;
   mutable rounds : int;
-  mutable prunes : int;
   mutable halted : bool;
   mutable final : 'v option;
   mutable live : int;  (* nodes announced and not yet exited or cancelled *)
   mutable peak : int;
   parked : ('l, 'w, 'v) entry;  (* sentinel of the live entries, oldest next *)
-  mutable n_parked : int;  (* live entries *)
   mutable th_due : int array;  (* timer heap: deadline, seq and sleeper per slot *)
   mutable th_seq : int array;
   mutable th_entry : ('l, 'w, 'v) entry array;
@@ -130,7 +127,7 @@ type ('l, 'w, 'v) t = {
 (* Never fed: every observation site is guarded on [obs]. *)
 let unobserved = lazy (Obs.Metrics.Sketch.create ())
 
-let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
+let create ?obs ?counters ~prefix ~nouns ~resume policy leaf =
   let series name =
     match obs with
     | Some o -> Obs.Metrics.series (Obs.metrics o) (prefix ^ name)
@@ -156,7 +153,6 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
   | None -> ()
   | Some o -> Obs.emit o (E.Spawn { pid = 0; parent = -1; kind = "root" }));
   {
-    root;
     policy;
     rng = (match policy with Randomized seed -> Some (Xorshift.create seed) | _ -> None);
     obs;
@@ -165,8 +161,8 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     c_wake = prefix ^ ".wake";
     nouns;
     resume;
-    clock;
-    cur_span = span;
+    clock = 0;
+    stepping = root;
     s_runq = series ".runq.depth";
     s_park = series ".park.rounds";
     queue;
@@ -175,13 +171,11 @@ let create ?obs ?counters ~prefix ~nouns ~clock ~span ~resume policy leaf =
     planted = buf nil;
     next_id = 0;
     rounds = 0;
-    prunes = 0;
     halted = false;
     final = None;
     live = 1;
     peak = 1;
     parked;
-    n_parked = 0;
     th_due = Array.make 64 0;
     th_seq = Array.make 64 0;
     th_entry = Array.make 64 parked;
@@ -195,7 +189,9 @@ let peak t = t.peak
 
 let halt t = t.halted <- true
 
-let prune t = t.prunes <- t.prunes + 1
+let now t = t.clock
+
+let stepping t = t.stepping
 
 let count t name =
   match t.counters with None -> () | Some c -> Counters.incr c name
@@ -207,37 +203,15 @@ let census t d =
   t.live <- t.live + d;
   if t.live > t.peak then t.peak <- t.live
 
-(* A node born now: a fresh id, in the stepping leaf's span, live. *)
+(* A node born now: a fresh id, in the stepping node's span, live. *)
 let new_node t parent body =
   t.next_id <- t.next_id + 1;
   census t 1;
-  { nid = t.next_id; parent; body; span = !(t.cur_span) }
+  { nid = t.next_id; parent; body; span = t.stepping.span }
 
 (* ------------------------------------------------------------------ *)
 (* The live tree.                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* A node is attached iff following parent links reaches the live root
-   through matching child slots.  Nodes pruned into a process
-   continuation fail this test and are skipped by the scheduler. *)
-let rec attached_walk t n =
-  match n.parent with
-  | Ptop -> n == t.root
-  | Pfut _ -> ( match n.body with Ndone -> false | _ -> true)
-  | Pchild (p, i) -> (
-      match p.body with
-      | Nwait w -> i < Array.length w.children && w.children.(i) == n && attached_walk t p
-      | _ -> false)
-
-(* Only captures ever detach a node from the live forest (grafts reuse
-   captured, already-detached trees), so until one has happened every
-   non-[Ndone] node is attached and the parent-chain walk can be
-   skipped.  (A finished root reports detached here where the walk
-   would not, but callers always guard with [is_leaf], which is false
-   for [Ndone].) *)
-let attached t n =
-  if t.prunes = 0 then match n.body with Ndone -> false | _ -> true
-  else attached_walk t n
 
 let is_leaf n = match n.body with Nleaf _ -> true | _ -> false
 
@@ -249,7 +223,6 @@ let rec push_leaves t n =
 
 let become_leaf t n leaf =
   n.body <- Nleaf leaf;
-  clear t.born;
   push t.born n
 
 (* Deliver a leaf's final value to its parent: the run's result at the
@@ -286,7 +259,6 @@ let fork t n wx kind leaf xs =
       | None -> ()
       | Some o -> Obs.emit o (E.Spawn { pid = c.nid; parent = n.nid; kind }))
     xs;
-  clear t.born;
   Array.iter (push t.born) w.children
 
 (* Plant an independent tree in the forest (Section 8); [deliver]
@@ -348,7 +320,6 @@ let graft t n wx pts results hole =
     m
   in
   let w = wait_of n wx pts results in
-  clear t.born;
   push_leaves t n;
   match t.obs with
   | None -> ()
@@ -390,7 +361,6 @@ let park t n ~res leaf =
   in
   s.e_prev.e_next <- e;
   s.e_prev <- e;
-  t.n_parked <- t.n_parked + 1;
   n.body <- Nparked e;
   (match t.obs with
   | None -> ()
@@ -400,51 +370,56 @@ let park t n ~res leaf =
 let live e = e.e_next != e
 
 (* Kill a live parked entry (woken, or its node pruned): unlink it from
-   the census. *)
+   the census and drop its node and leaf. *)
 let release t e =
-  t.n_parked <- t.n_parked - 1;
   e.e_prev.e_next <- e.e_next;
   e.e_next.e_prev <- e.e_prev;
   e.e_prev <- e;
-  e.e_next <- e
+  e.e_next <- e;
+  e.e_node <- t.parked.e_node;
+  e.e_leaf <- t.parked.e_leaf
 
-(* A parked leaf's resource may be woken while the subtree is captured,
+(* Every node walked dies: the subtree now lives only in the [ptree].
+   A parked leaf's resource may be woken while the subtree is captured,
    so its entry dies with the capture; parking is always a re-check
    loop, so the grafted leaf just resumes and re-checks. *)
 let capture t n hole m =
-  prune t;
   let rec walk m =
-    if m == n then Phole hole
-    else
-      match m.body with
-      | Nleaf l -> Pleaf l
-      | Nparked e ->
-          release t e;
-          Pleaf e.e_leaf
-      | Ndone -> Pdone
-      | Nwait w -> Pwait (w.wx, Array.map walk w.children, Array.copy w.results)
+    let pt =
+      if m == n then Phole hole
+      else
+        match m.body with
+        | Nleaf l -> Pleaf l
+        | Nparked e ->
+            let l = e.e_leaf in
+            release t e;
+            Pleaf l
+        | Ndone -> Pdone
+        | Nwait w -> Pwait (w.wx, Array.map walk w.children, Array.copy w.results)
+    in
+    m.body <- Ndone;
+    pt
   in
   walk m
 
-(* Cancellation as declined reinstatement: prune everything under the
+(* Cancellation as declined reinstatement: kill everything under the
    wait [scope] and announce it as one Cancel by [n].  The sweep is
    pre-order, collecting every live pid (exactly what an invariant
    checker must mark dead) and releasing parked entries; the invoking
    leaf is among them when it sits inside the scope.  The caller puts a
    replacement under [scope]. *)
 let discard t n scope ~reason =
-  prune t;
   let cancelled = ref [] in
   let rec sweep m =
     match m.body with
     | Ndone -> ()
-    | Nleaf _ -> cancelled := m.nid :: !cancelled
-    | Nparked e ->
-        release t e;
-        cancelled := m.nid :: !cancelled
-    | Nwait w ->
+    | body -> (
         cancelled := m.nid :: !cancelled;
-        Array.iter sweep w.children
+        m.body <- Ndone;
+        match body with
+        | Nparked e -> release t e
+        | Nwait w -> Array.iter sweep w.children
+        | Nleaf _ | Ndone -> ())
   in
   (match scope.body with Nwait w -> Array.iter sweep w.children | _ -> assert false);
   let pids = Array.of_list (List.rev !cancelled) in
@@ -458,15 +433,16 @@ let discard t n scope ~reason =
    the order the leaves will actually run in. *)
 let wake t e =
   if live e then begin
+    let n = e.e_node in
+    n.body <- Nleaf e.e_leaf;
     release t e;
     count t t.c_wake;
-    e.e_node.body <- Nleaf e.e_leaf;
-    push t.born e.e_node;
+    push t.born n;
     match t.obs with
     | None -> ()
     | Some o ->
         Obs.Metrics.Sketch.observe t.s_park (t.rounds - e.e_round);
-        Obs.emit o (E.Wake { pid = e.e_node.nid; resource = e.e_res })
+        Obs.emit o (E.Wake { pid = n.nid; resource = e.e_res })
   end
 
 (* Move the leaves woken since [born] held [mark] nodes ahead of those
@@ -568,13 +544,13 @@ let th_pop t =
   r
 
 (* Park [n] until the virtual clock reaches now+d. *)
-let sleep t n leaf d = insert_timer t (!(t.clock) + max d 0) (park t n ~res:"timer" leaf)
+let sleep t n leaf d = insert_timer t (t.clock + max d 0) (park t n ~res:"timer" leaf)
 
 (* Wake every live timer whose deadline has been reached.  Expiry
    happens between rounds, when [born] is empty and the queue complete,
    so the woken leaves go straight to the queue's end. *)
 let expire_due t =
-  while t.heap_n > 0 && t.th_due.(0) <= !(t.clock) do
+  while t.heap_n > 0 && t.th_due.(0) <= t.clock do
     wake t (th_pop t)
   done;
   for i = 0 to t.born.len - 1 do
@@ -587,53 +563,47 @@ let expire_due t =
 (* ------------------------------------------------------------------ *)
 
 (* A run slice: everything a leaf does before the scheduler moves on.
-   The span a leaf is inside follows it across slices. *)
+   The node is the stepping one until the next slice begins. *)
 let slice_begin t n =
-  t.cur_span := n.span;
+  t.stepping <- n;
   match t.obs with None -> () | Some o -> Obs.emit o (E.Slice_begin { pid = n.nid })
 
 (* The virtual clock advances by the fuel charged (at least 1, so
    zero-fuel slices still have visible extent) whether or not a trace
    handle is attached, which keeps timestamps — and timer behavior —
    deterministic and independent of observation. *)
-let slice_end t n used =
-  n.span <- !(t.cur_span);
+let slice_end t used =
   let d = if used > 0 then used else 1 in
-  t.clock := !(t.clock) + d;
+  t.clock <- t.clock + d;
   match t.obs with
   | None -> ()
   | Some o ->
       Obs.advance o d;
-      Obs.emit o (E.Slice_end { pid = n.nid; fuel = used })
+      Obs.emit o (E.Slice_end { pid = t.stepping.nid; fuel = used })
 
 (* Write the nodes that take the stepped node's place to the next
    round's queue: itself if it is still a runnable leaf, then whatever
-   the step made runnable (fork children, a resumed parent, a grafted
-   subtree's leaves, woken leaves).  A subtree's leaves are contiguous
-   in tree order, so putting them at the stepped node's position keeps
-   the queue in exactly the order a full forest walk would produce next
-   round. *)
+   the step made runnable (woken leaves, fork children, a resumed
+   parent, a grafted subtree's leaves).  A subtree's leaves are
+   contiguous in tree order, so putting them at the stepped node's
+   position keeps the queue in exactly the order a full forest walk
+   would produce next round. *)
 let successors t n =
+  if is_leaf n then push t.next n;
   let b = t.born in
-  if b.len = 0 then begin
-    (* Nothing was born, so the node's attachment is unchanged from the
-       pre-step check; skip the parent-chain walk. *)
-    if is_leaf n then push t.next n
-  end
-  else begin
-    if is_leaf n && attached t n then push t.next n;
+  if b.len > 0 then begin
     for i = 0 to b.len - 1 do
       push t.next b.arr.(i)
     done;
     clear b
   end
 
-(* Step a queued node if it is still an attached runnable leaf (once
-   halted, keep it queued unstepped); a detached or resolved one leaves
-   the queue. *)
+(* Step a queued node if it is still a runnable leaf (once halted, keep
+   it queued unstepped); a parked, waiting or dead one leaves the
+   queue. *)
 let step_one t step n =
   match n.body with
-  | Nleaf l when attached t n ->
+  | Nleaf l ->
       if t.halted then push t.next n
       else begin
         step n l;
@@ -641,15 +611,15 @@ let step_one t step n =
       end
   | _ -> ()
 
-(* Drop the queue's detached and resolved nodes in place, keeping the
-   order; the number of runnable leaves left. *)
+(* Drop the queue's nodes that are no longer runnable leaves in place,
+   keeping the order; the number of runnable leaves left. *)
 let compact t =
   let q = t.queue in
   let k = ref 0 in
   for i = 0 to q.len - 1 do
     let n = q.arr.(i) in
     q.arr.(i) <- q.nil;
-    if is_leaf n && attached t n then begin
+    if is_leaf n then begin
       q.arr.(!k) <- n;
       incr k
     end
@@ -663,8 +633,9 @@ let swap t =
   t.next <- q
 
 (* One scheduling round over the run queue: runnable leaves of the whole
-   forest in tree order, maintained incrementally and lazily validated
-   against [attached], so a round costs O(runnable), not O(forest).
+   forest in tree order, maintained incrementally and lazily dropping
+   nodes that stopped being leaves, so a round costs O(runnable), not
+   O(forest).
    Each policy reads [queue], clearing every slot it consumes, and
    writes the next round's queue to [next]; the two swap at round end.
    [step n l] runs leaf [n] (payload [l]) for one slice. *)
@@ -753,8 +724,8 @@ let advance t step =
     if t.heap_n = 0 then false
     else begin
       let d = t.th_due.(0) in
-      let delta = d - !(t.clock) in
-      t.clock := d;
+      let delta = d - t.clock in
+      t.clock <- d;
       (match t.obs with Some o when delta > 0 -> Obs.advance o delta | _ -> ());
       true
     end
@@ -765,12 +736,12 @@ let advance t step =
    failure means every remaining leaf is parked on a resource nobody
    left can signal. *)
 let deadlock_msg t =
-  (match t.obs with
-  | None -> ()
-  | Some o -> Obs.emit o (E.Deadlock { parked = t.n_parked }));
-  let plural, counted = t.nouns in
   let rec walk acc e = if e == t.parked then acc else walk (e :: acc) e.e_prev in
   let live = walk [] t.parked.e_prev in
+  (match t.obs with
+  | None -> ()
+  | Some o -> Obs.emit o (E.Deadlock { parked = List.length live }));
+  let plural, counted = t.nouns in
   match live with
   | [] -> "no runnable " ^ plural
   | _ ->

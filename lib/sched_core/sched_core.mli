@@ -2,18 +2,21 @@
     schedulers: the pstack machine's ({!Pcont_pstack.Concur}, Section 7)
     and the native effect-handler one ({!Pcont_sched.Sched}).
 
-    The core owns everything about the process forest that does not
-    depend on what a leaf is: the live tree and its attachment test, the
-    run queue and the policies that order it, the climb to a
-    controller's root, captured subtrees with the capture walk and the
-    graft that rebuilds them, waitsets and parked entries with their
-    wake emission and deadlock census, the timer heap and the virtual
-    clock, each node's span, the live-node census, cancellation sweeps,
-    and every lifecycle and slice event.  A backend supplies the payload
-    types — a leaf ['l], the extra state of a wait ['w], a result value
-    ['v], the hole of a capture ['h] — and one closure that steps a leaf
-    for a slice.  Every event and distribution the core emits is named
-    by the backend's prefix ([concur.*] or [sched.*]). *)
+    The core owns a run's state, everything about the process forest
+    that does not depend on what a leaf is: the live tree, the run queue
+    and the policies that order it, the climb to a controller's root,
+    captured subtrees with the capture walk and the graft that rebuilds
+    them, waitsets and parked entries with their wake emission and
+    deadlock census, the timer heap and the virtual clock, the stepping
+    node and each node's span, the live-node census, cancellation
+    sweeps, and every lifecycle and slice event.  A capture or a cancel
+    kills every node it prunes ([Ndone]), so a queued node is runnable
+    exactly when it is a leaf, and a killed parked entry holds neither
+    its node nor its leaf.  A backend supplies the payload types — a
+    leaf ['l], the extra state of a wait ['w], a result value ['v], the
+    hole of a capture ['h] — and one closure that steps a leaf for a
+    slice.  Every event and distribution the core emits is named by the
+    backend's prefix ([concur.*] or [sched.*]). *)
 
 type policy =
   | Round_robin  (** deterministic: leaves step in process-tree order *)
@@ -35,8 +38,9 @@ type ('l, 'w, 'v) node = {
   mutable parent : ('l, 'w, 'v) parent;
   mutable body : ('l, 'w, 'v) body;
   mutable span : int;
-      (** the causal span the node runs in (-1 = none): its creator's
-          at birth, saved by {!slice_end}, loaded by {!slice_begin} *)
+      (** the causal span the node runs in (-1 = none): the stepping
+          node's at birth; a backend updates the {!stepping} node's in
+          place as spans open and close *)
 }
 
 and ('l, 'w, 'v) parent =
@@ -48,7 +52,7 @@ and ('l, 'w, 'v) body =
   | Nleaf of 'l
   | Nwait of ('l, 'w, 'v) wait
   | Nparked of ('l, 'w, 'v) entry  (** not runnable, not stepped *)
-  | Ndone
+  | Ndone  (** delivered, or pruned by a capture or cancel *)
 
 and ('l, 'w, 'v) wait = {
   wx : 'w;
@@ -63,7 +67,8 @@ and ('l, 'w, 'v) entry
 
 (** The entries parked on one blocking resource, newest first; the name
     is the resource class events and deadlock diagnoses report.  A
-    capture or cancel kills an entry but leaves it on the list. *)
+    capture or cancel kills an entry but leaves it on the list, holding
+    nothing. *)
 type ('l, 'w, 'v) waitset = { ws_name : string; mutable ws_parked : ('l, 'w, 'v) entry list }
 
 (** A captured subtree: [Phole] is the leaf that invoked the controller,
@@ -85,20 +90,17 @@ val create :
   ?counters:Pcont_util.Counters.t ->
   prefix:string ->
   nouns:string * string ->
-  clock:int ref ->
-  span:int ref ->
   resume:('w -> 'v array -> 'l) ->
   policy ->
   'l ->
   ('l, 'w, 'v) t
-(** A forest whose root (pid 0) is the given leaf.  [prefix] names the
+(** A forest whose root (pid 0, span -1) is the given leaf, at virtual
+    time 0, with the root as the stepping node.  [prefix] names the
     sketches ([prefix.runq.depth], [prefix.park.rounds]) and, with
     [counters], the [prefix.park]/[prefix.wake] counters.  [nouns] is
     the plural and counted noun of deadlock diagnoses, e.g.
-    [("fibers", "fiber(s)")].  [clock] is the virtual
-    clock and [span] the stepping leaf's span context (-1 = none).
-    [resume wx results] is the leaf a wait becomes when its last child
-    delivers. *)
+    [("fibers", "fiber(s)")].  [resume wx results] is the leaf a wait
+    becomes when its last child delivers. *)
 
 val final : ('l, 'w, 'v) t -> 'v option
 (** The root's value, once delivered. *)
@@ -111,6 +113,14 @@ val peak : ('l, 'w, 'v) t -> int
 
 val halt : ('l, 'w, 'v) t -> unit
 (** Step nothing more: rounds keep their queue but run no slice. *)
+
+val now : ('l, 'w, 'v) t -> int
+(** The virtual clock: the fuel charged to slices so far (at least 1
+    each), plus the jumps to timer deadlines at quiescence. *)
+
+val stepping : ('l, 'w, 'v) t -> ('l, 'w, 'v) node
+(** The node of the slice begun last: the one running, during a slice.
+    New nodes take its span. *)
 
 (** {1 The live tree} *)
 
@@ -142,9 +152,10 @@ val find_root :
 val capture :
   ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> 'h -> ('l, 'w, 'v) node -> ('l, 'w, 'v, 'h) ptree
 (** [capture t n hole m] copies the subtree [m], with [Phole hole] for
-    the invoking node [n].  A parked leaf's entry is killed and the leaf
-    captured as runnable, so on graft it re-checks its condition.  The
-    caller then puts something else in [m]'s place. *)
+    the invoking node [n], and kills every node of it.  A parked leaf's
+    entry is killed and the leaf captured as runnable, so on graft it
+    re-checks its condition.  The caller then puts something else in
+    [m]'s place. *)
 
 val graft :
   ('l, 'w, 'v) t ->
@@ -161,9 +172,9 @@ val graft :
 val discard :
   ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> ('l, 'w, 'v) node -> reason:string -> unit
 (** [discard t n scope ~reason]: cancellation as declined reinstatement.
-    Prune every node under the wait [scope], release its parked
-    entries, and announce the live ones (pre-order) in one cancel by
-    [n].  The caller forks a replacement under [scope]. *)
+    Kill every node under the wait [scope] and its parked entries, and
+    announce the live ones (pre-order) in one cancel by [n].  The caller
+    forks a replacement under [scope]. *)
 
 (** {1 Parking and timers} *)
 
@@ -185,9 +196,11 @@ val wake_resource : ('l, 'w, 'v) t -> string -> unit
 (** {1 Running} *)
 
 val slice_begin : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> unit
+(** Begin the node's slice: it becomes the {!stepping} node. *)
 
-val slice_end : ('l, 'w, 'v) t -> ('l, 'w, 'v) node -> int -> unit
-(** End the node's slice, charged the given fuel. *)
+val slice_end : ('l, 'w, 'v) t -> int -> unit
+(** End the stepping node's slice, charged the given fuel: the clock
+    advances by it (at least 1). *)
 
 val advance : ('l, 'w, 'v) t -> (('l, 'w, 'v) node -> 'l -> unit) -> bool
 (** One turn of the run loop with the given stepping closure: expire due

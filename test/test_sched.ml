@@ -101,6 +101,42 @@ let test_cancelled_waiter_released () =
          r));
   Alcotest.(check bool) "cancelled body's buffer live" false !live
 
+(* A cancelled scope's branch parked where the run can still reach its
+   entry — the timer heap, a waitset from outside the scope — is dropped
+   with its continuation: the dead entry holds nothing. *)
+let cancelled_parker_live park =
+  let bufs = Weak.create 1 in
+  let live = ref true in
+  ignore
+    (S.run (fun () ->
+         let gate = S.Waitset.create "gate" in
+         let r =
+           S.spawn (fun c ->
+               fst
+                 (S.pcall2
+                    (fun () ->
+                      let buf = Bytes.make 4096 'x' in
+                      Weak.set bufs 0 (Some buf);
+                      park gate;
+                      Bytes.length (Sys.opaque_identity buf))
+                    (fun () ->
+                      S.yield ();
+                      S.abort c ~reason:"test" (fun () -> 0))))
+         in
+         S.yield ();
+         Gc.full_major ();
+         live := Weak.check bufs 0;
+         ignore (Sys.opaque_identity gate);
+         r));
+  !live
+
+let test_cancelled_sleeper_released () =
+  Alcotest.(check bool) "cancelled sleeper's buffer live" false
+    (cancelled_parker_live (fun _ -> S.sleep 1_000_000))
+
+let test_cancelled_reachable_waiter_released () =
+  Alcotest.(check bool) "cancelled waiter's buffer live" false (cancelled_parker_live S.block)
+
 (* Sleepers that wake from the timer heap and finish leave nothing
    behind in the run queue, the heap or the parked census. *)
 let test_woken_sleepers_released () =
@@ -863,7 +899,7 @@ let test_fwake_after_churn () =
     else begin
       incr gap;
       next := i + !gap;
-      Some (S.Fwake "x")
+      Some (S.Wake "x")
     end
   in
   let o = Pcont_obs.Obs.create () in
@@ -909,6 +945,32 @@ let test_fwake_after_churn () =
   let parks, faults, most = check [] (0, 0, 0) (List.rev !evs) in
   if parks < 1000 || faults < 10 || most < 4 then
     Alcotest.failf "%d parks, %d faults, at most %d woken at once" parks faults most
+
+(* A leaf an injected wake makes runnable just before a slice that
+   forks, resumes a parent or grafts is still queued: wherever the fault
+   lands, the waiter wakes and the run finishes. *)
+let test_fwake_before_fork () =
+  for slice = 0 to 8 do
+    let inject i = if i = slice then Some (S.Wake "x") else None in
+    match
+      S.run ~inject (fun () ->
+          let x = S.Waitset.create "x" in
+          let go = ref false in
+          snd
+            (S.pcall2
+               (fun () ->
+                 while not !go do
+                   S.block x
+                 done)
+               (fun () ->
+                 let a, b = S.pcall2 (fun () -> 2) (fun () -> 3) in
+                 go := true;
+                 S.wake x;
+                 a * b)))
+    with
+    | v -> Alcotest.(check int) (Printf.sprintf "wake at slice %d" slice) 6 v
+    | exception S.Deadlock msg -> Alcotest.failf "wake at slice %d: %s" slice msg
+  done
 
 let test_deadlock_after_churn () =
   match
@@ -996,6 +1058,10 @@ let () =
             test_pcall_releases_finished_branches;
           Alcotest.test_case "cancelled waiter released" `Quick
             test_cancelled_waiter_released;
+          Alcotest.test_case "cancelled sleeper released" `Quick
+            test_cancelled_sleeper_released;
+          Alcotest.test_case "cancelled waiter on a reachable waitset released" `Quick
+            test_cancelled_reachable_waiter_released;
           Alcotest.test_case "woken sleepers released" `Quick test_woken_sleepers_released;
         ] );
       ( "control",
@@ -1075,6 +1141,7 @@ let () =
           Alcotest.test_case "driven channel handoff" `Quick
             test_driven_channel_handoff;
           Alcotest.test_case "spurious wake after churn" `Quick test_fwake_after_churn;
+          Alcotest.test_case "spurious wake before a fork" `Quick test_fwake_before_fork;
           Alcotest.test_case "diagnosis after churn" `Quick test_deadlock_after_churn;
         ] );
     ]

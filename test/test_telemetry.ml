@@ -381,7 +381,7 @@ let uniform01 st =
 
 let check_sketch_accuracy name values =
   let alpha = 0.01 in
-  let sk = Obs.Metrics.Sketch.create ~alpha () in
+  let sk = Obs.Metrics.Sketch.create () in
   Array.iter (Obs.Metrics.Sketch.observe sk) values;
   let sorted = Array.copy values in
   Array.sort compare sorted;
@@ -597,6 +597,19 @@ let test_native_spans () =
   in
   Alcotest.(check int) "three spans ended" 3 end_count
 
+(* A fiber inside a span is captured and grafted back onto a fresh
+   node.  Closing the span restores the parent on the node the fiber
+   runs on by then, so what it does next is outside the span. *)
+let test_native_span_across_graft () =
+  let after = ref 0 and child = ref 0 in
+  Sched.run ~obs:(Obs.create ()) (fun () ->
+      Sched.spawn (fun c ->
+          Sched.Span.with_ "s" (fun () -> Sched.control c (fun pk -> Sched.resume pk ()));
+          after := Sched.Span.current ();
+          ignore (Sched.pcall2 (fun () -> child := Sched.Span.current ()) ignore)));
+  Alcotest.(check int) "span after close" (-1) !after;
+  Alcotest.(check int) "child's span" (-1) !child
+
 (* ---------------- deterministic sampling ---------------- *)
 
 let sampled_pstack_trace ~seed ~rate () =
@@ -753,6 +766,8 @@ let () =
           Alcotest.test_case "span ids independent of tracing" `Quick
             test_span_ids_independent_of_tracing;
           Alcotest.test_case "native propagation + balance" `Quick test_native_spans;
+          Alcotest.test_case "native span closed across a graft" `Quick
+            test_native_span_across_graft;
         ] );
       ( "sampling",
         [
