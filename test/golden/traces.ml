@@ -5,9 +5,17 @@
    the last runnable pid).  The dune rules beside this file diff them
    against the committed [*.trace.expected] files, so any change to the
    event stream of either scheduler under any of its round loops shows
-   up in [dune runtest]; [dune promote] accepts an intentional one. *)
+   up in [dune runtest]; [dune promote] accepts an intentional one.
+
+   [traces mutants FILE] pins the checker on damaged traces: for every
+   event of FILE it prints [Check]'s verdict on the trace without that
+   event and on the trace with it duplicated, seqs renumbered from 0,
+   after running report, slo and the top snapshot on the same mutant
+   (any exception escapes and fails the rule). *)
 
 module Obs = Pcont_obs.Obs
+module Trace = Pcont_obs.Trace
+module Analysis = Pcont_obs.Analysis
 module Sched = Pcont_sched.Sched
 module Channel = Pcont_sched.Channel
 module Resil = Pcont_resil.Resil
@@ -87,10 +95,38 @@ let pstack_src =
   \    (touch f)))"
 
 let usage () =
-  prerr_endline "usage: traces (native|pstack) [random|rr|last]";
+  prerr_endline "usage: traces (native|pstack) [random|rr|last] | traces mutants FILE";
   exit 2
 
+let mutants path =
+  let evs =
+    match Trace.load path with
+    | Ok evs -> evs
+    | Error m ->
+        prerr_endline (path ^ ": " ^ m);
+        exit 2
+  in
+  let n = Array.length evs in
+  let verdict what i a =
+    let a = Array.mapi (fun seq s -> { s with Trace.seq }) a in
+    ignore (Analysis.Report.of_trace a);
+    ignore (Analysis.Slo.of_trace a);
+    let snap = Analysis.Snapshot.create () in
+    Array.iter (Analysis.Snapshot.feed snap) a;
+    ignore (Format.asprintf "%a" Analysis.Snapshot.pp snap);
+    Format.printf "%s %d: %a" what i Analysis.Check.pp (Analysis.Check.run a)
+  in
+  for i = 0 to n - 1 do
+    verdict "drop" i (Array.append (Array.sub evs 0 i) (Array.sub evs (i + 1) (n - i - 1)));
+    verdict "dup" i
+      (Array.concat [ Array.sub evs 0 (i + 1); [| evs.(i) |]; Array.sub evs (i + 1) (n - i - 1) ])
+  done
+
 let () =
+  if Array.length Sys.argv = 3 && Sys.argv.(1) = "mutants" then begin
+    mutants Sys.argv.(2);
+    exit 0
+  end;
   let policy =
     match Array.sub Sys.argv 2 (Array.length Sys.argv - 2) with
     | [||] | [| "random" |] -> Sched.Randomized seed
