@@ -810,7 +810,7 @@ let e14 () =
       let run () =
         let o = Obs.create () in
         let snap = Analysis.Snapshot.create () in
-        Obs.attach o (Analysis.Snapshot.sink snap);
+        Obs.attach o (Pcont_obs.Trace.sink (Analysis.Snapshot.model snap));
         let lat = Obs.Metrics.Sketch.create () in
         let cancelled = ref 0 and completed = ref 0 in
         Sched.run ~obs:o (fun () ->
@@ -889,7 +889,13 @@ let e15 () =
      about slices of useful size, not about the scheduler's
      context-switch floor. *)
   let n = 1 lsl 15 and grain = 4 and quantum = 256 in
-  let reps = if !quick then 2 else 3 in
+  (* Each repeat times every config once, in an order rotated by one per
+     repeat, each run on a fresh handle and a collected heap, and each
+     config's cost is its ratio to the same repeat's [none]; the claim
+     is checked on the median ratio.  A fixed order with best-of-n let
+     whichever config ran first absorb the warm-up and host drift
+     (metrics read cheaper than no handle). *)
+  let reps = if !quick then 9 else 11 in
   let configs =
     [
       ("none", fun () -> None);
@@ -910,35 +916,59 @@ let e15 () =
           Some o );
     ]
   in
-  Printf.printf "%8s | %12s %10s | %8s\n" "config" "ms" "overhead" "fibers";
-  let base = ref 0. in
+  let src = Printf.sprintf "(tsum 1 %d %d)" n grain in
+  let expected = n * (n + 1) / 2 in
+  let runs =
+    Array.of_list
+      (List.map
+         (fun (label, mk) ->
+           let t = Interp.create () in
+           ignore (Interp.eval_string t P.tsum_defs);
+           let run obs () =
+             match
+               Interp.eval_value ~mode:(Interp.Concurrent Pstack.Concur.Round_robin) ~quantum
+                 ?obs ~fuel:2_000_000_000 t src
+             with
+             | Pstack.Types.Int v when v = expected -> ()
+             | v -> fail "e15" "bad sum %s" (Pstack.Value.to_string v)
+           in
+           (label, (Interp.config t).Pstack.Machine.counters, fun () -> run (mk ())))
+         configs)
+  in
+  let nc = Array.length runs in
+  let times = Array.make_matrix nc reps 0. in
+  let fibers = Array.make nc 0 in
+  for r = 0 to reps - 1 do
+    for k = 0 to nc - 1 do
+      let c = (r + k) mod nc in
+      let _, counters, run = runs.(c) in
+      if r = 0 then C.reset counters;
+      let run = run () in
+      Gc.full_major ();
+      let (), dt = time_once run in
+      times.(c).(r) <- dt;
+      (* every pcall forks three children (operator + two operands) *)
+      if r = 0 then
+        fibers.(c) <-
+          1 + (3 * Option.value ~default:0 (List.assoc_opt "concur.fork" (C.to_list counters)))
+    done
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  Printf.printf "%8s | %12s %10s | %8s\n" "config" "median ms" "overhead" "fibers";
   let overhead =
-    List.map
-      (fun (label, mk) ->
-        let t = Interp.create () in
-        ignore (Interp.eval_string t P.tsum_defs);
-        let src = Printf.sprintf "(tsum 1 %d %d)" n grain in
-        let expected = n * (n + 1) / 2 in
-        let obs = mk () in
-        let dt, _, count =
-          time_best_counted ~n:reps (Interp.config t).Pstack.Machine.counters
-            (fun () ->
-              match
-                Interp.eval_value
-                  ~mode:(Interp.Concurrent Pstack.Concur.Round_robin)
-                  ~quantum ?obs ~fuel:2_000_000_000 t src
-              with
-              | Pstack.Types.Int v when v = expected -> ()
-              | v -> fail "e15" "bad sum %s" (Pstack.Value.to_string v))
-        in
-        (* every pcall forks three children (operator + two operands) *)
-        let fibers = 1 + (3 * count "concur.fork") in
-        if fibers < 10_000 then fail "e15" "%s: %d fibers, below 10^4" label fibers;
-        if label = "none" then base := dt;
-        let overhead_pct = int_of_float (Float.round ((dt /. !base -. 1.) *. 100.)) in
-        row "%8s | %12.2f %9d%% | %8d\n" label (dt *. 1e3) overhead_pct fibers;
+    List.mapi
+      (fun c (label, _, _) ->
+        if fibers.(c) < 10_000 then fail "e15" "%s: %d fibers, below 10^4" label fibers.(c);
+        let ratio = median (Array.mapi (fun r dt -> dt /. times.(0).(r)) times.(c)) in
+        let overhead_pct = int_of_float (Float.round ((ratio -. 1.) *. 100.)) in
+        row "%8s | %12.2f %9d%% | %8d\n" label (median times.(c) *. 1e3) overhead_pct
+          fibers.(c);
         (label, overhead_pct))
-      configs
+      (Array.to_list runs)
   in
   let pct label = List.assoc label overhead in
   List.iter

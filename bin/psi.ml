@@ -113,41 +113,36 @@ let repl t mode eval_form =
   in
   loop ()
 
-(* The --summary table for one run: a row per process; a fate replaces
-   the exit count. *)
-let pp_summary ppf (run : Trace.run) =
-  Format.fprintf ppf "@[<v>%8s %-10s %8s %10s %7s %7s %9s %7s %7s %7s %9s" "pid"
-    "kind" "slices" "fuel" "parks" "wakes" "captures" "grafts" "sends" "recvs"
-    "exits";
-  Array.iter
-    (fun (n : Trace.node) ->
-      let exits =
-        if n.n_fate <> "" then n.n_fate else if n.n_exit_ts = None then "0" else "1"
-      in
-      Format.fprintf ppf "@,%8d %-10s %8d %10d %7d %7d %9d %7d %7d %7d %9s" n.n_pid
-        n.n_kind n.n_slices n.n_fuel n.n_parks n.n_wakes n.n_captures
-        n.n_reinstates n.n_sends n.n_recvs exits)
-    run.r_nodes;
-  (match run.r_deadlock with
-  | None -> ()
-  | Some parked ->
-      Format.fprintf ppf "@,deadlock: %d process(es) left parked" parked;
-      if run.r_cancelled_parked > 0 then
-        Format.fprintf ppf " (+%d cancelled while parked)" run.r_cancelled_parked);
-  Format.fprintf ppf "@]"
-
-(* --summary reads the run's event buffer, reconstructed once per run;
-   a program that never reached the scheduler still gets its table. *)
-let print_summary events =
-  let runs =
-    Array.map Trace.reconstruct (Trace.runs (Array.of_list (List.rev events)))
-  in
-  let tables = if Array.length runs = 0 then [| Trace.reconstruct [||] |] else runs in
+(* The --summary table of each run the model saw: a row per process; a
+   fate replaces the exit count.  A program that never reached the
+   scheduler still gets its (empty) table. *)
+let print_summary runs =
+  let tables = if Array.length runs = 0 then [| None |] else Array.map Option.some runs in
   Array.iteri
     (fun i run ->
       if Array.length tables = 1 then prerr_endline ";; per-process summary:"
       else Printf.eprintf ";; per-process summary (run %d):\n" i;
-      Format.eprintf "%a@." pp_summary run)
+      Format.eprintf "@[<v>%8s %-10s %8s %10s %7s %7s %9s %7s %7s %7s %9s" "pid" "kind"
+        "slices" "fuel" "parks" "wakes" "captures" "grafts" "sends" "recvs" "exits";
+      Option.iter
+        (fun (run : Trace.run) ->
+          Array.iter
+            (fun (n : Trace.node) ->
+              let exits =
+                if n.n_fate <> "" then n.n_fate else if n.n_status = Exited then "1" else "0"
+              in
+              Format.eprintf "@,%8d %-10s %8d %10d %7d %7d %9d %7d %7d %7d %9s" n.n_pid
+                n.n_kind n.n_slices n.n_fuel n.n_parks n.n_wakes n.n_captures n.n_reinstates
+                n.n_sends n.n_recvs exits)
+            run.r_nodes;
+          Option.iter
+            (fun parked ->
+              Format.eprintf "@,deadlock: %d process(es) left parked" parked;
+              if run.r_cancelled_parked > 0 then
+                Format.eprintf " (+%d cancelled while parked)" run.r_cancelled_parked)
+            run.r_deadlock)
+        run;
+      Format.eprintf "@]@.")
     tables
 
 (* Open an output file named on the command line, or report why not and
@@ -252,7 +247,7 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   in
   let t = Interp.create ~prelude:(not no_prelude) ~strategy () in
   (* One observability handle feeds every consumer — the --trace stream,
-     the --trace-out sink, the event buffer behind --summary, the
+     the --trace-out sink, and the one model behind --summary and the
      distributions shown by --stats. *)
   let obs =
     if
@@ -261,12 +256,11 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
     then Some (Obs.create ())
     else None
   in
-  let events = if summary then Some (ref []) else None in
   let stats_handle =
     match obs with
-    | Some o when stats ->
+    | Some o when stats || summary ->
         let snap = Snapshot.create () in
-        Obs.attach o (Snapshot.sink snap);
+        Obs.attach o (Trace.sink (Snapshot.model snap));
         Some (o, snap)
     | _ -> None
   in
@@ -276,11 +270,6 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
   | Some o ->
       if trace then
         Obs.attach o (Obs.Sink.human ~prefix:";; " (Obs.Sink.of_channel stderr));
-      (match events with
-      | None -> ()
-      | Some buf ->
-          Obs.attach o
-            (Obs.Sink.memory (fun (seq, ts, ev) -> buf := { Trace.seq; ts; ev } :: !buf)));
       (match trace_out with
       | None -> ()
       | Some path ->
@@ -336,7 +325,9 @@ let run file expr concurrent seed replay no_prelude fuel quantum strategy stats 
             Printf.eprintf ";; psi: replay diverged at %s\n"
               (Pcont_explore.Explore.Replay.pp_divergence d)));
     List.iter (fun f -> f ()) !cleanups;
-    (match events with None -> () | Some buf -> print_summary !buf);
+    (match stats_handle with
+    | Some (_, snap) when summary -> print_summary (Trace.runs (Snapshot.model snap))
+    | _ -> ());
     if stats then print_stats t stats_handle;
     code
   in

@@ -82,26 +82,25 @@ end
 module Schedule = struct
   type t = { decisions : int array; faults : Fault.t list }
 
+  (* Each driven decision runs exactly one slice, so the decisions are
+     the pids of the slice begins, in order, across runs.  Each injected
+     fault's marker is emitted just before its target slice's begin, so
+     its index is the count of slice begins before it. *)
   let of_trace evs =
-    let runs = Trace.runs evs in
-    let parts = Array.map (fun r -> Trace.schedule (Trace.reconstruct r)) runs in
-    (* Re-extract injected faults from their markers: each marker is
-       emitted just before its target slice's begin event, so a fault's
-       index is the count of slice-begins seen before it (global across
-       runs, matching the flat decision sequence). *)
-    let faults = ref [] in
-    let slices = ref 0 in
+    let decisions = ref [] and faults = ref [] and slices = ref 0 in
     Array.iter
       (fun (st : Trace.stamped) ->
         match st.ev with
-        | E.Slice_begin _ -> incr slices
+        | E.Slice_begin { pid } ->
+            decisions := pid :: !decisions;
+            incr slices
         | E.Crash { fault; _ } -> (
             match Fault.kind_of_marker fault with
             | Some kind -> faults := { Fault.at = !slices; kind } :: !faults
             | None -> ())
         | _ -> ())
       evs;
-    { decisions = Array.concat (Array.to_list parts); faults = List.rev !faults }
+    { decisions = Array.of_list (List.rev !decisions); faults = List.rev !faults }
 
   let to_json t =
     let fault_json (f : Fault.t) =
@@ -367,7 +366,11 @@ module Dpor = struct
       x_faults = faults;
     }
 
-  (* A run's class key: [Analysis.Diff]'s projection — pids renamed to
+  (* One pass over an executed schedule's trace yields everything the
+     exploration asks of it: Check's violations, whether it deadlocked,
+     the class key and the backtrack prefixes.
+
+     The class key is [Analysis.Diff]'s projection — pids renamed to
      spawn order, per-pid program-order causal facts, scheduling events
      dropped — including its per-resource operation orders (for each
      channel the send/recv order, for each waitset the park/wake order).
@@ -375,13 +378,78 @@ module Dpor = struct
      relative order is exactly what a racing-pair flip changes; per-pid
      facts alone cannot see it (two interleavings of the same sends are
      per-pid identical).  With both parts the key is a Mazurkiewicz-trace
-     invariant: equal iff no racing pair is ordered differently. *)
-  let skeleton evs =
+     invariant: equal iff no racing pair is ordered differently.
+
+     The backtracks are the racing decisions, as prefixes.  Decision
+     indices and trace slices are 1:1 (each driven decision runs exactly
+     one slice), so a run's slice [a] is global decision [base + a], and
+     the slice open at a visible operation is its decision.  A capture
+     races with the running of each entry it prunes, which the model
+     names exactly. *)
+  type pass = {
+    ps_violations : Analysis.Check.violation list;
+    ps_deadlock : bool;
+    ps_skeleton : string;
+    ps_backtracks : int array list;
+  }
+
+  let analyze (log : (int array * int) array) (evs : Trace.stamped array) =
+    let m = Trace.model () in
+    let check = Analysis.Check.attach m in
+    let project = Analysis.Diff.attach m in
+    let chosen = Array.map snd log and cands = Array.map fst log in
+    let ndecisions = Array.length chosen in
+    let out = ref [] in
+    let push i q =
+      if i < ndecisions && chosen.(i) <> q && Array.exists (Int.equal q) cands.(i) then
+        out := Array.append (Array.sub chosen 0 i) [| q |] :: !out
+    in
+    (* the current run's slices with visible operations, latest first,
+       and its captures' pruned pids, latest first *)
+    let dense = ref [] and cap_pruned = ref [] and base = ref 0 and deadlock = ref false in
+    let end_run () =
+      let dense = Array.of_list (List.rev !dense) in
+      for jj = 0 to Array.length dense - 1 do
+        let j, opj = dense.(jj) in
+        if j < ndecisions then
+          for ii = 0 to jj - 1 do
+            let i, opi = dense.(ii) in
+            if i < ndecisions && chosen.(i) <> chosen.(j) && List.exists (fun o -> List.mem o opj) opi
+            then push i chosen.(j)
+          done
+      done;
+      List.iter (fun (d, pruned) -> List.iter (push d) pruned) !cap_pruned;
+      base := !base + m.m_nslices + if m.m_open then 1 else 0
+    in
+    Array.iter
+      (fun (st : Trace.stamped) ->
+        let d = if m.m_open then !base + m.m_nslices else -1 in
+        let op o =
+          if d >= 0 then
+            match !dense with
+            | (d', ops) :: rest when d' = d -> dense := (d, o :: ops) :: rest
+            | l -> dense := (d, [ o ]) :: l
+        in
+        (match st.ev with
+        | E.Spawn { parent = -1; _ } ->
+            if m.m_events > m.m_start then end_run ();
+            dense := [];
+            cap_pruned := []
+        | E.Send { chan; _ } | E.Recv { chan; _ } -> op ("c" ^ string_of_int chan)
+        | E.Park { resource; _ } | E.Wake { resource; _ } -> op ("w" ^ resource)
+        | E.Deadlock _ -> deadlock := true
+        | _ -> ());
+        Trace.feed m st;
+        match st.ev with
+        | E.Capture _ when d >= 0 ->
+            cap_pruned := (d, List.sort (fun a b -> compare b a) m.m_pruned) :: !cap_pruned
+        | _ -> ())
+      evs;
+    if m.m_events > m.m_start then end_run ();
     let b = Buffer.create 256 in
     let facts = Array.iter (fun f -> Buffer.add_string b f; Buffer.add_char b ';') in
     Array.iter
-      (fun run ->
-        let p = Analysis.Diff.project run in
+      (fun (p : Analysis.Diff.projection) ->
         Buffer.add_char b '{';
         facts p.pr_global;
         Array.iter
@@ -398,92 +466,20 @@ module Dpor = struct
             facts ops)
           p.pr_resources;
         Buffer.add_char b '}')
-      (Trace.runs evs);
-    Buffer.contents b
+      (project ());
+    {
+      ps_violations = check ();
+      ps_deadlock = !deadlock;
+      ps_skeleton = Buffer.contents b;
+      ps_backtracks = List.rev !out;
+    }
 
-  let classify ~deadlock_is_bug ~check evs outcome =
-    match Analysis.Check.run evs with
+  let classify ~deadlock_is_bug ~check evs outcome pass =
+    match pass.ps_violations with
     | v :: _ -> Some ("check:" ^ v.Analysis.Check.v_rule)
     | [] ->
-        if
-          deadlock_is_bug
-          && Array.exists
-               (fun (st : Trace.stamped) ->
-                 match st.ev with E.Deadlock _ -> true | _ -> false)
-               evs
-        then Some "deadlock"
-        else (
-          match check with
-          | None -> None
-          | Some f -> Option.map (fun m -> "assert:" ^ m) (f evs outcome))
-
-  (* Racing decisions of one executed schedule, as backtrack prefixes.
-     Decision indices and trace slices are 1:1 (each driven decision
-     runs exactly one slice), so a run's slice [a] is global decision
-     [base + a] and the event→slice map [r_actor] attributes every
-     visible operation to its decision. *)
-  let backtracks (ex : exec) (evs : Trace.stamped array) : int array list =
-    let chosen = Array.map snd ex.x_log in
-    let cands = Array.map fst ex.x_log in
-    let ndecisions = Array.length chosen in
-    let out = ref [] in
-    let push i q =
-      if i < ndecisions && chosen.(i) <> q && Array.exists (Int.equal q) cands.(i)
-      then out := Array.append (Array.sub chosen 0 i) [| q |] :: !out
-    in
-    let base = ref 0 in
-    Array.iter
-      (fun revs ->
-        let run = Trace.reconstruct revs in
-        let nslices = Array.length run.Trace.r_slices in
-        let ops = Array.make (max nslices 1) [] in
-        let cap_pruned = ref [] in
-        Array.iteri
-          (fun i (st : Trace.stamped) ->
-            let a = run.Trace.r_actor.(i) in
-            if a >= 0 && a < nslices then
-              match st.ev with
-              | E.Send { chan; _ } | E.Recv { chan; _ } ->
-                  ops.(a) <- ("c" ^ string_of_int chan) :: ops.(a)
-              | E.Park { resource; _ } | E.Wake { resource; _ } ->
-                  ops.(a) <- ("w" ^ resource) :: ops.(a)
-              | E.Capture _ ->
-                  (* [reconstruct] stamps the nodes this capture pruned
-                     with the capture's ts: those are the entries whose
-                     running races with the capture itself. *)
-                  let pruned =
-                    Array.fold_left
-                      (fun acc (n : Trace.node) ->
-                        match n.Trace.n_pruned_ts with
-                        | Some t when t = st.ts -> n.Trace.n_pid :: acc
-                        | _ -> acc)
-                      [] run.Trace.r_nodes
-                  in
-                  cap_pruned := (a, pruned) :: !cap_pruned
-              | _ -> ())
-          revs;
-        let dense = ref [] in
-        Array.iteri (fun a l -> if l <> [] then dense := (!base + a, l) :: !dense) ops;
-        let dense = Array.of_list (List.rev !dense) in
-        let m = Array.length dense in
-        for jj = 0 to m - 1 do
-          let j, opj = dense.(jj) in
-          if j < ndecisions then
-            for ii = 0 to jj - 1 do
-              let i, opi = dense.(ii) in
-              if
-                i < ndecisions
-                && chosen.(i) <> chosen.(j)
-                && List.exists (fun o -> List.mem o opj) opi
-              then push i chosen.(j)
-            done
-        done;
-        List.iter
-          (fun (a, pruned) -> List.iter (fun q -> push (!base + a) q) pruned)
-          !cap_pruned;
-        base := !base + nslices)
-      (Trace.runs evs);
-    List.rev !out
+        if deadlock_is_bug && pass.ps_deadlock then Some "deadlock"
+        else Option.bind check (fun f -> Option.map (fun m -> "assert:" ^ m) (f evs outcome))
 
   let key (a : int array) =
     String.concat "," (List.map string_of_int (Array.to_list a))
@@ -512,7 +508,7 @@ module Dpor = struct
         match Trace.parse_string e.x_trace with
         | Error _ -> None
         | Ok evs -> (
-            match classify ~deadlock_is_bug ~check evs e.x_outcome with
+            match classify ~deadlock_is_bug ~check evs e.x_outcome (analyze e.x_log evs) with
             | Some kk when String.equal kk kind -> Some e
             | _ -> None)
       in
@@ -570,8 +566,9 @@ module Dpor = struct
                   w_forced = Array.length sched;
                 }
         | Ok evs -> (
-            Hashtbl.replace skeletons (skeleton evs) ();
-            match classify ~deadlock_is_bug ~check evs ex.x_outcome with
+            let pass = analyze ex.x_log evs in
+            Hashtbl.replace skeletons pass.ps_skeleton ();
+            match classify ~deadlock_is_bug ~check evs ex.x_outcome pass with
             | Some kind -> witness := Some (minimize ex kind)
             | None ->
                 List.iter
@@ -584,7 +581,7 @@ module Dpor = struct
                          is explored within the same fault scenario *)
                       Queue.add (p, faults) frontier
                     end)
-                  (backtracks ex evs))
+                  pass.ps_backtracks)
       end
     done;
     {
@@ -610,8 +607,9 @@ module Dpor = struct
       match Trace.parse_string r.Replay.rec_trace with
       | Error m -> if !found = None then found := Some (s, "trace-parse:" ^ m)
       | Ok evs -> (
-          Hashtbl.replace skels (skeleton evs) ();
-          match classify ~deadlock_is_bug ~check evs r.Replay.rec_outcome with
+          let pass = analyze [||] evs in
+          Hashtbl.replace skels pass.ps_skeleton ();
+          match classify ~deadlock_is_bug ~check evs r.Replay.rec_outcome pass with
           | Some kind when !found = None -> found := Some (s, kind)
           | _ -> ())
     in

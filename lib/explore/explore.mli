@@ -69,8 +69,8 @@ module Schedule : sig
       plus the faults injected along the way. *)
 
   val of_trace : Trace.stamped array -> t
-  (** Concatenate {!Trace.schedule} over the trace's runs and re-extract
-      the injected faults from their in-trace markers. *)
+  (** One pass: the pid of each slice begin, across runs, and the
+      injected faults re-extracted from their in-trace markers. *)
 
   val to_json : t -> Obs.Json.t
   (** [{"version":1,"kind":"pcont-schedule","decisions":[...]}], plus a
@@ -187,7 +187,7 @@ module Dpor : sig
     s_schedules : int;  (** distinct complete schedules *)
     s_skeletons : int;
         (** distinct causal skeletons among them: equal
-            {!Pcont_obs.Analysis.Diff.project}ions, resource orders
+            {!Pcont_obs.Analysis.Diff} projections, resource orders
             included — one per Mazurkiewicz class *)
     s_races : int;  (** backtrack points seeded *)
     s_witness : witness option;

@@ -29,451 +29,323 @@ module Check = struct
         "span ids begin once; ends match an open begin by a known pid" );
     ]
 
-  type status = Live | Exited | Pruned | Cancelled
-
-  type pstate = {
-    ps_parent : int;
-    ps_kind : string;
-    mutable ps_children : int list;
-    mutable ps_status : status;
-    mutable ps_parked : string option;
-    mutable ps_park_unknown : bool;
-        (** pre-window node whose park state at the cut is unknowable:
-            the first in-window park or wake just resolves it *)
-  }
-
-  let run (events : Trace.stamped array) =
+  (* The rules are assertions on the state each event meets, read from
+     the model before it applies the event.  A window relaxes what needs
+     pre-window state: references to pids spawned before the cut, the
+     slice and park state at the cut, pre-window captures and span
+     begins, the deadlock census, the end-of-run quiescence checks. *)
+  let attach (m : Trace.model) =
     let out = ref [] in
     let violate seq rule msg = out := { v_seq = seq; v_rule = rule; v_msg = msg } :: !out in
-    let prev_ts = ref min_int in
-    (* A nonzero base seq marks a flight-recorder window into the middle
-       of a run.  Everything the window can prove is still checked, but
-       obligations that need pre-window state — references to pids
-       spawned before the cut, the slice/park state at the cut,
-       pre-window captures and span begins, the deadlock census, the
-       end-of-run quiescence checks — are relaxed rather than reported
-       as false positives. *)
-    let window = Array.length events > 0 && events.(0).Trace.seq > 0 in
-    (* per-run state, reset at each root spawn *)
-    let nodes : (int, pstate) Hashtbl.t = Hashtbl.create 64 in
+    let find = Trace.Pids.find_opt m.m_nodes in
+    (* per-run capture sizes by label, for reinstates to match *)
     let labels : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-    let open_slice = ref None in
-    let n_parked = ref 0 in
     (* one stray slice end is legitimate at the top of a window: the
        slice it closes began before the cut *)
-    let stray_end_ok = ref window in
-    let reset_run seq =
-      (match !open_slice with
-      | Some (pid, _) ->
-          violate seq "slice-balance"
-            (Printf.sprintf "slice of pid %d still open at run boundary" pid)
-      | None -> ());
-      open_slice := None;
-      stray_end_ok := false;
-      Hashtbl.reset nodes;
-      Hashtbl.reset labels;
-      n_parked := 0
-    in
-    (* a pid first referenced mid-window was spawned before the cut:
-       parent, ancestry and park state are unknowable *)
-    let register_pre pid =
-      let ps =
-        { ps_parent = -2; ps_kind = "pre-window"; ps_children = [];
-          ps_status = Live; ps_parked = None; ps_park_unknown = true }
-      in
-      Hashtbl.add nodes pid ps;
-      ps
-    in
-    let find pid = Hashtbl.find_opt nodes pid in
+    let stray_ok = ref true in
+    let crash_cut = ref false in
     let rec is_ancestor anc pid =
       (* strict: anc is a proper ancestor of pid *)
       match find pid with
       | None -> false
-      | Some ps -> ps.ps_parent = anc || (ps.ps_parent >= 0 && is_ancestor anc ps.ps_parent)
-    in
-    let rec prune_descendants pid =
-      match find pid with
-      | None -> ()
-      | Some ps ->
-          List.iter
-            (fun c ->
-              match find c with
-              (* futures are independent trees: control operations in the
-                 planting tree never discard them *)
-              | Some cs when cs.ps_status = Live && cs.ps_kind <> "future" ->
-                  (match cs.ps_parked with
-                  | Some _ ->
-                      cs.ps_parked <- None;
-                      decr n_parked
-                  | None -> ());
-                  cs.ps_status <- Pruned;
-                  prune_descendants c
-              | _ -> ())
-            ps.ps_children
+      | Some n -> n.n_parent = anc || (n.n_parent >= 0 && is_ancestor anc n.n_parent)
     in
     (* A fiber still parked while some ancestor was cancelled or
        capture-pruned can never be woken by its (discarded) tree: it is
        leaked.  Checked at every quiescence point — deadlock, run
        boundary, end of trace. *)
     let scan_orphans seq =
-      let dead_above pid =
-        let rec go p =
-          match find p with
-          | None -> None
-          | Some ps -> (
-              match ps.ps_status with
-              | Cancelled | Pruned -> Some p
-              | Live | Exited -> if ps.ps_parent >= 0 then go ps.ps_parent else None)
-        in
-        match find pid with
-        | Some ps when ps.ps_parent >= 0 -> go ps.ps_parent
-        | _ -> None
+      let rec dead_above p =
+        match find p with
+        | None -> None
+        | Some a -> (
+            match a.n_status with
+            | Cancelled | Pruned -> Some p
+            | Live | Exited -> if a.n_parent >= 0 then dead_above a.n_parent else None)
       in
-      Hashtbl.fold (fun pid ps acc -> (pid, ps) :: acc) nodes []
+      Trace.Pids.fold (fun pid n acc -> (pid, n) :: acc) m.m_nodes []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun (pid, ps) ->
-             match (ps.ps_status, ps.ps_parked) with
-             | Live, Some r -> (
-                 match dead_above pid with
+      |> List.iter (fun (pid, (n : Trace.node)) ->
+             match (n.n_status, n.n_parked) with
+             | Live, Some r when n.n_parent >= 0 -> (
+                 match dead_above n.n_parent with
                  | Some anc ->
                      violate seq "no-orphan-waiters"
-                       (Printf.sprintf
-                          "pid %d still parked on %s under dead ancestor %d" pid r
-                          anc)
+                       (Printf.sprintf "pid %d still parked on %s under dead ancestor %d" pid
+                          r anc)
                  | None -> ())
              | _ -> ())
     in
+    let open_slice_violation seq where =
+      if m.m_open then
+        violate seq "slice-balance"
+          (Printf.sprintf "slice of pid %d still open at %s" m.m_open_pid where)
+    in
+    (* the event being checked: its seq, and whether the trace is a window *)
+    let cur = ref 0 and win = ref false in
     (* A dead (exited or pruned) pid may still close the slice it had
        open when it died; anything else is a violation. *)
-    let check_alive seq pid what =
+    let dead what how pid =
+      violate !cur "exit-once" (Printf.sprintf "%s by %s pid %d" what how pid);
+      false
+    in
+    let alive pid what =
       match find pid with
       | None ->
-          if window then (
-            ignore (register_pre pid);
-            true)
-          else begin
-            violate seq "spawn-unique"
-              (Printf.sprintf "%s references pid %d, never spawned in this run" what
-                 pid);
-            false
-          end
-      | Some ps -> (
-          match ps.ps_status with
+          !win
+          || begin
+               violate !cur "spawn-unique"
+                 (Printf.sprintf "%s references pid %d, never spawned in this run" what pid);
+               false
+             end
+      | Some n -> (
+          match n.n_status with
           | Live -> true
-          | Exited ->
-              violate seq "exit-once" (Printf.sprintf "%s by exited pid %d" what pid);
-              false
-          | Pruned ->
-              violate seq "exit-once" (Printf.sprintf "%s by pruned pid %d" what pid);
-              false
-          | Cancelled ->
-              violate seq "exit-once"
-                (Printf.sprintf "%s by cancelled pid %d" what pid);
-              false)
+          | Exited -> dead what "exited" pid
+          | Pruned -> dead what "pruned" pid
+          | Cancelled -> dead what "cancelled" pid)
     in
-    let check_not_parked seq pid what =
+    let not_parked pid what =
       match find pid with
-      | Some { ps_parked = Some r; _ } ->
-          violate seq "park-pairing"
+      | Some { n_parked = Some r; _ } ->
+          violate !cur "park-pairing"
             (Printf.sprintf "%s by pid %d while parked on %s" what pid r)
       | _ -> ()
     in
-    (* span ids are allocated per handle, never reset across runs, so
-       the begin/end bookkeeping is global rather than per-run state *)
-    let span_seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let span_open : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* flight-recorder dumps are trace suffixes: seq numbers stay dense
-       but start wherever the ring's oldest surviving event fell *)
-    let seq_base = if Array.length events = 0 then 0 else events.(0).Trace.seq in
-    Array.iteri
-      (fun i s ->
-        let seq = s.Trace.seq in
-        if seq <> seq_base + i then
-          violate seq "seq-dense"
-            (Printf.sprintf "event %d carries seq %d (base %d)" i seq seq_base);
-        if s.Trace.ts < !prev_ts then
-          violate seq "ts-monotone"
-            (Printf.sprintf "ts %d after ts %d" s.Trace.ts !prev_ts);
-        prev_ts := max !prev_ts s.Trace.ts;
-        (* One spawned node, whether announced individually or inside a
-           batch: the same spawn-unique obligations apply to each. *)
-        let spawn_node seq pid parent kind =
-          match find pid with
-          | Some _ ->
-              violate seq "spawn-unique"
-                (Printf.sprintf "pid %d spawned twice in one run" pid)
-          | None ->
-              if parent <> -1 then (
-                match find parent with
-                | None ->
-                    if window then
-                      (register_pre parent).ps_children <- [ pid ]
-                    else
-                      violate seq "spawn-unique"
-                        (Printf.sprintf "pid %d spawned by unknown parent %d" pid parent)
-                | Some ps ->
-                    (match ps.ps_status with
-                    | Live -> ()
-                    | Exited | Pruned | Cancelled ->
-                        violate seq "spawn-unique"
-                          (Printf.sprintf "pid %d spawned by dead parent %d (%s)" pid
-                             parent kind));
-                    ps.ps_children <- ps.ps_children @ [ pid ]);
-              Hashtbl.add nodes pid
-                { ps_parent = parent; ps_kind = kind; ps_children = [];
-                  ps_status = Live; ps_parked = None; ps_park_unknown = false }
-        in
-        match s.Trace.ev with
-        | Event.Spawn { pid; parent; kind } ->
-            if parent = -1 then begin
-              (* the previous run is over: anything still parked under a
-                 cancelled/pruned ancestor stayed parked forever *)
-              scan_orphans seq;
-              reset_run seq
-            end;
-            spawn_node seq pid parent kind
-        | Event.Spawn_batch { kind; nodes = batch; _ } ->
-            (* pre-order: parents must already be known (or earlier in the
-               batch), so the per-node checks run in listed order *)
-            Array.iter (fun (pid, parent) -> spawn_node seq pid parent kind) batch
-        | Event.Exit { pid } ->
-            if check_alive seq pid "exit" then begin
-              check_not_parked seq pid "exit";
-              (Option.get (find pid)).ps_status <- Exited
-            end
-        | Event.Slice_begin { pid } ->
-            (match !open_slice with
-            | Some (opid, _) ->
-                violate seq "slice-balance"
-                  (Printf.sprintf "slice begin for pid %d while pid %d's slice is open"
-                     pid opid)
-            | None -> ());
-            if check_alive seq pid "slice begin" then
-              check_not_parked seq pid "slice begin";
-            stray_end_ok := false;
-            open_slice := Some (pid, s.Trace.ts)
-        | Event.Slice_end { pid; fuel } -> (
-            match !open_slice with
-            | None ->
-                (* the begin (and its ts, so slice-time too) predates a
-                   window's cut — legitimate exactly once, at the top *)
-                if !stray_end_ok then stray_end_ok := false
-                else
-                  violate seq "slice-balance"
-                    (Printf.sprintf "slice end for pid %d with no slice open" pid)
-            | Some (opid, ots) ->
-                if opid <> pid then
-                  violate seq "slice-balance"
-                    (Printf.sprintf "slice end for pid %d closes pid %d's slice" pid opid)
-                else begin
-                  let extent = s.Trace.ts - ots in
-                  let want = max fuel 1 in
-                  if extent <> want then
-                    violate seq "slice-time"
-                      (Printf.sprintf
-                         "slice of pid %d spans %d virtual time for fuel %d (want %d)"
-                         pid extent fuel want)
-                end;
-                open_slice := None)
-        | Event.Park { pid; resource } ->
-            if check_alive seq pid "park" then begin
-              let ps = Option.get (find pid) in
-              ps.ps_park_unknown <- false;
-              match ps.ps_parked with
-              | Some r ->
-                  violate seq "park-pairing"
-                    (Printf.sprintf "pid %d parked on %s while already parked on %s" pid
-                       resource r)
-              | None ->
-                  ps.ps_parked <- Some resource;
-                  incr n_parked
-            end
-        | Event.Wake { pid; resource } ->
-            if check_alive seq pid "wake" then begin
-              let ps = Option.get (find pid) in
-              match ps.ps_parked with
-              | None ->
-                  (* a pre-window pid's first wake matches a park before
-                     the cut; after that its state is tracked exactly *)
-                  if ps.ps_park_unknown then ps.ps_park_unknown <- false
-                  else
-                    violate seq "park-pairing"
-                      (Printf.sprintf
-                         "wake for pid %d, which is not parked (double wake?)" pid)
-              | Some r ->
-                  if r <> resource then
-                    violate seq "park-pairing"
-                      (Printf.sprintf "pid %d parked on %s but woken on %s" pid r resource);
-                  ps.ps_parked <- None;
-                  decr n_parked
-            end
-        | Event.Capture { pid; label; root_pid; size; _ } ->
-            if check_alive seq pid "capture" then begin
-              check_not_parked seq pid "capture";
-              (match find root_pid with
-              | None ->
-                  if window then ignore (register_pre root_pid)
-                  else
-                    violate seq "capture-consistency"
-                      (Printf.sprintf "capture at unknown root pid %d" root_pid)
-              | Some rs ->
-                  if rs.ps_status <> Live then
-                    violate seq "capture-consistency"
-                      (Printf.sprintf "capture at dead root pid %d" root_pid)
-                  else if not (is_ancestor root_pid pid) && not window then
-                    (* in a window the ancestor chain can pass through
-                       pre-window nodes whose parents are unknowable *)
-                    violate seq "capture-consistency"
-                      (Printf.sprintf "capture root pid %d is not an ancestor of pid %d"
-                         root_pid pid));
-              prune_descendants root_pid;
-              let sizes =
-                match Hashtbl.find_opt labels label with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.add labels label r;
-                    r
-              in
-              sizes := size :: !sizes
-            end
-        | Event.Reinstate { pid; label; size } ->
-            if check_alive seq pid "reinstate" then begin
-              check_not_parked seq pid "reinstate";
-              match Hashtbl.find_opt labels label with
-              | None ->
-                  if not window then
-                    violate seq "capture-consistency"
-                      (Printf.sprintf "reinstate of label %d, never captured in this run"
-                         label)
-              | Some sizes ->
-                  if not (List.mem size !sizes) then
-                    violate seq "capture-consistency"
-                      (Printf.sprintf
-                         "reinstate of label %d with size %d, no matching capture" label
-                         size)
-            end
-        | Event.Send { pid; _ } ->
-            if check_alive seq pid "send" then check_not_parked seq pid "send"
-        | Event.Recv { pid; _ } ->
-            if check_alive seq pid "recv" then check_not_parked seq pid "recv"
-        | Event.Cancel { pid; scope; reason = _; pids } ->
-            ignore (check_alive seq pid "cancel");
-            (match find scope with
-            | None ->
-                if window then ignore (register_pre scope)
-                else
-                  violate seq "cancel-propagation-complete"
-                    (Printf.sprintf "cancel of unknown scope pid %d" scope)
-            | Some ss ->
-                if ss.ps_status <> Live then
-                  violate seq "cancel-propagation-complete"
-                    (Printf.sprintf "cancel of dead scope pid %d" scope));
-            Array.iter
-              (fun q ->
-                if q <> scope && not (is_ancestor scope q) && not window then
-                  violate seq "cancel-propagation-complete"
-                    (Printf.sprintf
-                       "cancel of scope %d lists pid %d, not a descendant" scope q);
-                match find q with
-                | Some qs when qs.ps_status = Live ->
-                    (match qs.ps_parked with
-                    | Some _ ->
-                        qs.ps_parked <- None;
-                        decr n_parked
-                    | None -> ());
-                    qs.ps_status <- Cancelled
-                | Some _ ->
-                    violate seq "cancel-propagation-complete"
-                      (Printf.sprintf "cancel of scope %d lists dead pid %d" scope q)
-                | None ->
-                    if window then (register_pre q).ps_status <- Cancelled
-                    else
-                      violate seq "cancel-propagation-complete"
-                        (Printf.sprintf "cancel of scope %d lists unknown pid %d" scope
-                           q))
-              pids;
-            (* completeness: the whole scope subtree must now be dead,
-               futures (independent trees) excepted *)
-            let rec check_empty p =
-              match find p with
-              | None -> ()
-              | Some ps ->
-                  List.iter
-                    (fun c ->
-                      match find c with
-                      | Some cs when cs.ps_kind <> "future" ->
-                          if cs.ps_status = Live then
-                            violate seq "cancel-propagation-complete"
-                              (Printf.sprintf
-                                 "pid %d still live after cancel of scope %d" c scope);
-                          check_empty c
-                      | _ -> ())
-                    ps.ps_children
-            in
-            check_empty scope
-        | Event.Timeout { pid; _ } -> ignore (check_alive seq pid "timeout")
-        | Event.Crash { pid; _ } ->
-            if pid >= 0 then ignore (check_alive seq pid "crash")
-        | Event.Restart { pid; child; attempt; backoff = _; limit } ->
-            ignore (check_alive seq pid "restart");
-            if find child = None then
-              if window then ignore (register_pre child)
-              else
-                violate seq "restart-intensity-bounded"
-                  (Printf.sprintf "restart references unknown child pid %d" child);
-            if attempt < 1 || attempt > limit then
-              violate seq "restart-intensity-bounded"
-                (Printf.sprintf "restart attempt %d outside window limit %d" attempt
-                   limit)
-        | Event.Invalid_controller { pid; _ } -> ignore (check_alive seq pid "controller")
-        | Event.Span_begin { pid; span; _ } ->
-            if pid >= 0 then ignore (check_alive seq pid "span begin");
-            if Hashtbl.mem span_seen span then
-              violate seq "span-balance"
-                (Printf.sprintf "span id %d begun twice" span)
-            else begin
-              Hashtbl.add span_seen span ();
-              Hashtbl.add span_open span ()
-            end
-        | Event.Span_end { pid; span } ->
-            if pid >= 0 then ignore (check_alive seq pid "span end");
-            if Hashtbl.mem span_open span then Hashtbl.remove span_open span
-            else if window && not (Hashtbl.mem span_seen span) then
-              (* begun before the cut; remember the id so an in-window
-                 double end is still caught *)
-              Hashtbl.add span_seen span ()
+    (* One spawned node, whether announced individually or inside a
+       batch ([earlier]: the pids the batch spawned before it). *)
+    let spawn_node kind earlier (pid, parent) =
+      if find pid <> None || List.mem pid earlier then begin
+        violate !cur "spawn-unique" (Printf.sprintf "pid %d spawned twice in one run" pid);
+        earlier
+      end
+      else begin
+        (if parent <> -1 && not (List.mem parent earlier) then
+           match find parent with
+           | None ->
+               if not !win then
+                 violate !cur "spawn-unique"
+                   (Printf.sprintf "pid %d spawned by unknown parent %d" pid parent)
+           | Some p ->
+               if p.n_status <> Live then
+                 violate !cur "spawn-unique"
+                   (Printf.sprintf "pid %d spawned by dead parent %d (%s)" pid parent kind));
+        pid :: earlier
+      end
+    in
+    let observe (s : Trace.stamped) =
+      let seq = s.seq and i = m.m_events in
+      let window = if i = 0 then seq > 0 else m.m_window in
+      cur := seq;
+      win := window;
+      (* flight-recorder dumps are trace suffixes: seq numbers stay dense
+         but start wherever the ring's oldest surviving event fell *)
+      let base = if i = 0 then seq else m.m_base in
+      if seq <> base + i then
+        violate seq "seq-dense" (Printf.sprintf "event %d carries seq %d (base %d)" i seq base);
+      if s.ts < m.m_clock then
+        violate seq "ts-monotone" (Printf.sprintf "ts %d after ts %d" s.ts m.m_clock);
+      (match s.ev with
+      | Event.Spawn { pid; parent; kind } ->
+          if parent = -1 then begin
+            (* the previous run is over: anything still parked under a
+               cancelled/pruned ancestor stayed parked forever *)
+            scan_orphans seq;
+            open_slice_violation seq "run boundary";
+            stray_ok := false;
+            Hashtbl.reset labels
+          end
+          else ignore (spawn_node kind [] (pid, parent))
+      | Event.Spawn_batch { kind; nodes; _ } ->
+          (* pre-order: parents must already be known (or earlier in the
+             batch) *)
+          ignore (Array.fold_left (spawn_node kind) [] nodes)
+      | Event.Exit { pid } -> if alive pid "exit" then not_parked pid "exit"
+      | Event.Slice_begin { pid } ->
+          if m.m_open then
+            violate seq "slice-balance"
+              (Printf.sprintf "slice begin for pid %d while pid %d's slice is open" pid
+                 m.m_open_pid);
+          if alive pid "slice begin" then not_parked pid "slice begin";
+          stray_ok := false
+      | Event.Slice_end { pid; fuel } ->
+          if not m.m_open then
+            (* the begin (and its ts, so slice-time too) predates a
+               window's cut — legitimate exactly once, at the top *)
+            if window && !stray_ok then stray_ok := false
             else
+              violate seq "slice-balance"
+                (Printf.sprintf "slice end for pid %d with no slice open" pid)
+          else if m.m_open_pid <> pid then
+            violate seq "slice-balance"
+              (Printf.sprintf "slice end for pid %d closes pid %d's slice" pid m.m_open_pid)
+          else if s.ts - m.m_open_ts <> max fuel 1 then
+            violate seq "slice-time"
+              (Printf.sprintf "slice of pid %d spans %d virtual time for fuel %d (want %d)" pid
+                 (s.ts - m.m_open_ts) fuel (max fuel 1))
+      | Event.Park { pid; resource } -> (
+          if alive pid "park" then
+            match find pid with
+            | Some { n_parked = Some r; _ } ->
+                violate seq "park-pairing"
+                  (Printf.sprintf "pid %d parked on %s while already parked on %s" pid
+                     resource r)
+            | _ -> ())
+      | Event.Wake { pid; resource } -> (
+          if alive pid "wake" then
+            match find pid with
+            | Some { n_parked = Some r; _ } ->
+                if r <> resource then
+                  violate seq "park-pairing"
+                    (Printf.sprintf "pid %d parked on %s but woken on %s" pid r resource)
+            (* a pre-window pid's first wake matches a park before the
+               cut; after that its state is tracked exactly *)
+            | None | Some { n_park_unknown = true; _ } -> ()
+            | Some _ ->
+                violate seq "park-pairing"
+                  (Printf.sprintf "wake for pid %d, which is not parked (double wake?)" pid))
+      | Event.Capture { pid; label; root_pid; size; _ } ->
+          if alive pid "capture" then begin
+            not_parked pid "capture";
+            (match find root_pid with
+            | None ->
+                if not window then
+                  violate seq "capture-consistency"
+                    (Printf.sprintf "capture at unknown root pid %d" root_pid)
+            | Some r ->
+                if r.n_status <> Live then
+                  violate seq "capture-consistency"
+                    (Printf.sprintf "capture at dead root pid %d" root_pid)
+                else if not (is_ancestor root_pid pid) && not window then
+                  (* in a window the ancestor chain can pass through
+                     pre-window nodes whose parents are unknowable *)
+                  violate seq "capture-consistency"
+                    (Printf.sprintf "capture root pid %d is not an ancestor of pid %d"
+                       root_pid pid));
+            match Hashtbl.find_opt labels label with
+            | Some r -> r := size :: !r
+            | None -> Hashtbl.add labels label (ref [ size ])
+          end
+      | Event.Reinstate { pid; label; size } -> (
+          if alive pid "reinstate" then begin
+            not_parked pid "reinstate";
+            match Hashtbl.find_opt labels label with
+            | None ->
+                if not window then
+                  violate seq "capture-consistency"
+                    (Printf.sprintf "reinstate of label %d, never captured in this run" label)
+            | Some sizes ->
+                if not (List.mem size !sizes) then
+                  violate seq "capture-consistency"
+                    (Printf.sprintf "reinstate of label %d with size %d, no matching capture"
+                       label size)
+          end)
+      | Event.Send { pid; _ } -> if alive pid "send" then not_parked pid "send"
+      | Event.Recv { pid; _ } -> if alive pid "recv" then not_parked pid "recv"
+      | Event.Cancel { pid; scope; reason = _; pids } ->
+          ignore (alive pid "cancel");
+          (match find scope with
+          | None ->
+              if not window then
+                violate seq "cancel-propagation-complete"
+                  (Printf.sprintf "cancel of unknown scope pid %d" scope)
+          | Some sc ->
+              if sc.n_status <> Live then
+                violate seq "cancel-propagation-complete"
+                  (Printf.sprintf "cancel of dead scope pid %d" scope));
+          (* [killed]: the pids this cancel discards, listed so far *)
+          let killed =
+            Array.fold_left
+              (fun killed q ->
+                if q <> scope && (not (is_ancestor scope q)) && not window then
+                  violate seq "cancel-propagation-complete"
+                    (Printf.sprintf "cancel of scope %d lists pid %d, not a descendant" scope q);
+                let dead () =
+                  violate seq "cancel-propagation-complete"
+                    (Printf.sprintf "cancel of scope %d lists dead pid %d" scope q);
+                  killed
+                in
+                if List.mem q killed then dead ()
+                else
+                  match find q with
+                  | Some { n_status = Live; _ } -> q :: killed
+                  | Some _ -> dead ()
+                  | None ->
+                      if window then q :: killed
+                      else begin
+                        violate seq "cancel-propagation-complete"
+                          (Printf.sprintf "cancel of scope %d lists unknown pid %d" scope q);
+                        killed
+                      end)
+              [] pids
+          in
+          (* completeness: the whole scope subtree must now be dead,
+             futures (independent trees) excepted *)
+          let rec check_empty p =
+            Option.iter
+              (fun (n : Trace.node) ->
+                List.iter
+                  (fun c ->
+                    match find c with
+                    | Some cn when cn.n_kind <> "future" ->
+                        if cn.n_status = Live && not (List.mem c killed) then
+                          violate seq "cancel-propagation-complete"
+                            (Printf.sprintf "pid %d still live after cancel of scope %d" c
+                               scope);
+                        check_empty c
+                    | _ -> ())
+                  (List.rev n.n_children))
+              (find p)
+          in
+          check_empty scope
+      | Event.Timeout { pid; _ } -> ignore (alive pid "timeout")
+      | Event.Crash { pid; _ } -> if pid >= 0 then ignore (alive pid "crash")
+      | Event.Restart { pid; child; attempt; backoff = _; limit } ->
+          ignore (alive pid "restart");
+          if find child = None && not window then
+            violate seq "restart-intensity-bounded"
+              (Printf.sprintf "restart references unknown child pid %d" child);
+          if attempt < 1 || attempt > limit then
+            violate seq "restart-intensity-bounded"
+              (Printf.sprintf "restart attempt %d outside window limit %d" attempt limit)
+      | Event.Invalid_controller { pid; _ } -> ignore (alive pid "controller")
+      | Event.Span_begin { pid; span; _ } ->
+          if pid >= 0 then ignore (alive pid "span begin");
+          if Hashtbl.mem m.m_spans span then
+            violate seq "span-balance" (Printf.sprintf "span id %d begun twice" span)
+      | Event.Span_end { pid; span } -> (
+          if pid >= 0 then ignore (alive pid "span end");
+          match Hashtbl.find_opt m.m_spans span with
+          | Some { sp_open = true; _ } -> ()
+          | None when window -> ()
+          | _ ->
               violate seq "span-balance"
-                (Printf.sprintf "span end for id %d with no open begin" span)
-        | Event.Deadlock { parked } ->
-            (* a window's park census misses fibers parked at the cut *)
-            if parked <> !n_parked && not window then
-              violate seq "deadlock-count"
-                (Printf.sprintf "deadlock reports %d parked, trace shows %d" parked
-                   !n_parked))
-      events;
-    (* a window's last event is wherever the ring stopped — mid-run, so
+                (Printf.sprintf "span end for id %d with no open begin" span))
+      | Event.Deadlock { parked } ->
+          (* a window's park census misses fibers parked at the cut *)
+          if parked <> m.m_parked && not window then
+            violate seq "deadlock-count"
+              (Printf.sprintf "deadlock reports %d parked, trace shows %d" parked m.m_parked));
+      crash_cut := match s.ev with Event.Crash _ -> true | _ -> false
+    in
+    Trace.watch m observe;
+    (* A window's last event is wherever the ring stopped — mid-run, so
        the end-of-trace quiescence obligations do not apply.  Likewise a
        trace that ends at a crash: that is a flight dump's cut point
        (the recorder dumps the moment the Crash passes through), and the
        interrupted slice is still open. *)
-    let crash_cut =
-      Array.length events > 0
-      &&
-      match events.(Array.length events - 1).Trace.ev with
-      | Event.Crash _ -> true
-      | _ -> false
-    in
-    if not (window || crash_cut) then begin
-      (match !open_slice with
-      | Some (pid, _) ->
-          violate (-1) "slice-balance"
-            (Printf.sprintf "slice of pid %d still open at end of trace" pid)
-      | None -> ());
-      scan_orphans (-1)
-    end;
-    List.rev !out
+    fun () ->
+      if not (m.m_window || !crash_cut) then begin
+        open_slice_violation (-1) "end of trace";
+        scan_orphans (-1)
+      end;
+      List.rev !out
+
+  let run events =
+    let m = Trace.model () in
+    let finish = attach m in
+    Array.iter (Trace.feed m) events;
+    finish ()
 
   let to_json vs =
     Json.Arr
@@ -560,225 +432,175 @@ module Report = struct
      children's exits (a fork parent resumes when its last child
      delivers), the captures rooted at it (the controller body runs in
      the root's place) and its own previous slice ends (preemption)
-     decides which earlier slice the critical path jumps to. *)
-  type enabler =
-    | En_spawn of string
-    | En_wake of string
-    | En_join
-    | En_capture
-    | En_end
-
-  let critical_path (run : Trace.run) =
-    let events = run.Trace.r_events in
-    let slices = run.Trace.r_slices in
-    let nslices = Array.length slices in
-    if nslices = 0 then []
-    else begin
-      (* Per-pid enabling events, in index order. *)
-      let enablers : (int, (int * enabler) list ref) Hashtbl.t = Hashtbl.create 64 in
-      let parents : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let push pid i e =
-        match Hashtbl.find_opt enablers pid with
-        | Some r -> r := (i, e) :: !r
-        | None -> Hashtbl.add enablers pid (ref [ (i, e) ])
+     decides which earlier slice the critical path jumps to.  The walk
+     scans back from each hop's begin to its enabler, and the slice open
+     there begins before it, so the scans never overlap: one backward
+     pass over the run. *)
+  let critical_path (events : Trace.stamped array) (run : Trace.run) =
+    let slices = run.r_slices in
+    let rec enabler pid i =
+      if i < 0 then None
+      else
+        match events.(run.r_start + i).ev with
+        | Event.Spawn { pid = p; kind; _ } when p = pid -> Some (i, "spawn:" ^ kind)
+        | Event.Spawn_batch { kind; nodes; _ } when Array.exists (fun (p, _) -> p = pid) nodes
+          ->
+            Some (i, "spawn:" ^ kind)
+        | Event.Wake { pid = p; resource } when p = pid -> Some (i, "wake:" ^ resource)
+        | Event.Exit { pid = c }
+          when match Trace.node_of run c with Some n -> n.n_parent = pid | None -> false ->
+            Some (i, "join")
+        | Event.Capture { root_pid; _ } when root_pid = pid -> Some (i, "capture")
+        | Event.Slice_end { pid = p; _ } when p = pid -> Some (i, "preempt")
+        | _ -> enabler pid (i - 1)
+    in
+    let hops = ref [] in
+    let rec walk sidx =
+      let sl = slices.(sidx) in
+      let hop h_via =
+        hops :=
+          { h_pid = sl.sl_pid; h_enter = sl.sl_begin_ts; h_leave = sl.sl_end_ts; h_via }
+          :: !hops
       in
-      Array.iteri
-        (fun i s ->
-          match s.Trace.ev with
-          | Event.Spawn { pid; parent; kind } ->
-              Hashtbl.replace parents pid parent;
-              push pid i (En_spawn kind)
-          | Event.Spawn_batch { kind; nodes; _ } ->
-              Array.iter
-                (fun (pid, parent) ->
-                  Hashtbl.replace parents pid parent;
-                  push pid i (En_spawn kind))
-                nodes
-          | Event.Wake { pid; resource } -> push pid i (En_wake resource)
-          | Event.Exit { pid } -> (
-              match Hashtbl.find_opt parents pid with
-              | Some p when p >= 0 -> push p i En_join
-              | _ -> ())
-          | Event.Capture { root_pid; _ } -> push root_pid i En_capture
-          | Event.Slice_end { pid; _ } -> push pid i En_end
-          | _ -> ())
-        events;
-      let enablers =
-        let t = Hashtbl.create (Hashtbl.length enablers) in
-        Hashtbl.iter (fun pid r -> Hashtbl.add t pid (Array.of_list (List.rev !r))) enablers;
-        t
-      in
-      (* Greatest enabling event of [pid] strictly before index [i]. *)
-      let latest_before pid i =
-        match Hashtbl.find_opt enablers pid with
-        | None -> None
-        | Some arr ->
-            let lo = ref 0 and hi = ref (Array.length arr) in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if fst arr.(mid) < i then lo := mid + 1 else hi := mid
-            done;
-            if !lo = 0 then None else Some arr.(!lo - 1)
-      in
-      let hops = ref [] in
-      let rec walk sidx =
-        let sl = slices.(sidx) in
-        let enter = sl.Trace.sl_begin_ts and leave = sl.Trace.sl_end_ts in
-        let continue via = hops := (sl.Trace.sl_pid, enter, leave, via) :: !hops in
-        let hop via i =
-          continue via;
-          let prev = run.Trace.r_actor.(i) in
+      match enabler sl.sl_pid (sl.sl_begin - 1) with
+      | None -> hop "start"
+      | Some (i, via) ->
+          hop via;
+          let prev = Trace.actor run i in
           if prev >= 0 && prev < sidx then walk prev
-        in
-        match latest_before sl.Trace.sl_pid sl.Trace.sl_begin with
-        | None -> continue "start"
-        | Some (i, En_end) -> hop "preempt" i
-        | Some (i, En_spawn kind) -> hop ("spawn:" ^ kind) i
-        | Some (i, En_wake resource) -> hop ("wake:" ^ resource) i
-        | Some (i, En_join) -> hop "join" i
-        | Some (i, En_capture) -> hop "capture" i
-      in
-      walk (nslices - 1);
-      List.map
-        (fun (h_pid, h_enter, h_leave, h_via) -> { h_pid; h_enter; h_leave; h_via })
-        !hops
-    end
+    in
+    if Array.length slices > 0 then walk (Array.length slices - 1);
+    !hops
 
-  let of_run (run : Trace.run) =
-    let span = run.Trace.r_span in
+  (* What a run's events say beyond its tree: capture tallies, and per
+     span name its begin count, closed intervals and open count. *)
+  type tally = {
+    mutable t_captures : int;
+    mutable t_cps : int;
+    mutable t_sizes : int;
+    mutable t_reinstates : int;
+    t_spans : (string, int ref * (int * int) list ref * int ref) Hashtbl.t;
+  }
+
+  let of_run events (run : Trace.run) t =
+    let span = run.r_span in
     let procs =
-      Array.to_list run.Trace.r_nodes
-      |> List.map (fun n ->
-             let blocked =
-               List.fold_left (fun a (_, d) -> a + d) 0 n.Trace.n_blocked
-             in
+      Array.to_list run.r_nodes
+      |> List.map (fun (n : Trace.node) ->
              {
-               p_pid = n.Trace.n_pid;
-               p_kind = n.Trace.n_kind;
-               p_slices = n.Trace.n_slices;
-               p_fuel = n.Trace.n_fuel;
-               p_run = n.Trace.n_run;
-               p_blocked = blocked;
-               p_util =
-                 (if span = 0 then 0.
-                  else float_of_int n.Trace.n_run /. float_of_int span);
+               p_pid = n.n_pid;
+               p_kind = n.n_kind;
+               p_slices = n.n_slices;
+               p_fuel = n.n_fuel;
+               p_run = n.n_run;
+               p_blocked = List.fold_left (fun a (_, d) -> a + d) 0 (Trace.blocked run n);
+               p_util = (if span = 0 then 0. else float_of_int n.n_run /. float_of_int span);
              })
     in
     let kinds =
       let tbl = Hashtbl.create 8 in
-      Array.iter
-        (fun n ->
-          let k = n.Trace.n_kind in
-          Hashtbl.replace tbl k
-            (1 + match Hashtbl.find_opt tbl k with Some c -> c | None -> 0))
-        run.Trace.r_nodes;
+      List.iter
+        (fun p ->
+          Hashtbl.replace tbl p.p_kind
+            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl p.p_kind)))
+        procs;
       Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     in
-    let captures = ref 0 and cps = ref 0 and sizes = ref 0 and reinstates = ref 0 in
-    Array.iter
-      (fun s ->
-        match s.Trace.ev with
-        | Event.Capture { control_points; size; _ } ->
-            incr captures;
-            cps := !cps + control_points;
-            sizes := !sizes + size
-        | Event.Reinstate _ -> incr reinstates
-        | _ -> ())
-      run.Trace.r_events;
     let mean total n = if n = 0 then 0. else float_of_int total /. float_of_int n in
-    let critical = critical_path run in
-    (* Fold spans against the critical path: per name, closed-span
-       duration stats plus the virtual time a critical hop ran while
-       the span was open (how much of the span was load-bearing). *)
+    let critical = critical_path events run in
+    (* Spans against the critical path: per name, closed-span duration
+       stats plus the virtual time a critical hop ran while the span was
+       open (how much of the span was load-bearing). *)
+    let overlap (a, b) =
+      List.fold_left
+        (fun acc h -> acc + max 0 (min b h.h_leave - max a h.h_enter))
+        0 critical
+    in
     let spans =
-      let open_tbl : (int, string * int) Hashtbl.t = Hashtbl.create 16 in
-      let rows : (string, span_row ref * (int * int) list ref) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      let row name =
-        match Hashtbl.find_opt rows name with
-        | Some r -> r
-        | None ->
-            let r =
-              ( ref
-                  { sp_name = name; sp_count = 0; sp_open = 0; sp_total = 0;
-                    sp_mean = 0.; sp_max = 0; sp_on_path = 0 },
-                ref [] )
-            in
-            Hashtbl.add rows name r;
-            r
-      in
-      Array.iter
-        (fun s ->
-          match s.Trace.ev with
-          | Event.Span_begin { span; name; _ } ->
-              Hashtbl.replace open_tbl span (name, s.Trace.ts);
-              let r, _ = row name in
-              r := { !r with sp_count = !r.sp_count + 1 }
-          | Event.Span_end { span; _ } -> (
-              match Hashtbl.find_opt open_tbl span with
-              | None -> ()
-              | Some (name, t0) ->
-                  Hashtbl.remove open_tbl span;
-                  let d = s.Trace.ts - t0 in
-                  let r, ivals = row name in
-                  ivals := (t0, s.Trace.ts) :: !ivals;
-                  r := { !r with sp_total = !r.sp_total + d; sp_max = max !r.sp_max d })
-          | _ -> ())
-        run.Trace.r_events;
-      Hashtbl.iter
-        (fun _ (name, _) ->
-          let r, _ = row name in
-          r := { !r with sp_open = !r.sp_open + 1 })
-        open_tbl;
-      let overlap a b =
-        List.fold_left
-          (fun acc h ->
-            let lo = max a h.h_enter and hi = min b h.h_leave in
-            acc + max 0 (hi - lo))
-          0 critical
-      in
       Hashtbl.fold
-        (fun _ (r, ivals) out ->
+        (fun name (count, ivals, opened) out ->
           let closed = List.length !ivals in
-          let on_path =
-            List.fold_left (fun acc (a, b) -> acc + overlap a b) 0 !ivals
-          in
-          { !r with
-            sp_mean =
-              (if closed = 0 then 0.
-               else float_of_int !r.sp_total /. float_of_int closed);
-            sp_on_path = on_path }
+          let total = List.fold_left (fun a (t0, t1) -> a + (t1 - t0)) 0 !ivals in
+          {
+            sp_name = name;
+            sp_count = !count;
+            sp_open = !opened;
+            sp_total = total;
+            sp_mean = mean total closed;
+            sp_max = List.fold_left (fun a (t0, t1) -> max a (t1 - t0)) 0 !ivals;
+            sp_on_path = List.fold_left (fun a iv -> a + overlap iv) 0 !ivals;
+          }
           :: out)
-        rows []
+        t.t_spans []
       |> List.sort (fun a b -> String.compare a.sp_name b.sp_name)
     in
     {
-      r_events = Array.length run.Trace.r_events;
+      r_events = run.r_events;
       r_span = span;
       r_procs = procs;
       r_kinds = kinds;
       r_fairness =
         (let j = Jain.create () in
-         List.iter
-           (fun p -> if p.p_slices > 0 then Jain.add j (float_of_int p.p_run))
-           procs;
+         List.iter (fun p -> if p.p_slices > 0 then Jain.add j (float_of_int p.p_run)) procs;
          Jain.index j);
       r_blocked = Trace.blocked_total run;
-      r_captures = !captures;
-      r_cp_per_capture = mean !cps !captures;
-      r_size_per_capture = mean !sizes !captures;
-      r_reinstates = !reinstates;
+      r_captures = t.t_captures;
+      r_cp_per_capture = mean t.t_cps t.t_captures;
+      r_size_per_capture = mean t.t_sizes t.t_captures;
+      r_reinstates = t.t_reinstates;
       r_critical = critical;
-      r_critical_time =
-        List.fold_left (fun a h -> a + (h.h_leave - h.h_enter)) 0 critical;
+      r_critical_time = List.fold_left (fun a h -> a + (h.h_leave - h.h_enter)) 0 critical;
       r_spans = spans;
-      r_deadlock = run.Trace.r_deadlock;
+      r_deadlock = run.r_deadlock;
     }
 
-  let of_trace events = Trace.runs events |> Array.to_list |> List.map Trace.reconstruct
-                        |> List.map of_run
+  let of_trace events =
+    let m = Trace.model () in
+    let fresh () =
+      { t_captures = 0; t_cps = 0; t_sizes = 0; t_reinstates = 0; t_spans = Hashtbl.create 8 }
+    in
+    let tallies = ref [] and t = ref (fresh ()) in
+    let row name =
+      match Hashtbl.find_opt !t.t_spans name with
+      | Some r -> r
+      | None ->
+          let r = (ref 0, ref [], ref 0) in
+          Hashtbl.add !t.t_spans name r;
+          r
+    in
+    (* at a run's end, the spans it began that are still open *)
+    let end_run () =
+      Hashtbl.iter
+        (fun _ (sp : Trace.span) ->
+          if sp.sp_open && sp.sp_run = m.m_run then
+            let _, _, opened = row sp.sp_name in
+            incr opened)
+        m.m_spans;
+      tallies := !t :: !tallies;
+      t := fresh ()
+    in
+    Trace.watch m (fun s ->
+        match s.ev with
+        | Event.Spawn { parent = -1; _ } -> if m.m_events > m.m_start then end_run ()
+        | Event.Capture { control_points; size; _ } ->
+            !t.t_captures <- !t.t_captures + 1;
+            !t.t_cps <- !t.t_cps + control_points;
+            !t.t_sizes <- !t.t_sizes + size
+        | Event.Reinstate _ -> !t.t_reinstates <- !t.t_reinstates + 1
+        | Event.Span_begin { name; _ } ->
+            let count, _, _ = row name in
+            incr count
+        | Event.Span_end { span; _ } -> (
+            match Hashtbl.find_opt m.m_spans span with
+            | Some sp when sp.sp_open && sp.sp_run = m.m_run ->
+                let _, ivals, _ = row sp.sp_name in
+                ivals := (sp.sp_t0, s.ts) :: !ivals
+            | _ -> ())
+        | _ -> ());
+    Array.iter (Trace.feed m) events;
+    if m.m_events > m.m_start then end_run ();
+    List.map2 (of_run events) (Array.to_list (Trace.runs m)) (List.rev !tallies)
 
   let to_json r =
     let num n = Json.Num (float_of_int n) in
@@ -944,44 +766,62 @@ module Diff = struct
     pr_resources : (string * string array) list;
   }
 
-  (* The causal projection of one run: for each canonical pid (spawn
-     order), its own sequence of scheduler-independent facts, a global
-     stream for deadlock and pid-less crashes, and for each channel and
-     waitset the global order of the operations on it. *)
-  let project (events : Trace.stamped array) =
-    let canon : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* The causal projection of each run: for each canonical pid (the
+     model's spawn order), its own sequence of scheduler-independent
+     facts, a global stream for deadlock and pid-less crashes, and for
+     each channel and waitset the global order of the operations on it. *)
+  let attach (m : Trace.model) =
+    let runs = ref [] in
     let streams : (int, string list ref) Hashtbl.t = Hashtbl.create 64 in
     let resources : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
-    (* span ids are allocation-order artifacts; only names are
-       scheduler-independent, so skeleton facts carry the name *)
-    let span_names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-    let next = ref 0 in
-    let cpid pid =
-      match Hashtbl.find_opt canon pid with Some c -> c | None -> -2
-    in
     let add tbl k item =
       match Hashtbl.find_opt tbl k with
       | Some r -> r := item :: !r
       | None -> Hashtbl.add tbl k (ref [ item ])
     in
-    let push c item = add streams c item in
-    let touch key op pid = add resources key (op ^ string_of_int (cpid pid)) in
-    (* batched spawns expand exactly as the equivalent individual spawns
-       would: same canonical-pid assignment order, same facts — so a
-       batched trace and its unbatched twin have equal skeletons *)
-    let spawn kind (pid, parent) =
-      let c = !next in
-      incr next;
-      Hashtbl.replace canon pid c;
-      push c
-        (Printf.sprintf "spawn kind=%s parent=%d" kind
-           (if parent = -1 then -1 else cpid parent))
+    let end_run () =
+      let in_order r = Array.of_list (List.rev !r) in
+      let stream c =
+        match Hashtbl.find_opt streams c with Some r -> in_order r | None -> [||]
+      in
+      runs :=
+        {
+          pr_global = stream (-1);
+          pr_pids = Array.init m.m_order stream;
+          pr_resources =
+            Hashtbl.fold (fun k r acc -> (k, in_order r) :: acc) resources []
+            |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+        }
+        :: !runs;
+      Hashtbl.reset streams;
+      Hashtbl.reset resources
     in
-    Array.iter
-      (fun s ->
-        match s.Trace.ev with
-        | Event.Spawn { pid; parent; kind } -> spawn kind (pid, parent)
-        | Event.Spawn_batch { kind; nodes; _ } -> Array.iter (spawn kind) nodes
+    Trace.watch m (fun s ->
+        let cpid pid = match Trace.Pids.find_opt m.m_nodes pid with Some n -> n.n_order | None -> -2 in
+        let push c item = add streams c item in
+        let touch key op pid = add resources key (op ^ string_of_int (cpid pid)) in
+        (* a batch expands exactly as the equivalent individual spawns
+           would, so a batched trace and its unbatched twin have equal
+           skeletons; [earlier] maps the pids the batch spawned so far *)
+        let spawn kind earlier (pid, parent) =
+          if Trace.Pids.find_opt m.m_nodes pid <> None || List.mem_assoc pid earlier then earlier
+          else begin
+            let c = m.m_order + List.length earlier in
+            let cp =
+              if parent = -1 then -1
+              else match List.assoc_opt parent earlier with Some c -> c | None -> cpid parent
+            in
+            push c (Printf.sprintf "spawn kind=%s parent=%d" kind cp);
+            (pid, c) :: earlier
+          end
+        in
+        match s.ev with
+        | Event.Spawn { pid = _; parent = -1; kind } ->
+            if m.m_events > m.m_start then end_run ();
+            push 0 (Printf.sprintf "spawn kind=%s parent=-1" kind)
+        | Event.Spawn { pid; parent; kind } -> ignore (spawn kind [] (pid, parent))
+        | Event.Spawn_batch { kind; nodes; _ } ->
+            ignore (Array.fold_left (spawn kind) [] nodes)
         | Event.Exit { pid } -> push (cpid pid) "exit"
         | Event.Capture { pid; label; _ } ->
             push (cpid pid) (Printf.sprintf "capture label=%d" label)
@@ -997,50 +837,43 @@ module Diff = struct
             (* canonical pids; virtual-time-free, so mirrored workloads on
                the two schedulers keep aligned skeletons *)
             push (cpid pid)
-              (Printf.sprintf "cancel scope=%d reason=%s pids=[%s]" (cpid scope)
-                 reason
+              (Printf.sprintf "cancel scope=%d reason=%s pids=[%s]" (cpid scope) reason
                  (String.concat ";"
-                    (Array.to_list
-                       (Array.map (fun p -> string_of_int (cpid p)) pids))))
+                    (Array.to_list (Array.map (fun p -> string_of_int (cpid p)) pids))))
         | Event.Timeout { pid; _ } -> push (cpid pid) "timeout"
         | Event.Crash { pid; fault } ->
-            push (if pid >= 0 then cpid pid else -1)
-              (Printf.sprintf "crash fault=%s" fault)
+            push (if pid >= 0 then cpid pid else -1) (Printf.sprintf "crash fault=%s" fault)
         | Event.Restart { pid; child; attempt; backoff = _; limit } ->
             push (cpid pid)
-              (Printf.sprintf "restart child=%d attempt=%d limit=%d" (cpid child)
-                 attempt limit)
+              (Printf.sprintf "restart child=%d attempt=%d limit=%d" (cpid child) attempt
+                 limit)
         | Event.Invalid_controller { pid; label } ->
             push (cpid pid) (Printf.sprintf "invalid-controller label=%d" label)
-        | Event.Span_begin { pid; span; name; _ } ->
-            Hashtbl.replace span_names span name;
-            push (cpid pid) (Printf.sprintf "sb:%s" name)
+        (* span ids are allocation-order artifacts; only names are
+           scheduler-independent, so skeleton facts carry the name *)
+        | Event.Span_begin { pid; name; _ } -> push (cpid pid) ("sb:" ^ name)
         | Event.Span_end { pid; span } ->
             let name =
-              match Hashtbl.find_opt span_names span with
-              | Some n -> n
-              | None -> "span"
+              match Hashtbl.find_opt m.m_spans span with
+              | Some sp when sp.sp_run = m.m_run -> sp.sp_name
+              | _ -> "span"
             in
-            push (cpid pid) (Printf.sprintf "se:%s" name)
+            push (cpid pid) ("se:" ^ name)
         | Event.Deadlock { parked } -> push (-1) (Printf.sprintf "deadlock parked=%d" parked)
         | Event.Park { pid; resource } -> touch ("w" ^ resource) "p" pid
         | Event.Wake { pid; resource } -> touch ("w" ^ resource) "w" pid
-        | Event.Slice_begin _ | Event.Slice_end _ -> ())
-      events;
-    let in_order r = Array.of_list (List.rev !r) in
-    let stream c =
-      match Hashtbl.find_opt streams c with Some r -> in_order r | None -> [||]
-    in
-    {
-      pr_global = stream (-1);
-      pr_pids = Array.init !next stream;
-      pr_resources =
-        Hashtbl.fold (fun k r acc -> (k, in_order r) :: acc) resources []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-    }
+        | Event.Slice_begin _ | Event.Slice_end _ -> ());
+    fun () ->
+      if m.m_events > m.m_start then end_run ();
+      Array.of_list (List.rev !runs)
 
-  let diff_run d_run left right =
-    let pl = project left and pr = project right in
+  let project events =
+    let m = Trace.model () in
+    let finish = attach m in
+    Array.iter (Trace.feed m) events;
+    finish ()
+
+  let diff_run d_run pl pr =
     let stream p c =
       if c < 0 then p.pr_global
       else if c < Array.length p.pr_pids then p.pr_pids.(c)
@@ -1071,7 +904,7 @@ module Diff = struct
     !diverged
 
   let diff left right =
-    let lruns = Trace.runs left and rruns = Trace.runs right in
+    let lruns = project left and rruns = project right in
     let nl = Array.length lruns and nr = Array.length rruns in
     let diverged = ref None in
     for r = 0 to max nl nr - 1 do
@@ -1118,143 +951,69 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Snapshot = struct
-  (* Incremental fold over a (possibly still growing) event stream:
-     feed events as they arrive, render the current state at any time.
-     Everything here is derived from events alone, so it works on a
-     flight-recorder dump or a live tail equally, and it is the one
-     derivation of every distribution the events carry. *)
+  (* The model plus the distributions its events carry: feed events as
+     they arrive, render the current state at any time.  Everything here
+     is derived from events alone, so it works on a flight-recorder dump
+     or a live tail equally, and it is the one derivation of every
+     distribution the events carry. *)
   type t = {
-    mutable sn_events : int;
-    mutable sn_clock : int;
-    mutable sn_spawned : int;
-    mutable sn_exited : int;
-    mutable sn_cancelled : int;
+    sn_model : Trace.model;
     mutable sn_crashes : int;
-    mutable sn_parked : int;
     mutable sn_deadlock : int option;
     mutable sn_last_pid : int;
-    parked_by : (string, int) Hashtbl.t;
-    blocked_by : (string, int) Hashtbl.t;
-    park_since : (int, string * int) Hashtbl.t;
-    wake_at : (int, int) Hashtbl.t;
-    open_spans : (int, string * int) Hashtbl.t;
     sn_mx : Obs.Metrics.t;
   }
 
   let create () =
-    {
-      sn_events = 0;
-      sn_clock = 0;
-      sn_spawned = 0;
-      sn_exited = 0;
-      sn_cancelled = 0;
-      sn_crashes = 0;
-      sn_parked = 0;
-      sn_deadlock = None;
-      sn_last_pid = -1;
-      parked_by = Hashtbl.create 8;
-      blocked_by = Hashtbl.create 8;
-      park_since = Hashtbl.create 64;
-      wake_at = Hashtbl.create 64;
-      open_spans = Hashtbl.create 16;
-      sn_mx = Obs.Metrics.create ();
-    }
+    let m = Trace.model () in
+    let t =
+      { sn_model = m; sn_crashes = 0; sn_deadlock = None; sn_last_pid = -1;
+        sn_mx = Obs.Metrics.create () }
+    in
+    let observe = Obs.Metrics.observe t.sn_mx in
+    Trace.watch m (fun s ->
+        match s.ev with
+        | Event.Slice_begin { pid } -> (
+            t.sn_last_pid <- pid;
+            match Trace.Pids.find_opt m.m_nodes pid with
+            | Some n when n.n_woken >= 0 -> observe "wake.to.run" (s.ts - n.n_woken)
+            | _ -> ())
+        | Event.Slice_end { fuel; _ } -> observe "slice.fuel" fuel
+        | Event.Cancel { pids; _ } -> observe "cancel.pids" (Array.length pids)
+        | Event.Crash _ -> t.sn_crashes <- t.sn_crashes + 1
+        | Event.Deadlock { parked } -> t.sn_deadlock <- Some parked
+        | Event.Span_end { span; _ } -> (
+            match Hashtbl.find_opt m.m_spans span with
+            | Some sp when sp.sp_open -> observe "span.duration" (s.ts - sp.sp_t0)
+            | _ -> ())
+        | Event.Capture { control_points; size; _ } ->
+            observe "capture.control-points" control_points;
+            observe "capture.size" size
+        | _ -> ());
+    t
 
-  let bump tbl k d =
-    Hashtbl.replace tbl k
-      (d + match Hashtbl.find_opt tbl k with Some v -> v | None -> 0)
-
-  let feed t (s : Trace.stamped) =
-    t.sn_events <- t.sn_events + 1;
-    t.sn_clock <- max t.sn_clock s.Trace.ts;
-    match s.Trace.ev with
-    | Event.Spawn { parent; _ } ->
-        t.sn_spawned <- t.sn_spawned + 1;
-        (* A root spawn starts a run, whose pids are fresh: forget the
-           last run's per-pid state.  Span ids belong to the handle and
-           carry across runs. *)
-        if parent = -1 then begin
-          Hashtbl.reset t.park_since;
-          Hashtbl.reset t.wake_at
-        end
-    | Event.Spawn_batch { nodes; _ } -> t.sn_spawned <- t.sn_spawned + Array.length nodes
-    | Event.Exit _ -> t.sn_exited <- t.sn_exited + 1
-    | Event.Slice_begin { pid } ->
-        t.sn_last_pid <- pid;
-        (match Hashtbl.find_opt t.wake_at pid with
-        | Some wts ->
-            Hashtbl.remove t.wake_at pid;
-            Obs.Metrics.observe t.sn_mx "wake.to.run" (s.Trace.ts - wts)
-        | None -> ())
-    | Event.Slice_end { fuel; _ } -> Obs.Metrics.observe t.sn_mx "slice.fuel" fuel
-    | Event.Park { pid; resource } ->
-        t.sn_parked <- t.sn_parked + 1;
-        bump t.parked_by resource 1;
-        Hashtbl.replace t.park_since pid (resource, s.Trace.ts)
-    | Event.Wake { pid; resource } ->
-        t.sn_parked <- max 0 (t.sn_parked - 1);
-        bump t.parked_by resource (-1);
-        Hashtbl.replace t.wake_at pid s.Trace.ts;
-        (match Hashtbl.find_opt t.park_since pid with
-        | Some (r, since) ->
-            Hashtbl.remove t.park_since pid;
-            bump t.blocked_by r (s.Trace.ts - since)
-        | None -> ())
-    | Event.Cancel { pids; _ } ->
-        t.sn_cancelled <- t.sn_cancelled + Array.length pids;
-        Obs.Metrics.observe t.sn_mx "cancel.pids" (Array.length pids);
-        Array.iter
-          (fun pid ->
-            match Hashtbl.find_opt t.park_since pid with
-            | Some (r, since) ->
-                Hashtbl.remove t.park_since pid;
-                t.sn_parked <- max 0 (t.sn_parked - 1);
-                bump t.parked_by r (-1);
-                bump t.blocked_by r (s.Trace.ts - since)
-            | None -> ())
-          pids
-    | Event.Crash _ -> t.sn_crashes <- t.sn_crashes + 1
-    | Event.Deadlock { parked } -> t.sn_deadlock <- Some parked
-    | Event.Span_begin { span; name; _ } ->
-        Hashtbl.replace t.open_spans span (name, s.Trace.ts)
-    | Event.Span_end { span; _ } -> (
-        match Hashtbl.find_opt t.open_spans span with
-        | Some (_, t0) ->
-            Hashtbl.remove t.open_spans span;
-            Obs.Metrics.observe t.sn_mx "span.duration" (s.Trace.ts - t0)
-        | None -> ())
-    | Event.Capture { control_points; size; _ } ->
-        Obs.Metrics.observe t.sn_mx "capture.control-points" control_points;
-        Obs.Metrics.observe t.sn_mx "capture.size" size
-    | Event.Reinstate _ | Event.Send _ | Event.Recv _ | Event.Timeout _
-    | Event.Restart _ | Event.Invalid_controller _ ->
-        ()
-
-  let sink t =
-    Obs.Sink.memory (fun (seq, ts, ev) -> feed t { Trace.seq; ts; ev })
-
+  let feed t s = Trace.feed t.sn_model s
+  let model t = t.sn_model
   let metrics t = t.sn_mx
 
-  let runnable t =
-    max 0 (t.sn_spawned - t.sn_exited - t.sn_cancelled - t.sn_parked)
-
-  let top_blocked ?(n = 5) t =
-    Hashtbl.fold
-      (fun r d acc ->
-        let now = match Hashtbl.find_opt t.parked_by r with Some c -> c | None -> 0 in
-        (r, d, now) :: acc)
-      t.blocked_by []
-    |> fun base ->
-    (* resources currently parked on but never yet woken *)
-    Hashtbl.fold
-      (fun r c acc ->
-        if c > 0 && not (Hashtbl.mem t.blocked_by r) then (r, 0, c) :: acc else acc)
-      t.parked_by base
-    |> List.sort (fun (ra, da, ca) (rb, db, cb) ->
-           compare (db, cb, ra) (da, ca, rb))
-    |> fun l ->
-    let rec take k = function x :: rest when k > 0 -> x :: take (k - 1) rest | _ -> [] in
-    take n l
+  (* Cumulative blocked time per resource, with how many of the current
+     run's fibers are parked on it now. *)
+  let top_blocked t =
+    let m = t.sn_model in
+    let now = Hashtbl.create 8 in
+    Trace.Pids.iter
+      (fun _ (n : Trace.node) ->
+        Option.iter
+          (fun r -> Hashtbl.replace now r (1 + Option.value ~default:0 (Hashtbl.find_opt now r)))
+          n.n_parked)
+      m.m_nodes;
+    let count r = Option.value ~default:0 (Hashtbl.find_opt now r) in
+    Hashtbl.fold (fun r d acc -> (r, d, count r) :: acc) m.m_blocked []
+    |> Hashtbl.fold
+         (fun r c acc -> if Hashtbl.mem m.m_blocked r then acc else (r, 0, c) :: acc)
+         now
+    |> List.sort (fun (ra, da, ca) (rb, db, cb) -> compare (db, cb, ra) (da, ca, rb))
+    |> List.filteri (fun i _ -> i < 5)
 
   let pp ppf t =
     let q name p =
@@ -1269,18 +1028,21 @@ module Snapshot = struct
         | Some sk -> Obs.Metrics.Sketch.count sk
         | None -> 0)
     in
-    Format.fprintf ppf "@[<v>clock %d  events %d  last pid %d%s@,"
-      t.sn_clock t.sn_events t.sn_last_pid
+    let m = t.sn_model in
+    Format.fprintf ppf "@[<v>clock %d  events %d  last pid %d%s@," (max 0 m.m_clock)
+      m.m_events t.sn_last_pid
       (match t.sn_deadlock with
       | Some p -> Printf.sprintf "  DEADLOCK(%d parked)" p
       | None -> "");
     Format.fprintf ppf
-      "fibers: %d spawned  %d exited  %d cancelled  %d crashes  %d parked  ~%d runnable@,"
-      t.sn_spawned t.sn_exited t.sn_cancelled t.sn_crashes t.sn_parked (runnable t);
+      "fibers: %d spawned  %d exited  %d cancelled  %d pruned  %d crashes  %d parked  ~%d \
+       runnable@,"
+      m.m_spawned m.m_exited m.m_cancelled m.m_pruned_total t.sn_crashes m.m_parked
+      (max 0 (m.m_live - m.m_parked));
     Format.fprintf ppf "slice fuel:    %s@," (qline "slice.fuel");
     Format.fprintf ppf "wake-to-run:   %s@," (qline "wake.to.run");
     Format.fprintf ppf "span duration: %s  (%d open)@," (qline "span.duration")
-      (Hashtbl.length t.open_spans);
+      m.m_open_spans;
     (match top_blocked t with
     | [] -> ()
     | top ->
@@ -1322,6 +1084,7 @@ module Slo = struct
      the request's fate.  Everything else in the trace is ignored. *)
 
   let of_trace (events : Trace.stamped array) =
+    let m = Trace.model () in
     let scens : (string, scen) Hashtbl.t = Hashtbl.create 8 in
     let scen name =
       match Hashtbl.find_opt scens name with
@@ -1343,35 +1106,25 @@ module Slo = struct
           Hashtbl.add scens name s;
           s
     in
-    (* open span id -> (name, begin ts); request ids additionally map to
-       their fate once a marker child lands *)
-    let open_spans : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
+    let suffix name i = String.sub name (i + 1) (String.length name - i - 1) in
+    (* request span id -> its fate, once a marker child lands *)
     let fates : (int, string) Hashtbl.t = Hashtbl.create 64 in
-    (* per-pid on-CPU virtual time for the fairness index *)
-    let slice_open : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let on_cpu : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let first_ts = ref max_int and last_ts = ref min_int in
-    Array.iter
-      (fun s ->
-        let ts = s.Trace.ts in
-        if ts < !first_ts then first_ts := ts;
-        if ts > !last_ts then last_ts := ts;
-        match s.Trace.ev with
-        | Obs.Event.Span_begin { span; parent; name; _ } -> (
-            Hashtbl.replace open_spans span (name, ts);
+    let first_ts = ref max_int in
+    Trace.watch m (fun s ->
+        first_ts := min !first_ts s.ts;
+        match s.ev with
+        | Event.Span_begin { parent; name; _ } -> (
             match String.index_opt name '/' with
             | None -> (scen name).sc_requests <- (scen name).sc_requests + 1
             | Some i -> (
-                match String.sub name (i + 1) (String.length name - i - 1) with
+                match suffix name i with
                 | ("timedout" | "cancelled" | "crashed") as fate ->
                     if parent >= 0 then Hashtbl.replace fates parent fate
                 | _ -> ()))
-        | Obs.Event.Span_end { span; _ } -> (
-            match Hashtbl.find_opt open_spans span with
-            | None -> ()
-            | Some (name, t0) -> (
-                Hashtbl.remove open_spans span;
-                let d = ts - t0 in
+        | Event.Span_end { span; _ } -> (
+            match Hashtbl.find_opt m.m_spans span with
+            | Some { sp_open = true; sp_name = name; sp_t0; _ } -> (
+                let d = s.ts - sp_t0 in
                 match String.index_opt name '/' with
                 | None -> (
                     let sc = scen name in
@@ -1383,41 +1136,31 @@ module Slo = struct
                     | Some "cancelled" -> sc.sc_cancelled <- sc.sc_cancelled + 1
                     | Some _ -> sc.sc_crashed <- sc.sc_crashed + 1)
                 | Some i ->
-                    if
-                      String.sub name (i + 1) (String.length name - i - 1)
-                      = "service"
-                    then
-                      Obs.Metrics.Sketch.observe
-                        (scen (String.sub name 0 i)).sc_service d))
-        | Obs.Event.Slice_begin { pid } -> Hashtbl.replace slice_open pid ts
-        | Obs.Event.Slice_end { pid; _ } -> (
-            match Hashtbl.find_opt slice_open pid with
-            | None -> ()
-            | Some t0 ->
-                Hashtbl.remove slice_open pid;
-                let prev =
-                  Option.value ~default:0 (Hashtbl.find_opt on_cpu pid)
-                in
-                Hashtbl.replace on_cpu pid (prev + Stdlib.max (ts - t0) 1))
-        | _ -> ())
-      events;
+                    if suffix name i = "service" then
+                      Obs.Metrics.Sketch.observe (scen (String.sub name 0 i)).sc_service d)
+            | _ -> ())
+        | _ -> ());
+    Array.iter (Trace.feed m) events;
     (* spans still open at end of trace: cancelled fibers never close
        theirs; count them per scenario *)
     Hashtbl.iter
-      (fun span (name, _) ->
-        if not (String.contains name '/') && not (Hashtbl.mem fates span) then begin
-          let sc = scen name in
-          sc.sc_open <- sc.sc_open + 1
-        end)
-      open_spans;
+      (fun id (sp : Trace.span) ->
+        if sp.sp_open && (not (String.contains sp.sp_name '/')) && not (Hashtbl.mem fates id)
+        then
+          let sc = scen sp.sp_name in
+          sc.sc_open <- sc.sc_open + 1)
+      m.m_spans;
+    (* fairness over per-process on-CPU virtual time *)
     let fairness = Jain.create () in
-    Hashtbl.iter
-      (fun _ v -> if v > 0 then Jain.add fairness (float_of_int v))
-      on_cpu;
+    Array.iter
+      (fun (r : Trace.run) ->
+        Array.iter
+          (fun (n : Trace.node) -> if n.n_run > 0 then Jain.add fairness (float_of_int n.n_run))
+          r.r_nodes)
+      (Trace.runs m);
     {
-      slo_events = Array.length events;
-      slo_span =
-        (if !last_ts >= !first_ts then !last_ts - !first_ts else 0);
+      slo_events = m.m_events;
+      slo_span = (if m.m_clock >= !first_ts then m.m_clock - !first_ts else 0);
       slo_fairness = Jain.index fairness;
       slo_scens =
         Hashtbl.fold (fun _ s acc -> s :: acc) scens []

@@ -1,11 +1,7 @@
-(** Trace analysis: invariant checking, causal reports, diffing.
-
-    The three halves of the [ptrace] CLI.  {!Check} lints a trace
-    against the event-stream contract both schedulers promise (a
-    post-hoc lost-wakeup/race detector that works on any exported
-    trace); {!Report} turns one run into a causal profile — critical
-    path, utilization, fairness, blocked-time attribution; {!Diff}
-    aligns two traces and reports their first causal divergence. *)
+(** Trace analysis: invariant checking, causal reports, diffing, live
+    snapshots and SLO rollups.  Each one watches the one {!Trace.model}
+    of the trace and reads the state each event meets; none keeps a
+    process table of its own. *)
 
 (** {1 Invariant checking} *)
 
@@ -15,53 +11,26 @@ module Check : sig
       end-of-trace checks), [v_rule] one of {!rules}. *)
 
   val rules : (string * string) list
-  (** Rule id → one-line description:
-      - [seq-dense]: sequence numbers are [base, base+1, …] in file
-        order, where [base] is the first event's seq — so a
-        flight-recorder dump (a dense suffix of a longer stream) still
-        checks clean;
-      - [ts-monotone]: timestamps never decrease;
-      - [slice-balance]: at most one slice open at a time; every begin
-        has a matching end with the same pid; no slice left open at a
-        run boundary;
-      - [slice-time]: a slice's extent equals [max fuel 1] — the clock
-        advances exactly at slice ends;
-      - [spawn-unique]: a pid is spawned once per run, its parent is
-        known ([-1] only for the root), and every event references a
-        spawned pid;
-      - [exit-once]: a pid exits at most once, and an exited or pruned
-        pid emits nothing afterwards but the end of its open slice;
-      - [park-pairing]: parks and wakes alternate per pid with matching
-        resources — no double park, no double wake (a wake for a
-        never-parked or pruned pid is a lost-wakeup witness), no slice
-        while parked;
-      - [capture-consistency]: a capture's [root_pid] is a live
-        ancestor of the capturing pid, and every reinstate names a
-        label captured earlier in the run with the same subtree size;
-      - [deadlock-count]: a deadlock event's parked count equals the
-        number of live parked processes at that point;
-      - [span-balance]: each span id begins at most once, and every
-        span end names an id with an open begin (ids are per-handle, so
-        this bookkeeping is global across runs; spans left open at end
-        of trace are tolerated — cancelled or captured fibers never get
-        to close theirs). *)
+  (** Rule id → one-line description, all 13 in the order checked:
+      [seq-dense] (seqs run [base, base+1, …] from the first event's, so
+      a flight dump checks clean), [ts-monotone], [slice-balance],
+      [slice-time], [spawn-unique], [exit-once] (a dead pid emits
+      nothing but the end of its open slice), [park-pairing] (a wake for
+      an unparked pid is a lost-wakeup witness), [capture-consistency],
+      [deadlock-count], [cancel-propagation-complete],
+      [restart-intensity-bounded], [no-orphan-waiters] (at each
+      quiescence point) and [span-balance] (spans left open are
+      tolerated: cancelled or captured fibers never close theirs). *)
+
+  val attach : Trace.model -> unit -> violation list
+  (** [attach m] watches [m]; after the last event, [finish ()] runs the
+      end-of-trace checks and returns the violations in stamp order.  In
+      a window (see {!Trace}) only what needs pre-window state goes
+      unreported, and so do the end-of-trace checks, as after a trace
+      ending at a {!Obs.Event.Crash} (a flight dump's cut). *)
 
   val run : Trace.stamped array -> violation list
-  (** All violations in stamp order.  The checker resets its per-run
-      state (pids, parks, labels) at each root spawn; [seq-dense] and
-      [ts-monotone] span the whole trace.
-
-      A trace whose first seq is nonzero is a flight-recorder window
-      into the middle of a run.  Every rule still applies to what the
-      window can prove, but obligations needing pre-window state are
-      relaxed instead of reported as false positives: references to
-      pids spawned before the cut, one stray slice end at the top, a
-      first wake matching a pre-window park, reinstates of pre-window
-      captures, ends of pre-window spans, the deadlock park census,
-      and the end-of-run quiescence checks.  The quiescence checks are
-      also skipped when the trace ends at a {!Obs.Event.Crash} — the
-      cut point of a flight dump triggered by that crash, where the
-      interrupted slice is legitimately still open. *)
+  (** [attach] to a fresh model fed the whole trace. *)
 
   val to_json : violation list -> Obs.Json.t
 
@@ -103,7 +72,8 @@ module Report : sig
     h_leave : int;  (** slice end ts *)
     h_via : string;
         (** how the pid became runnable for this slice: ["start"] (run
-            entry), ["spawn:<kind>"], ["wake:<resource>"] or
+            entry), ["spawn:<kind>"], ["wake:<resource>"], ["join"] (a
+            child exited), ["capture"] (a capture rooted at it) or
             ["preempt"] (was runnable all along) *)
   }
 
@@ -172,21 +142,17 @@ module Diff : sig
             ([!] send, [?] recv, [p] park, [w] wake) and a canonical pid *)
   }
 
-  val project : Trace.stamped array -> projection
-  (** The causal projection of one run's events, the one {!diff}
-      compares (its per-pid and global streams) and [Explore.Dpor] keys
-      its equivalence classes on (all three parts). *)
+  val attach : Trace.model -> unit -> projection array
+  (** [attach m] watches [m]; [finish ()] is the causal projection of
+      each run fed: what {!diff} compares (per-pid and global streams)
+      and [Explore.Dpor] keys its classes on (all three parts). *)
 
   val diff : Trace.stamped array -> Trace.stamped array -> divergence option
-  (** Compare the causal skeletons of two traces, run by run.  Each
-      run's events are projected to scheduler-independent facts — spawn
-      structure, exits, capture/reinstate labels, channel operations,
-      invalid controllers, deadlock — dropping timestamps, run slices
-      and park/wake (pure scheduling), and capture sizes/control points
-      (representation-specific).  Pids are renamed to spawn order, and
-      each canonical pid's own event sequence (program order) is
-      compared, so benign interleaving differences between schedulers
-      do not diverge.  [None] means causally aligned. *)
+  (** The first divergence between two traces' projections, run by run:
+      scheduler-independent facts (spawn structure, exits, capture and
+      reinstate labels, channel operations, cancels, crashes, spans,
+      deadlock) per canonical pid in program order, so benign
+      interleaving differences do not diverge.  [None]: aligned. *)
 
   val to_json : divergence option -> Obs.Json.t
 
@@ -196,15 +162,10 @@ end
 (** {1 Live snapshot} *)
 
 module Snapshot : sig
-  (** Incremental fold over a (possibly still growing) event stream —
-      the state behind [ptrace top], [psi --stats] and bench e14.  Feed
-      stamped events as they arrive (e.g. tailing a JSONL file mid-run)
-      and render at any point: virtual clock, fiber fates, streaming
-      percentiles for slice fuel / wake-to-run latency / span durations
-      (via {!Obs.Metrics.Sketch}), and the top blocked resources.  Works
-      identically on a finished trace or a flight-recorder dump.  A root
-      spawn resets the per-pid state (a new run's pids are fresh); span
-      state carries over, as span ids belong to the handle. *)
+  (** The state behind [ptrace top], [psi --stats] and bench e14: a model
+      fed as events arrive, plus streaming percentiles of what they
+      carry; renders fiber fates, the current run's census and the top
+      blocked resources at any point. *)
 
   type t
 
@@ -212,8 +173,7 @@ module Snapshot : sig
 
   val feed : t -> Trace.stamped -> unit
 
-  val sink : t -> Obs.sink
-  (** A sink that feeds every event it receives to the snapshot. *)
+  val model : t -> Trace.model
 
   val metrics : t -> Obs.Metrics.t
   (** The distributions folded so far, one sketch per name:
@@ -228,17 +188,13 @@ end
 (** {1 SLO rollup} *)
 
 module Slo : sig
-  (** Per-scenario service-level rollup of a load-generator trace — the
-      fold behind [ptrace slo].
-
-      Works over the span conventions of [Pcont_load.Load]: a request
-      is a span named after its scenario (no ['/'] in the name), the
-      handler work is a [<scenario>/service] child span, and a request
-      that did not complete carries a zero-length [<scenario>/timedout]
-      / [/cancelled] / [/crashed] marker child.  Latency here is
-      admission-to-completion as visible in the trace; the exact
-      arrival-anchored decomposition lives in [Load.stats] (in-process,
-      where the scheduled arrival tick is known). *)
+  (** Per-scenario service-level rollup of a load-generator trace, over
+      [Pcont_load.Load]'s span conventions: a request is a span named
+      after its scenario (no ['/']), its handler work a
+      [<scenario>/service] child, and a request that did not complete
+      carries a zero-length [/timedout], [/cancelled] or [/crashed]
+      marker child.  Latency is admission-to-completion as the trace
+      shows it; [Load.stats] has the arrival-anchored one. *)
 
   type scen = {
     sc_name : string;
@@ -270,13 +226,9 @@ module Slo : sig
       to every scenario in the trace. *)
 
   val check : (string * Obs.Metrics.Sketch.t) list -> assertion -> string list
-  (** [check latencies a] applies [a] to each [(scenario, latency
-      sketch)] it names: one ["assert failed: ..."] line per scenario
-      whose completed-request latency quantile exceeds the bound, or
-      one line when it names no scenario (asserting over an empty trace
-      is itself a failure).  Empty when the assertion holds.  [ptrace
-      slo] passes each scenario's [sc_latency], [pload] its
-      arrival-anchored sketches. *)
+  (** [check latencies a]: one ["assert failed: ..."] line per named
+      [(scenario, latency sketch)] whose quantile exceeds the bound, or
+      one line when [a] names no scenario; empty when [a] holds. *)
 
   val to_json : t -> Obs.Json.t
   (** Deterministic: equal rollups serialize to equal bytes. *)

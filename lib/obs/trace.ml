@@ -28,36 +28,22 @@ let load path =
   | body -> parse_string body
   | exception Sys_error m -> Error m
 
-(* ---------------- runs ---------------- *)
+(* ---------------- the process-tree model ---------------- *)
 
-let is_root s = match s.ev with Event.Spawn { parent = -1; _ } -> true | _ -> false
-
-let runs events =
-  let cuts = ref [] in
-  Array.iteri (fun i s -> if is_root s && i > 0 then cuts := i :: !cuts) events;
-  let cuts = List.rev !cuts in
-  let bounds =
-    let rec go start = function
-      | [] -> [ (start, Array.length events) ]
-      | c :: rest -> (start, c) :: go c rest
-    in
-    go 0 cuts
-  in
-  bounds
-  |> List.filter (fun (a, b) -> b > a)
-  |> List.map (fun (a, b) -> Array.sub events a (b - a))
-  |> Array.of_list
-
-(* ---------------- reconstruction ---------------- *)
+type status = Live | Exited | Pruned | Cancelled
 
 type node = {
   n_pid : int;
   n_parent : int;
   n_kind : string;
-  n_spawn_ts : int;
+  n_order : int;
   mutable n_children : int list;
-  mutable n_exit_ts : int option;
-  mutable n_pruned_ts : int option;
+  mutable n_status : status;
+  mutable n_status_ts : int;
+  mutable n_parked : string option;
+  mutable n_park_ts : int;
+  mutable n_park_unknown : bool;
+  mutable n_woken : int;
   mutable n_slices : int;
   mutable n_run : int;
   mutable n_fuel : int;
@@ -80,15 +66,404 @@ type slice = {
 }
 
 type run = {
-  r_events : stamped array;
+  r_start : int;
+  r_events : int;
   r_nodes : node array;
   r_slices : slice array;
-  r_actor : int array;
-  r_first_ts : int;
   r_span : int;
+  r_end_ts : int;
   r_deadlock : int option;
   r_cancelled_parked : int;
 }
+
+type span = { sp_name : string; sp_t0 : int; sp_run : int; mutable sp_open : bool }
+
+module Pids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (pid : int) = pid land max_int
+end)
+
+type model = {
+  mutable m_watch : (stamped -> unit) list;
+  mutable m_events : int;
+  mutable m_base : int;
+  mutable m_window : bool;
+  mutable m_clock : int;
+  mutable m_run : int;
+  m_nodes : node Pids.t;
+  mutable m_order : int;
+  mutable m_start : int;
+  mutable m_first_ts : int;
+  mutable m_last_ts : int;
+  mutable m_open : bool;
+  mutable m_open_pid : int;
+  mutable m_open_at : int;
+  mutable m_open_ts : int;
+  mutable m_slices : int array;
+  mutable m_nslices : int;
+  mutable m_live : int;
+  mutable m_parked : int;
+  mutable m_deadlock : int option;
+  mutable m_cancelled_parked : int;
+  mutable m_pruned : int list;
+  m_spans : (int, span) Hashtbl.t;
+  mutable m_open_spans : int;
+  m_blocked : (string, int) Hashtbl.t;
+  mutable m_spawned : int;
+  mutable m_exited : int;
+  mutable m_cancelled : int;
+  mutable m_pruned_total : int;
+  mutable m_done : run list;
+}
+
+let model () =
+  {
+    m_watch = [];
+    m_events = 0;
+    m_base = 0;
+    m_window = false;
+    m_clock = min_int;
+    m_run = 0;
+    m_nodes = Pids.create 64;
+    m_order = 0;
+    m_start = 0;
+    m_first_ts = 0;
+    m_last_ts = 0;
+    m_open = false;
+    m_open_pid = 0;
+    m_open_at = 0;
+    m_open_ts = 0;
+    m_slices = Array.make 320 0;
+    m_nslices = 0;
+    m_live = 0;
+    m_parked = 0;
+    m_deadlock = None;
+    m_cancelled_parked = 0;
+    m_pruned = [];
+    m_spans = Hashtbl.create 16;
+    m_open_spans = 0;
+    m_blocked = Hashtbl.create 8;
+    m_spawned = 0;
+    m_exited = 0;
+    m_cancelled = 0;
+    m_pruned_total = 0;
+    m_done = [];
+  }
+
+let watch m f = m.m_watch <- m.m_watch @ [ f ]
+let find m pid = Pids.find_opt m.m_nodes pid
+
+let add_blocked l resource d =
+  let rec go = function
+    | [] -> [ (resource, d) ]
+    | (r, t) :: rest when r = resource -> (r, t + d) :: rest
+    | kv :: rest -> kv :: go rest
+  in
+  go l
+
+(* Resil.with_timeout / with_deadline cancel with reason "timeout",
+   which the scope's abort renders as "cancel: timeout". *)
+let mentions_timeout reason =
+  let n = String.length reason in
+  let rec has i = i + 7 <= n && (String.sub reason i 7 = "timeout" || has (i + 1)) in
+  has 0
+
+(* Hashtbl.add, not replace: a pid registered pre-window and then
+   spawned keeps both bindings, as the checker always has. *)
+let add_node m ~ts pid parent kind order =
+  let n =
+    { n_pid = pid; n_parent = parent; n_kind = kind; n_order = order; n_children = [];
+      n_status = Live; n_status_ts = ts; n_parked = None; n_park_ts = ts;
+      n_park_unknown = parent = -2; n_woken = -1; n_slices = 0; n_run = 0; n_fuel = 0;
+      n_parks = 0; n_wakes = 0; n_captures = 0; n_reinstates = 0; n_sends = 0;
+      n_recvs = 0; n_blocked = []; n_fate = "" }
+  in
+  Pids.add m.m_nodes pid n;
+  m.m_live <- m.m_live + 1;
+  n
+
+(* A pid first referenced inside a window was spawned before the cut:
+   register it with unknowable parent, ancestry and park state. *)
+let lookup m ~ts pid =
+  match find m pid with
+  | Some _ as n -> n
+  | None -> if m.m_window then Some (add_node m ~ts pid (-2) "pre-window" (-2)) else None
+
+let live m ~ts pid =
+  match lookup m ~ts pid with Some ({ n_status = Live; _ } as n) -> Some n | _ -> None
+
+let unpark m ~ts n =
+  match n.n_parked with
+  | None -> ()
+  | Some r ->
+      let d = ts - n.n_park_ts in
+      n.n_parked <- None;
+      m.m_parked <- m.m_parked - 1;
+      n.n_blocked <- add_blocked n.n_blocked r d;
+      Hashtbl.replace m.m_blocked r
+        (d + Option.value ~default:0 (Hashtbl.find_opt m.m_blocked r))
+
+let kill m ~ts n status =
+  n.n_status <- status;
+  n.n_status_ts <- ts;
+  m.m_live <- m.m_live - 1;
+  match status with
+  | Exited -> m.m_exited <- m.m_exited + 1
+  | Pruned -> m.m_pruned_total <- m.m_pruned_total + 1
+  | Cancelled -> m.m_cancelled <- m.m_cancelled + 1
+  | Live -> ()
+
+(* A capture discards every live descendant of its root; futures are
+   independent trees and survive. *)
+let rec prune m ~ts pid =
+  match find m pid with
+  | None -> ()
+  | Some n ->
+      List.iter
+        (fun c ->
+          match find m c with
+          | Some cn when cn.n_status = Live && cn.n_kind <> "future" ->
+              unpark m ~ts cn;
+              kill m ~ts cn Pruned;
+              m.m_pruned <- c :: m.m_pruned;
+              prune m ~ts c
+          | _ -> ())
+        (List.rev n.n_children)
+
+let spawn m ~ts pid parent kind =
+  if find m pid = None then begin
+    (if parent <> -1 then
+       match lookup m ~ts parent with
+       | Some p -> p.n_children <- pid :: p.n_children
+       | None -> ());
+    ignore (add_node m ~ts pid parent kind m.m_order);
+    m.m_order <- m.m_order + 1;
+    m.m_spawned <- m.m_spawned + 1
+  end
+
+(* The current run as it stands; a slice still open is closed at the
+   run's last event.  The closed slices are packed five ints apiece. *)
+let view m =
+  let n = m.m_events - m.m_start in
+  let a = m.m_slices in
+  let closed =
+    Array.init m.m_nslices (fun k ->
+        { sl_pid = a.(5 * k); sl_begin = a.((5 * k) + 1); sl_end = a.((5 * k) + 2);
+          sl_begin_ts = a.((5 * k) + 3); sl_end_ts = a.((5 * k) + 4) })
+  in
+  let slices =
+    if not m.m_open then closed
+    else
+      Array.append closed
+        [| { sl_pid = m.m_open_pid; sl_begin = m.m_open_at; sl_end = n - 1;
+             sl_begin_ts = m.m_open_ts; sl_end_ts = m.m_last_ts } |]
+  in
+  {
+    r_start = m.m_start;
+    r_events = n;
+    r_nodes =
+      Pids.fold (fun _ nd acc -> nd :: acc) m.m_nodes []
+      |> List.sort (fun a b -> compare a.n_pid b.n_pid)
+      |> Array.of_list;
+    r_slices = slices;
+    r_span = m.m_last_ts - m.m_first_ts;
+    r_end_ts = m.m_last_ts;
+    r_deadlock = m.m_deadlock;
+    r_cancelled_parked = m.m_cancelled_parked;
+  }
+
+let runs m =
+  Array.of_list
+    (List.rev (if m.m_events > m.m_start then view m :: m.m_done else m.m_done))
+
+(* A root spawn ends the run: its pids are fresh.  Spans belong to the
+   handle and carry over. *)
+let new_run m =
+  if m.m_events > m.m_start then begin
+    m.m_done <- view m :: m.m_done;
+    m.m_run <- m.m_run + 1
+  end;
+  Pids.reset m.m_nodes;
+  m.m_order <- 0;
+  m.m_start <- m.m_events;
+  m.m_open <- false;
+  m.m_nslices <- 0;
+  m.m_live <- 0;
+  m.m_parked <- 0;
+  m.m_deadlock <- None;
+  m.m_cancelled_parked <- 0
+
+(* Grow [a] to hold index [i]. *)
+let room a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (2 * (i + 1)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let close_slice m ~i ~ts ~same =
+  if m.m_open then begin
+    let k = 5 * m.m_nslices in
+    if k + 4 >= Array.length m.m_slices then m.m_slices <- room m.m_slices (k + 4) 0;
+    let a = m.m_slices in
+    a.(k) <- m.m_open_pid;
+    a.(k + 1) <- m.m_open_at;
+    a.(k + 2) <- i;
+    a.(k + 3) <- m.m_open_ts;
+    a.(k + 4) <- (if same then ts else m.m_open_ts);
+    m.m_nslices <- m.m_nslices + 1;
+    m.m_open <- false
+  end
+
+let rec notify s = function
+  | [] -> ()
+  | f :: rest ->
+      f s;
+      notify s rest
+
+let feed m s =
+  notify s m.m_watch;
+  if m.m_events = 0 then begin
+    m.m_base <- s.seq;
+    m.m_window <- s.seq > 0
+  end;
+  (match s.ev with Event.Spawn { parent = -1; _ } -> new_run m | _ -> ());
+  let ts = s.ts and i = m.m_events - m.m_start in
+  if i = 0 then m.m_first_ts <- ts;
+  m.m_events <- m.m_events + 1;
+  if ts > m.m_clock then m.m_clock <- ts;
+  m.m_last_ts <- ts;
+  if m.m_pruned != [] then m.m_pruned <- [];
+  match s.ev with
+  | Event.Spawn { pid; parent; kind } -> spawn m ~ts pid parent kind
+  | Event.Spawn_batch { kind; nodes; _ } ->
+      (* pre-order, so each parent is registered before its children *)
+      Array.iter (fun (pid, parent) -> spawn m ~ts pid parent kind) nodes
+  | Event.Exit { pid } -> (
+      match live m ~ts pid with Some n -> kill m ~ts n Exited | None -> ())
+  | Event.Slice_begin { pid } ->
+      (* an unterminated previous slice is force-closed with zero extent *)
+      close_slice m ~i ~ts ~same:false;
+      (match lookup m ~ts pid with Some n -> n.n_woken <- -1 | None -> ());
+      m.m_open <- true;
+      m.m_open_pid <- pid;
+      m.m_open_at <- i;
+      m.m_open_ts <- ts
+  | Event.Slice_end { pid; fuel } ->
+      if m.m_open then begin
+        let same = m.m_open_pid = pid and bts = m.m_open_ts in
+        close_slice m ~i ~ts ~same;
+        if same then
+          match find m pid with
+          | Some n ->
+              n.n_slices <- n.n_slices + 1;
+              n.n_run <- n.n_run + (ts - bts);
+              n.n_fuel <- n.n_fuel + fuel
+          | None -> ()
+      end
+  | Event.Park { pid; resource } -> (
+      match live m ~ts pid with
+      | Some n ->
+          n.n_parks <- n.n_parks + 1;
+          n.n_park_unknown <- false;
+          if n.n_parked = None then begin
+            n.n_parked <- Some resource;
+            n.n_park_ts <- ts;
+            m.m_parked <- m.m_parked + 1
+          end
+      | None -> ())
+  | Event.Wake { pid; _ } -> (
+      match live m ~ts pid with
+      | Some n ->
+          n.n_wakes <- n.n_wakes + 1;
+          n.n_woken <- ts;
+          if n.n_parked = None then n.n_park_unknown <- false else unpark m ~ts n
+      | None -> ())
+  | Event.Capture { pid; root_pid; _ } -> (
+      match live m ~ts pid with
+      | Some n ->
+          n.n_captures <- n.n_captures + 1;
+          ignore (lookup m ~ts root_pid);
+          prune m ~ts root_pid
+      | None -> ())
+  | Event.Reinstate { pid; _ } -> (
+      match live m ~ts pid with
+      | Some n -> n.n_reinstates <- n.n_reinstates + 1
+      | None -> ())
+  | Event.Send { pid; _ } -> (
+      match live m ~ts pid with Some n -> n.n_sends <- n.n_sends + 1 | None -> ())
+  | Event.Recv { pid; _ } -> (
+      match live m ~ts pid with Some n -> n.n_recvs <- n.n_recvs + 1 | None -> ())
+  | Event.Cancel { pid; scope; reason; pids } ->
+      (* the scheduler lists exactly the nodes it discarded (futures
+         planted inside the scope are absent: they live on) *)
+      ignore (lookup m ~ts pid);
+      ignore (lookup m ~ts scope);
+      let fate = if mentions_timeout reason then "timed-out" else "cancelled" in
+      Array.iter
+        (fun q ->
+          Option.iter
+            (fun n ->
+              if n.n_fate = "" then n.n_fate <- fate;
+              if n.n_status = Live then begin
+                if n.n_parked <> None then m.m_cancelled_parked <- m.m_cancelled_parked + 1;
+                unpark m ~ts n;
+                kill m ~ts n Cancelled
+              end)
+            (lookup m ~ts q))
+        pids
+  | Event.Timeout { pid; _ } | Event.Invalid_controller { pid; _ } ->
+      ignore (lookup m ~ts pid)
+  | Event.Crash { pid; _ } -> (
+      if pid >= 0 then
+        match lookup m ~ts pid with
+        | Some n when n.n_fate <> "restarted" -> n.n_fate <- "crashed"
+        | _ -> ())
+  | Event.Restart { pid; child; _ } ->
+      ignore (lookup m ~ts pid);
+      Option.iter (fun n -> n.n_fate <- "restarted") (lookup m ~ts child)
+  | Event.Span_begin { pid; span; name; _ } ->
+      if pid >= 0 then ignore (lookup m ~ts pid);
+      if not (Hashtbl.mem m.m_spans span) then begin
+        Hashtbl.add m.m_spans span
+          { sp_name = name; sp_t0 = ts; sp_run = m.m_run; sp_open = true };
+        m.m_open_spans <- m.m_open_spans + 1
+      end
+  | Event.Span_end { pid; span } -> (
+      if pid >= 0 then ignore (lookup m ~ts pid);
+      match Hashtbl.find_opt m.m_spans span with
+      | Some sp when sp.sp_open ->
+          sp.sp_open <- false;
+          m.m_open_spans <- m.m_open_spans - 1
+      | Some _ -> ()
+      | None ->
+          (* begun before the cut: remember the id, so a second end is
+             still unmatched *)
+          if m.m_window then
+            Hashtbl.add m.m_spans span
+              { sp_name = "span"; sp_t0 = ts; sp_run = -1; sp_open = false })
+  | Event.Deadlock { parked } -> m.m_deadlock <- Some parked
+
+let sink m = Obs.Sink.memory (fun (seq, ts, ev) -> feed m { seq; ts; ev })
+
+let reconstruct events =
+  let m = model () in
+  Array.iter (feed m) events;
+  runs m
+
+(* The slices are disjoint and in begin order: binary search for the
+   last one that begins at or before [i]. *)
+let actor run i =
+  let sl = run.r_slices in
+  let lo = ref 0 and hi = ref (Array.length sl) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sl.(mid).sl_begin <= i then lo := mid + 1 else hi := mid
+  done;
+  if !lo > 0 && sl.(!lo - 1).sl_end >= i then !lo - 1 else -1
 
 let node_of run pid =
   (* r_nodes is sorted by pid *)
@@ -103,231 +478,11 @@ let node_of run pid =
   done;
   !found
 
-let add_blocked n resource d =
-  let rec go = function
-    | [] -> [ (resource, d) ]
-    | (r, t) :: rest when r = resource -> (r, t + d) :: rest
-    | kv :: rest -> kv :: go rest
-  in
-  n.n_blocked <- go n.n_blocked
-
-(* Resil.with_timeout / with_deadline cancel with reason "timeout",
-   which the scope's abort renders as "cancel: timeout". *)
-let mentions_timeout reason =
-  let n = String.length reason in
-  let rec has i = i + 7 <= n && (String.sub reason i 7 = "timeout" || has (i + 1)) in
-  has 0
-
-let reconstruct events =
-  let tbl : (int, node) Hashtbl.t = Hashtbl.create 64 in
-  let parked : (int, string * int) Hashtbl.t = Hashtbl.create 16 in
-  let find pid = Hashtbl.find_opt tbl pid in
-  let n_events = Array.length events in
-  let actor = Array.make n_events (-1) in
-  let slices = ref [] in
-  let n_slices = ref 0 in
-  let open_slice = ref None in
-  let deadlock = ref None in
-  let cancelled_parked = ref 0 in
-  let first_ts = if n_events = 0 then 0 else events.(0).ts in
-  let last_ts = if n_events = 0 then 0 else events.(n_events - 1).ts in
-  let unpark ~ts pid =
-    match Hashtbl.find_opt parked pid with
-    | None -> None
-    | Some (resource, since) ->
-        Hashtbl.remove parked pid;
-        (match find pid with
-        | Some n -> add_blocked n resource (ts - since)
-        | None -> ());
-        Some resource
-  in
-  let rec prune ~ts pid =
-    match find pid with
-    | None -> ()
-    | Some n ->
-        List.iter
-          (fun c ->
-            match find c with
-            (* futures are independent trees: a capture (or cancel) of
-               the planting subtree never discards them *)
-            | Some m
-              when m.n_exit_ts = None && m.n_pruned_ts = None
-                   && m.n_kind <> "future" ->
-                ignore (unpark ~ts c);
-                m.n_pruned_ts <- Some ts;
-                prune ~ts c
-            | _ -> ())
-          n.n_children
-  in
-  let add_node ~ts pid parent kind =
-    if not (Hashtbl.mem tbl pid) then begin
-      let n =
-        {
-          n_pid = pid;
-          n_parent = parent;
-          n_kind = kind;
-          n_spawn_ts = ts;
-          n_children = [];
-          n_exit_ts = None;
-          n_pruned_ts = None;
-          n_slices = 0;
-          n_run = 0;
-          n_fuel = 0;
-          n_parks = 0;
-          n_wakes = 0;
-          n_captures = 0;
-          n_reinstates = 0;
-          n_sends = 0;
-          n_recvs = 0;
-          n_blocked = [];
-          n_fate = "";
-        }
-      in
-      Hashtbl.add tbl pid n;
-      match find parent with
-      | Some p -> p.n_children <- p.n_children @ [ pid ]
-      | None -> ()
-    end
-  in
-  Array.iteri
-    (fun i s ->
-      (match !open_slice with
-      | Some (_, _, _, idx) -> actor.(i) <- idx
-      | None -> ());
-      match s.ev with
-      | Event.Spawn { pid; parent; kind } -> add_node ~ts:s.ts pid parent kind
-      | Event.Spawn_batch { kind; nodes; _ } ->
-          (* pre-order, so each parent is registered before its children *)
-          Array.iter (fun (pid, parent) -> add_node ~ts:s.ts pid parent kind) nodes
-      | Event.Exit { pid } -> (
-          match find pid with
-          | Some n -> if n.n_exit_ts = None then n.n_exit_ts <- Some s.ts
-          | None -> ())
-      | Event.Slice_begin { pid } ->
-          (* Tolerate an unterminated previous slice by force-closing it
-             with zero extent. *)
-          (match !open_slice with
-          | Some (opid, ob, obts, _) ->
-              incr n_slices;
-              slices :=
-                { sl_pid = opid; sl_begin = ob; sl_end = i; sl_begin_ts = obts;
-                  sl_end_ts = obts }
-                :: !slices
-          | None -> ());
-          actor.(i) <- !n_slices;
-          open_slice := Some (pid, i, s.ts, !n_slices)
-      | Event.Slice_end { pid; fuel } -> (
-          match !open_slice with
-          | Some (opid, ob, obts, idx) when opid = pid ->
-              actor.(i) <- idx;
-              open_slice := None;
-              incr n_slices;
-              slices :=
-                { sl_pid = pid; sl_begin = ob; sl_end = i; sl_begin_ts = obts;
-                  sl_end_ts = s.ts }
-                :: !slices;
-              (match find pid with
-              | Some n ->
-                  n.n_slices <- n.n_slices + 1;
-                  n.n_run <- n.n_run + (s.ts - obts);
-                  n.n_fuel <- n.n_fuel + fuel
-              | None -> ())
-          | _ -> ())
-      | Event.Park { pid; resource } -> (
-          match find pid with
-          | Some n ->
-              n.n_parks <- n.n_parks + 1;
-              if not (Hashtbl.mem parked pid) then
-                Hashtbl.add parked pid (resource, s.ts)
-          | None -> ())
-      | Event.Wake { pid; _ } -> (
-          match find pid with
-          | Some n ->
-              n.n_wakes <- n.n_wakes + 1;
-              ignore (unpark ~ts:s.ts pid)
-          | None -> ())
-      | Event.Capture { pid; root_pid; _ } ->
-          (match find pid with
-          | Some n -> n.n_captures <- n.n_captures + 1
-          | None -> ());
-          prune ~ts:s.ts root_pid
-      | Event.Reinstate { pid; _ } -> (
-          match find pid with
-          | Some n -> n.n_reinstates <- n.n_reinstates + 1
-          | None -> ())
-      | Event.Send { pid; _ } -> (
-          match find pid with
-          | Some n -> n.n_sends <- n.n_sends + 1
-          | None -> ())
-      | Event.Recv { pid; _ } -> (
-          match find pid with
-          | Some n -> n.n_recvs <- n.n_recvs + 1
-          | None -> ())
-      | Event.Cancel { reason; pids; _ } ->
-          (* the scheduler lists exactly the nodes it discarded (futures
-             planted inside the scope are absent: they live on) *)
-          let fate = if mentions_timeout reason then "timed-out" else "cancelled" in
-          Array.iter
-            (fun c ->
-              match find c with
-              | Some m ->
-                  if m.n_parks > m.n_wakes then incr cancelled_parked;
-                  if m.n_fate = "" then m.n_fate <- fate;
-                  if m.n_exit_ts = None && m.n_pruned_ts = None then begin
-                    ignore (unpark ~ts:s.ts c);
-                    m.n_pruned_ts <- Some s.ts
-                  end
-              | None -> ())
-            pids
-      | Event.Crash { pid; _ } -> (
-          match find pid with
-          | Some n when n.n_fate <> "restarted" -> n.n_fate <- "crashed"
-          | _ -> ())
-      | Event.Restart { child; _ } -> (
-          match find child with Some n -> n.n_fate <- "restarted" | None -> ())
-      | Event.Timeout _ -> ()
-      | Event.Span_begin _ | Event.Span_end _ -> ()
-      | Event.Invalid_controller _ -> ()
-      | Event.Deadlock { parked = p } -> deadlock := Some p)
-    events;
-  (* A slice left open at the end of the stream (truncated trace) still
-     owns its events; close it at the last timestamp. *)
-  (match !open_slice with
-  | Some (opid, ob, obts, _) ->
-      incr n_slices;
-      slices :=
-        { sl_pid = opid; sl_begin = ob; sl_end = n_events - 1; sl_begin_ts = obts;
-          sl_end_ts = last_ts }
-        :: !slices
-  | None -> ());
-  (* Close out parks that never woke: they were blocked to the end. *)
-  Hashtbl.iter
-    (fun pid (resource, since) ->
-      match find pid with
-      | Some n -> add_blocked n resource (last_ts - since)
-      | None -> ())
-    parked;
-  let nodes =
-    Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
-    |> List.sort (fun a b -> compare a.n_pid b.n_pid)
-    |> Array.of_list
-  in
-  let slices =
-    !slices |> List.rev |> Array.of_list
-  in
-  (* Force-closed zero-extent slices were appended out of begin order at
-     most one position away; restore begin order. *)
-  Array.sort (fun a b -> compare a.sl_begin b.sl_begin) slices;
-  {
-    r_events = events;
-    r_nodes = nodes;
-    r_slices = slices;
-    r_actor = actor;
-    r_first_ts = first_ts;
-    r_span = last_ts - first_ts;
-    r_deadlock = !deadlock;
-    r_cancelled_parked = !cancelled_parked;
-  }
+(* A park still open at the end of the run was blocked to its end. *)
+let blocked run n =
+  match n.n_parked with
+  | Some r -> add_blocked n.n_blocked r (run.r_end_ts - n.n_park_ts)
+  | None -> n.n_blocked
 
 let blocked_total run =
   let tbl = Hashtbl.create 8 in
@@ -337,9 +492,7 @@ let blocked_total run =
         (fun (r, d) ->
           let cur = match Hashtbl.find_opt tbl r with Some c -> c | None -> 0 in
           Hashtbl.replace tbl r (cur + d))
-        n.n_blocked)
+        (blocked run n))
     run.r_nodes;
   Hashtbl.fold (fun r d acc -> (r, d) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let schedule run = Array.map (fun s -> s.sl_pid) run.r_slices

@@ -682,6 +682,26 @@ let names_its_line m =
       int_of_string_opt (String.sub m 5 (i - 5)) <> None
   | _ -> false
 
+(* Every analysis on a parsed mutant: none may raise, and the checker
+   fed one event at a time through the model's sink reports exactly
+   what [Check.run] does. *)
+let every_analysis evs =
+  let m = Trace.model () in
+  let finish = Analysis.Check.attach m in
+  let sink = Trace.sink m in
+  Array.iter (fun (s : Trace.stamped) -> sink.Obs.sink_event ~seq:s.seq ~ts:s.ts s.ev) evs;
+  if finish () <> Analysis.Check.run evs then
+    QCheck.Test.fail_report "the live checker disagrees with Check.run";
+  List.iter (fun r -> ignore (Obs.Json.to_string (Analysis.Report.to_json r)))
+    (Analysis.Report.of_trace evs);
+  ignore (Obs.Json.to_string (Analysis.Slo.to_json (Analysis.Slo.of_trace evs)));
+  ignore (Analysis.Diff.diff evs evs);
+  let snap = Analysis.Snapshot.create () in
+  Array.iter (Analysis.Snapshot.feed snap) evs;
+  ignore (Format.asprintf "%a" Analysis.Snapshot.pp snap);
+  ignore (Trace.reconstruct evs);
+  ignore (X.Schedule.of_trace evs)
+
 let prop_ingest_never_raises =
   let path = Filename.temp_file "fuzz" ".json" in
   at_exit (fun () -> Sys.remove path);
@@ -689,7 +709,7 @@ let prop_ingest_never_raises =
     (QCheck.make ~print:String.escaped gen_mutation)
     (fun s ->
       (match Trace.parse_string s with
-      | Ok _ -> ()
+      | Ok evs -> every_analysis evs
       | Error m ->
           if not (names_its_line m) then
             QCheck.Test.fail_reportf "trace error names no line: %s" m);

@@ -128,9 +128,9 @@ let test_timeouts_reach_summary () =
       (fun acc run ->
         Array.fold_left
           (fun acc n -> if n.Trace.n_fate = "timed-out" then acc + 1 else acc)
-          acc (Trace.reconstruct run).Trace.r_nodes)
+          acc run.Trace.r_nodes)
       0
-      (Trace.runs (parse_ok "pipeline trace" trace))
+      (Trace.reconstruct (parse_ok "pipeline trace" trace))
   in
   if timed_out < st.Load.st_timedout then
     Alcotest.failf "summary shows %d timed-out fibers for %d timeouts" timed_out

@@ -355,7 +355,7 @@ let test_summary_totals () =
     (Obs.Sink.memory (fun (seq, ts, ev) -> events := { Trace.seq; ts; ev } :: !events));
   ignore (Sched.run ~obs:o native_main);
   Obs.close o;
-  let run = Trace.reconstruct (Array.of_list (List.rev !events)) in
+  let run = (Trace.reconstruct (Array.of_list (List.rev !events))).(0) in
   let nodes = Array.to_list run.Trace.r_nodes in
   Alcotest.(check bool) "several processes" true (List.length nodes > 3);
   let total f = List.fold_left (fun acc n -> acc + f n) 0 nodes in

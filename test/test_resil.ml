@@ -498,7 +498,7 @@ let test_summary_fates () =
         let timed = Resil.with_timeout 5 (fun () -> Sched.sleep 1_000) in
         (sup, timed))
   in
-  let run = Trace.reconstruct (parse_exn trace) in
+  let run = (Trace.reconstruct (parse_exn trace)).(0) in
   let fates =
     List.sort_uniq compare
       (List.filter_map

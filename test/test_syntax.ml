@@ -486,6 +486,60 @@ let test_paper_validity_examples () =
 let test_paper_pk_twice () =
   check_int "multi-shot pk" 12 "(spawn (lambda (c) (+ 1 (c (lambda (k) (* (k 2) (k 3)))))))"
 
+(* ---------------- source fuzz ---------------- *)
+
+(* A golden program with up to four characters each replaced by a
+   snippet that is syntax ([(], [#], [,@], a string quote), an atom, or
+   a control form, and maybe truncated.  Every mutant goes through both
+   readers and both drivers, bounded by fuel; any exception that
+   escapes fails the property. *)
+let golden_sources =
+  lazy
+    (Array.map
+       (fun name ->
+         In_channel.with_open_bin (Filename.concat "golden" (name ^ ".scm"))
+           In_channel.input_all)
+       [| "product"; "validity"; "search"; "macros"; "futures"; "engines"; "wind";
+          "errors"; "stats" |])
+
+let gen_source_mutation =
+  let open QCheck.Gen in
+  (* balanced snippets are weighted up so most mutants get past the
+     reader and into the expander and the machine *)
+  let snippets =
+    List.map (fun s -> (1, s)) [ "("; ")"; "["; "]"; "'"; "`"; ","; ",@"; "#"; "\""; ";" ]
+    @ List.map (fun s -> (4, s))
+        [ "#t"; "#\\a"; "."; "0"; "-1"; "x"; "lambda"; "define"; "(exit 0)";
+          "(c (lambda (k) (k k)))"; "(pcall + 1 2)"; "(touch (future 1))";
+          "(call/cc (lambda (k) (k k)))"; "(spawn (lambda (c) c))"; "()"; " " ]
+  in
+  let* input = int_bound (Array.length (Lazy.force golden_sources) - 1) in
+  let s = (Lazy.force golden_sources).(input) in
+  let n = String.length s in
+  let+ edits = list_size (int_range 1 4) (pair (int_bound (n - 1)) (frequencyl snippets))
+  and+ cut = frequency [ (3, return max_int); (1, int_bound n) ] in
+  let s =
+    List.fold_left
+      (fun s (i, sub) ->
+        let i = min i (String.length s - 1) in
+        String.sub s 0 i ^ sub ^ String.sub s (i + 1) (String.length s - i - 1))
+      s edits
+  in
+  String.sub s 0 (min cut (String.length s))
+
+let prop_source_fuzz =
+  QCheck.Test.make ~name:"mutated programs never raise" ~count:1000
+    (QCheck.make ~print:String.escaped gen_source_mutation)
+    (fun src ->
+      ignore (Reader.parse src);
+      ignore (Reader.parse_all src);
+      List.iter
+        (fun mode ->
+          ignore (Interp.eval_string ~mode ~fuel:200_000 (Interp.create ()) src);
+          ignore (Interp.take_output ()))
+        [ Interp.Sequential; Interp.Concurrent Pstack.Concur.Round_robin ];
+      true)
+
 let () =
   Alcotest.run "syntax"
     [
@@ -536,6 +590,7 @@ let () =
           Alcotest.test_case "no prelude" `Quick test_interp_no_prelude;
           Alcotest.test_case "output" `Quick test_interp_output;
           Alcotest.test_case "persistent env" `Quick test_interp_persistent_env;
+          QCheck_alcotest.to_alcotest prop_source_fuzz;
         ] );
       ( "paper",
         [

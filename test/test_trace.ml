@@ -118,8 +118,19 @@ let rules_of vs =
 
 let has_rule r vs = List.exists (fun v -> v.Analysis.Check.v_rule = r) vs
 
+(* The checker as a live sink: the events fed one at a time through the
+   model's sink, the rules attached to the model. *)
+let live_check evs =
+  let m = Trace.model () in
+  let finish = Analysis.Check.attach m in
+  let sink = Trace.sink m in
+  Array.iter (fun s -> sink.Obs.sink_event ~seq:s.Trace.seq ~ts:s.Trace.ts s.Trace.ev) evs;
+  finish ()
+
 let check_flags ~rule evs =
   let vs = Analysis.Check.run evs in
+  if live_check evs <> vs then
+    Alcotest.failf "the live checker disagrees with Check.run (%s)" rule;
   if vs = [] then Alcotest.failf "corrupted trace passed the checker (%s)" rule;
   if not (has_rule rule vs) then
     Alcotest.failf "expected rule %s, got: %s" rule
@@ -195,9 +206,9 @@ let test_check_seq_gap () =
 
 let test_reconstruct_timelines () =
   let evs = parse_exn (pstack_trace ~seed:42 pstack_src) in
-  let runs = Trace.runs evs in
+  let runs = Trace.reconstruct evs in
   Alcotest.(check int) "single run" 1 (Array.length runs);
-  let run = Trace.reconstruct runs.(0) in
+  let run = runs.(0) in
   (* Root node present, with children. *)
   (match Trace.node_of run 0 with
   | Some root ->
@@ -217,7 +228,7 @@ let test_reconstruct_timelines () =
 
 let test_reconstruct_blocked () =
   let evs = parse_exn (native_trace ~seed:42 ()) in
-  let run = Trace.reconstruct (Trace.runs evs).(0) in
+  let run = (Trace.reconstruct evs).(0) in
   let blocked = Trace.blocked_total run in
   Alcotest.(check bool) "some blocked time attributed" true (blocked <> []);
   List.iter
@@ -260,7 +271,7 @@ let test_reconstruct_fates () =
     |> List.mapi (fun i ev -> { Trace.seq = i; ts = i; ev })
     |> Array.of_list
   in
-  let run = Trace.reconstruct evs in
+  let run = (Trace.reconstruct evs).(0) in
   List.iter
     (fun (pid, want) ->
       match Trace.node_of run pid with
