@@ -892,9 +892,8 @@ let e15 () =
   (* Each repeat times every config once, in an order rotated by one per
      repeat, each run on a fresh handle and a collected heap, and each
      config's cost is its ratio to the same repeat's [none]; the claim
-     is checked on the median ratio.  A fixed order with best-of-n let
-     whichever config ran first absorb the warm-up and host drift
-     (metrics read cheaper than no handle). *)
+     is checked on the median ratio.  In a fixed order, whichever config
+     runs first absorbs the warm-up and the host's drift. *)
   let reps = if !quick then 9 else 11 in
   let configs =
     [

@@ -23,8 +23,8 @@
                                 and render fiber fates, streaming
                                 percentiles and top blocked resources
 
-   All subcommands take --json for machine-readable output; report and
-   diff output is byte-deterministic for a given input.  Bad arguments
+   All but gen and top take --json; check, report, slo and diff read one
+   Trace.model, and their output is byte-deterministic.  Bad arguments
    (among them gen --ring and explore --max-runs below 1), an unreadable
    input and an output path that cannot be written ("ptrace: <path>:
    <reason>") exit 2 with one line before any run. *)

@@ -448,7 +448,8 @@ module Report = struct
             Some (i, "spawn:" ^ kind)
         | Event.Wake { pid = p; resource } when p = pid -> Some (i, "wake:" ^ resource)
         | Event.Exit { pid = c }
-          when match Trace.node_of run c with Some n -> n.n_parent = pid | None -> false ->
+          when pid >= 0
+               && match Trace.node_of run c with Some n -> n.n_parent = pid | None -> false ->
             Some (i, "join")
         | Event.Capture { root_pid; _ } when root_pid = pid -> Some (i, "capture")
         | Event.Slice_end { pid = p; _ } when p = pid -> Some (i, "preempt")

@@ -170,8 +170,8 @@ let mentions_timeout reason =
   let rec has i = i + 7 <= n && (String.sub reason i 7 = "timeout" || has (i + 1)) in
   has 0
 
-(* Hashtbl.add, not replace: a pid registered pre-window and then
-   spawned keeps both bindings, as the checker always has. *)
+(* Add, not replace: a pid a window registers before its spawn keeps
+   both bindings, and the checker's orphan scan visits both. *)
 let add_node m ~ts pid parent kind order =
   let n =
     { n_pid = pid; n_parent = parent; n_kind = kind; n_order = order; n_children = [];

@@ -491,7 +491,7 @@ let test_paper_pk_twice () =
 (* A golden program with up to four characters each replaced by a
    snippet that is syntax ([(], [#], [,@], a string quote), an atom, or
    a control form, and maybe truncated.  Every mutant goes through both
-   readers and both drivers, bounded by fuel; any exception that
+   readers and both evaluation modes, bounded by fuel; any exception that
    escapes fails the property. *)
 let golden_sources =
   lazy
