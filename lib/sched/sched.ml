@@ -42,18 +42,20 @@ type fault =
 (* A suspended fiber waiting for an ['a]. *)
 type 'a fiber = ('a, unit) continuation
 
-(* A runnable fiber: a body not yet started, or a suspended fiber to
-   continue with a value or to raise an exception into. *)
-type leaf =
-  | Start : (unit -> unit) -> leaf
-  | Resume : 'a fiber * 'a -> leaf
-  | Raise : 'a fiber * exn -> leaf
-
 (* A controller names its process's root: its label, unique within the
    run [c_run] that spawned it.  Its cell carries the value of whatever
    runs in the root's place — the process body, a controller body, a
    cancel replacement — to the fiber that waits on the root. *)
 type 'r controller = { c_label : int; c_run : int; mutable c_result : 'r option }
+
+(* A runnable fiber: a body not yet started, a process body to apply to
+   its controller, or a suspended fiber to continue with a value or to
+   raise an exception into. *)
+type leaf =
+  | Start : (unit -> unit) -> leaf
+  | Spawned : 'r controller * ('r controller -> 'r) -> leaf
+  | Resume : 'a fiber * 'a -> leaf
+  | Raise : 'a fiber * exn -> leaf
 
 (* A wait node's suspended fiber and the cell it resumes from: a
    process root (a spawn, or a grafted continuation), a controller body
@@ -79,7 +81,7 @@ type ('a, 'r) pk = {
 }
 
 type _ request =
-  | Rspawn : 'r controller * (unit -> unit) -> 'r request
+  | Rspawn : 'r controller * ('r controller -> 'r) -> 'r request
   | Rcontrol : 'r controller * (('a, 'r) pk -> 'r) -> 'a request
   | Rgraft : ('a, 'r) pk * 'a -> 'r request
   | Rpcall : (unit -> unit) list * (unit -> 'a) -> 'a request
@@ -190,10 +192,10 @@ let start body = Start body
 let run ?(policy = Round_robin) ?obs ?inject main =
   (* The main fiber's result cell. *)
   let result = ref None in
-  (* An injected crash for the fiber about to step: consumed by
-     [run_leaf] below, so the exception materializes at the fiber's
-     suspension point (catchable by its own try/with); a fiber that has
-     never run yet crashes before its body — spawn-failure semantics. *)
+  (* An injected crash for the fiber about to step, this slice only:
+     [run_leaf] raises it at the fiber's suspension point (catchable by
+     its own try/with); a fiber that has never run yet crashes before
+     its body — spawn-failure semantics. *)
   let pending_crash : exn option ref = ref None in
   (* A wait resumes its fiber from the cell its last child filled. *)
   let resume x (_ : unit array) =
@@ -320,7 +322,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
         | Some (p, _, wbody) ->
             Core.discard c n p ~reason;
             Core.fork c p wbody "cancel" start [ replacement ])
-    | Rspawn (ctl, body) -> Core.fork c n (Wroot (ctl, k)) "process" start [ body ]
+    | Rspawn (ctl, body) -> Core.fork c n (Wroot (ctl, k)) "process" Fun.id [ Spawned (ctl, body) ]
     | Rpcall (bodies, join) -> Core.fork c n (Wfork (k, join)) "branch" start bodies
     | Rblock ws -> Core.block c ws n (Resume (k, ()))
     | Rwake ws ->
@@ -345,23 +347,19 @@ let run ?(policy = Round_robin) ?obs ?inject main =
           | _ -> None);
     }
   in
+  (* A fiber's first slice.  A process body's result goes to its
+     controller's cell, read from the leaf, so the running fiber keeps
+     the controller and not the body. *)
+  let started leaf =
+    Option.iter raise !pending_crash;
+    match leaf with
+    | Start body -> body ()
+    | Spawned (ctl, f) -> ctl.c_result <- Some (f ctl)
+    | Resume _ | Raise _ -> assert false
+  in
   let run_leaf = function
-    | Start body ->
-        match_with
-          (fun () ->
-            (match !pending_crash with
-            | Some e ->
-                pending_crash := None;
-                raise e
-            | None -> ());
-            body ())
-          () handler
-    | Resume (k, v) -> (
-        match !pending_crash with
-        | None -> continue k v
-        | Some e ->
-            pending_crash := None;
-            discontinue k e)
+    | (Start _ | Spawned _) as leaf -> match_with started leaf handler
+    | Resume (k, v) -> ( match !pending_crash with None -> continue k v | Some e -> discontinue k e)
     | Raise (k, exn) -> discontinue k exn
   in
   let step (n : node) leaf =
@@ -373,8 +371,6 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     Core.slice_begin c n;
     (try run_leaf leaf with e -> failure := Some e);
     Core.slice_end c 1;
-    (* an unconsumed crash (the target delivered or raised before its
-       suspension point was resumed) must not leak to the next slice *)
     pending_crash := None;
     if Option.is_some (Core.final c) || Option.is_some !failure then Core.halt c
   in
@@ -404,7 +400,7 @@ let spawn f =
   let x = !cur in
   x.x_labels <- x.x_labels + 1;
   let c = { c_label = x.x_labels; c_run = x.x_run; c_result = None } in
-  perform_sched (Rspawn (c, fun () -> c.c_result <- Some (f c)))
+  perform_sched (Rspawn (c, f))
 
 let control c body = perform_sched (Rcontrol (c, body))
 
