@@ -76,8 +76,9 @@ module Scope = struct
 
   (* Request cancellation: flag the scope and every nested scope, then
      wake each watchdog.  The request is asynchronous — the watchdog
-     performs the abort from inside the scope's own tree, so [cancel] is
-     safe to call from anywhere (another tree, a supervisor, a timer). *)
+     starts a fiber that performs the abort from inside the scope's own
+     tree, so [cancel] is safe to call from anywhere (another tree, a
+     supervisor, a timer). *)
   let rec cancel sc ~reason =
     (match sc.state with
     | Running ->
@@ -94,15 +95,18 @@ module Scope = struct
     sc.finalizers <- [];
     List.iter (fun f -> try f () with _ -> ()) fs
 
+  (* A scope's timer: none, or a deadline relative to the timer's first
+     slice or absolute in virtual time. *)
+  type timer = Untimed | After of int | At of int
+
   (* One run of a scope, shared by its branches: they are top-level
-     functions over this record, so a run allocates it and one thunk per
-     branch.  A timed run's timer waits with [wait arg]. *)
-  type ('a, 'w) run = {
+     functions over this record, so a run allocates it, the main
+     branch's thunk and the branch leaves. *)
+  type 'a run = {
     sc : t;
     ctl : 'a outcome Sched.controller;
     body : unit -> 'a;
-    wait : 'w -> unit;
-    arg : 'w;
+    timer : timer;
   }
 
   let abort_with r reason result =
@@ -125,61 +129,78 @@ module Scope = struct
         abort_with r "complete" (Ok v)
     | exception e -> crash r e
 
-  let rec watch r =
-    match r.sc.state with
-    | Cancel_requested reason ->
-        r.sc.state <- Finished;
-        abort_with r ("cancel: " ^ reason) (Error (Cancelled reason))
-    | Running ->
-        Sched.block r.sc.ws;
-        watch r
-    | Finished ->
-        (* unreachable: the branch that set [Finished] aborted in the
-           same slice, discarding this watchdog *)
-        assert false
+  (* The watchdog, a step: parked on the scope's waitset until it
+     observes a cancellation request, re-checking on every wake. *)
+  let watch r : Sched.cause -> Sched.answer = function
+    | Crashed e -> Fiber (fun () -> crash r e)
+    | Started | Woken -> (
+        match r.sc.state with
+        | Cancel_requested reason ->
+            r.sc.state <- Finished;
+            Fiber (fun () -> abort_with r ("cancel: " ^ reason) (Error (Cancelled reason)))
+        | Running -> Park r.sc.ws
+        | Finished ->
+            (* unreachable: the branch that set [Finished] aborted in the
+               same slice, discarding this watchdog *)
+            assert false)
 
-  let timer r =
-    r.wait r.arg;
-    (match r.sc.state with
-    | Running ->
-        (match Sched.obs () with
-        | None -> ()
-        | Some o -> Obs.emit o (E.Timeout { pid = Sched.self_pid (); deadline = Sched.now () }));
-        (* the watchdog is parked on the scope's waitset; [cancel] wakes
-           it, and it will abort the scope *)
-        cancel r.sc ~reason:"timeout"
-    | Cancel_requested _ | Finished -> ());
-    (* the scope is on its way out: park until whichever branch is
-       aborting it discards this timer *)
-    Sched.block (Sched.Waitset.create "resil.discard");
-    assert false
+  (* The timer once its sleep is over: cancel the scope if it is still
+     running, then park until whichever branch is aborting it discards
+     this timer. *)
+  let fire r =
+    try
+      (match r.sc.state with
+      | Running ->
+          (match Sched.obs () with
+          | None -> ()
+          | Some o -> Obs.emit o (E.Timeout { pid = Sched.self_pid (); deadline = Sched.now () }));
+          (* the watchdog is parked on the scope's waitset; [cancel]
+             wakes it, and it will abort the scope *)
+          cancel r.sc ~reason:"timeout"
+      | Cancel_requested _ | Finished -> ());
+      Sched.block (Sched.Waitset.create "resil.discard");
+      assert false
+    with e -> crash r e
+
+  (* The timer, a step: it sleeps to its deadline (not at all if an
+     absolute one has passed), and any wake ends the sleep. *)
+  let timer r : Sched.cause -> Sched.answer = function
+    | Crashed e -> Fiber (fun () -> crash r e)
+    | Woken -> Fiber (fun () -> fire r)
+    | Started -> (
+        match r.timer with
+        | After d -> Sleep d
+        | At at ->
+            let d = at - Sched.now () in
+            if d > 0 then Sleep d else Fiber (fun () -> fire r)
+        | Untimed -> assert false)
 
   (* Run [body] under the scope.  The spawn root holds two or three
      concurrent branches, and every one of them exits by aborting the
      root:
 
-     - the main branch runs [body]; completion aborts with [Ok v],
-       an escaped exception aborts with [Error (Crashed _)];
-     - the watchdog parks on the scope's waitset and aborts with
-       [Error (Cancelled _)] when it observes a cancellation request
-       (park is a re-check loop, so a spurious wake re-parks);
-     - if [timed], the timer cancels the scope if it is still running
-       when [wait arg] returns.
+     - the main branch, a fiber, runs [body]; completion aborts with
+       [Ok v], an escaped exception aborts with [Error (Crashed _)];
+     - the watchdog, a step, parks on the scope's waitset and starts a
+       fiber to abort with [Error (Cancelled _)] when it observes a
+       cancellation request (a spurious wake re-parks);
+     - with a timer, a step sleeps to the deadline and then starts a
+       fiber that cancels the scope if it is still running.
 
-     An exception at the watchdog's or the timer's park (an injected
-     crash) fails the scope like a crash of the body.  Whichever branch
-     aborts first wins: the abort captures and discards the other
-     branches — parked, sleeping or mid-compute at a yield point — so
-     the [pcall] below never returns and no branch outlives the scope. *)
-  let run_with sc timed wait arg body =
-    Sched.spawn (fun ctl ->
-        let r = { sc; ctl; body; wait; arg } in
-        let main () = main r and watchdog () = try watch r with e -> crash r e in
-        let timer () = try timer r with e -> crash r e in
-        ignore (Sched.pcall (if timed then [ main; watchdog; timer ] else [ main; watchdog ]));
-        assert false)
+     An injected crash delivered to a parked watchdog or timer fails
+     the scope like a crash of the body.  Whichever branch aborts first
+     wins: the abort captures and discards the other branches — parked,
+     sleeping or mid-compute at a yield point — so no branch outlives
+     the scope. *)
+  let run_with sc deadline body =
+    Sched.spawn_branches (fun ctl ->
+        let r = { sc; ctl; body; timer = deadline } in
+        let main = Sched.fiber (fun () -> main r) and watchdog = Sched.step watch r in
+        match deadline with
+        | Untimed -> [ main; watchdog ]
+        | After _ | At _ -> [ main; watchdog; Sched.step timer r ])
 
-  let run sc body = run_with sc false ignore () body
+  let run sc body = run_with sc Untimed body
 
   let with_scope ?parent body =
     let sc = make ?parent () in
@@ -195,7 +216,7 @@ end
    the deadline, cancels it.  Because quiescence jumps the clock to the
    earliest pending deadline, the timer fires even when every fiber in
    the system is blocked — the timeout doubles as a deadlock backstop. *)
-let with_timeout ?parent d body = Scope.run_with (Scope.make ?parent ()) true Sched.sleep d body
+let with_timeout ?parent d body = Scope.run_with (Scope.make ?parent ()) (After d) body
 
 (* Absolute deadline: the timer sleeps until virtual time [at] (no sleep
    at all if [at] has already passed — the request is dead on arrival
@@ -203,11 +224,7 @@ let with_timeout ?parent d body = Scope.run_with (Scope.make ?parent ()) true Sc
    load generator's per-request deadline: the budget counts from the
    *scheduled arrival*, not from whenever the scope got around to
    starting, so admission lag eats into it. *)
-let sleep_until at =
-  let d = at - Sched.now () in
-  if d > 0 then Sched.sleep d
-
-let with_deadline ?parent ~at body = Scope.run_with (Scope.make ?parent ()) true sleep_until at body
+let with_deadline ?parent ~at body = Scope.run_with (Scope.make ?parent ()) (At at) body
 
 (* ------------------------------------------------------------------ *)
 (* Supervision.                                                        *)

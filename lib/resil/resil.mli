@@ -48,10 +48,11 @@ module Scope : sig
 
   val cancel : t -> reason:string -> unit
   (** Request cancellation of the scope and every scope nested under
-      it.  Asynchronous and idempotent: each scope's watchdog fiber
-      performs the abort from inside the scope's own tree, so [cancel]
-      is safe to call from anywhere — another tree, a supervisor, a
-      timer — and at any time (a no-op on finished scopes). *)
+      it.  Asynchronous and idempotent: each scope's watchdog, a
+      fiberless step parked in the scope's own tree, starts a fiber
+      there that performs the abort, so [cancel] is safe to call from
+      anywhere — another tree, a supervisor, a timer — and at any time
+      (a no-op on finished scopes). *)
 
   val cancelled : t -> bool
   (** A cancellation has been requested and not yet taken effect. *)

@@ -48,23 +48,35 @@ type 'a fiber = ('a, unit) continuation
    cancel replacement — to the fiber that waits on the root. *)
 type 'r controller = { c_label : int; c_run : int; mutable c_result : 'r option }
 
-(* A runnable fiber: a body not yet started, a process body to apply to
-   its controller, or a suspended fiber to continue with a value or to
-   raise an exception into. *)
+(* A runnable leaf: a body not yet started, a process body to apply to
+   its controller, a process body that forks the process's branches, a
+   step before or after its first park, or a suspended fiber to
+   continue with a value or to raise an exception into.  A step is no
+   fiber: its function runs inside the node's slice and answers what
+   the node does next. *)
 type leaf =
   | Start : (unit -> unit) -> leaf
   | Spawned : 'r controller * ('r controller -> 'r) -> leaf
+  | Forking : 'r controller * ('r controller -> leaf list) -> leaf
+  | Step : ('a -> cause -> answer) * 'a -> leaf
+  | Stepped : ('a -> cause -> answer) * 'a -> leaf
   | Resume : 'a fiber * 'a -> leaf
   | Raise : 'a fiber * exn -> leaf
+
+and cause = Started | Woken | Crashed of exn
+
+and answer = Park of (leaf, wx, unit) Core.waitset | Sleep of int | Fiber of (unit -> unit)
 
 (* A wait node's suspended fiber and the cell it resumes from: a
    process root (a spawn, or a grafted continuation), a controller body
    or cancel replacement running in a root's place, or pcall branches
-   combined by the join. *)
-type wx =
+   combined by the join.  Forked branches wait under [Wbranches], which
+   no fiber waits on: the process ends only by an abort of its root. *)
+and wx =
   | Wroot : 'r controller * 'r fiber -> wx
   | Wbody : 'r controller * 'r fiber -> wx
   | Wfork : 'a fiber * (unit -> 'a) -> wx
+  | Wbranches : wx
 
 (* The live process tree: fibers at the leaves. *)
 type node = (leaf, wx, unit) Core.node
@@ -81,7 +93,7 @@ type ('a, 'r) pk = {
 }
 
 type _ request =
-  | Rspawn : 'r controller * ('r controller -> 'r) -> 'r request
+  | Rspawn : 'r controller * leaf -> 'r request
   | Rcontrol : 'r controller * (('a, 'r) pk -> 'r) -> 'a request
   | Rgraft : ('a, 'r) pk * 'a -> 'r request
   | Rpcall : (unit -> unit) list * (unit -> 'a) -> 'a request
@@ -183,7 +195,7 @@ let register_dropper id f =
 let ptree_control_points =
   Core.ptree_sum ~leaf:(fun _ -> 0) ~hole:(fun () -> 0) ~done_:0 ~wait:(function
     | Wroot _ -> 2
-    | Wbody _ | Wfork _ -> 1)
+    | Wbody _ | Wfork _ | Wbranches -> 1)
 
 let ptree_size = Core.ptree_sum ~leaf:(fun _ -> 1) ~hole:(fun () -> 1) ~done_:1 ~wait:(fun _ -> 1)
 
@@ -203,6 +215,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     | Wroot (ctl, k) -> Resume (k, take ctl)
     | Wbody (ctl, k) -> Resume (k, take ctl)
     | Wfork (k, join) -> Resume (k, join ())
+    | Wbranches -> invalid_arg "Sched.spawn_branches: every branch returned"
   in
   (* The native scheduler does not meter fiber work: a slice runs the
      fiber to its next request and is charged one unit of virtual
@@ -322,7 +335,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
         | Some (p, _, wbody) ->
             Core.discard c n p ~reason;
             Core.fork c p wbody "cancel" start [ replacement ])
-    | Rspawn (ctl, body) -> Core.fork c n (Wroot (ctl, k)) "process" Fun.id [ Spawned (ctl, body) ]
+    | Rspawn (ctl, leaf) -> Core.fork c n (Wroot (ctl, k)) "process" Fun.id [ leaf ]
     | Rpcall (bodies, join) -> Core.fork c n (Wfork (k, join)) "branch" start bodies
     | Rblock ws -> Core.block c ws n (Resume (k, ()))
     | Rwake ws ->
@@ -355,10 +368,27 @@ let run ?(policy = Round_robin) ?obs ?inject main =
     match leaf with
     | Start body -> body ()
     | Spawned (ctl, f) -> ctl.c_result <- Some (f ctl)
-    | Resume _ | Raise _ -> assert false
+    | Forking _ | Step _ | Stepped _ | Resume _ | Raise _ -> assert false
   in
-  let run_leaf = function
+  (* A step's answer; a parked step is stepped again as [leaf]. *)
+  let answer n leaf = function
+    | Park ws -> Core.block c ws n leaf
+    | Sleep d -> Core.sleep c n leaf d
+    | Fiber body -> match_with body () handler
+  in
+  (* Forking and first steps run no fiber, but an injected crash fails
+     them as it fails a fiber that has not started; a step that has
+     parked takes the crash as its cause. *)
+  let run_leaf n = function
     | (Start _ | Spawned _) as leaf -> match_with started leaf handler
+    | Forking (ctl, f) ->
+        Option.iter raise !pending_crash;
+        Core.fork c n Wbranches "branch" Fun.id (f ctl)
+    | Step (f, x) ->
+        Option.iter raise !pending_crash;
+        answer n (Stepped (f, x)) (f x Started)
+    | Stepped (f, x) as leaf ->
+        answer n leaf (f x (match !pending_crash with None -> Woken | Some e -> Crashed e))
     | Resume (k, v) -> ( match !pending_crash with None -> continue k v | Some e -> discontinue k e)
     | Raise (k, exn) -> discontinue k exn
   in
@@ -369,7 +399,7 @@ let run ?(policy = Round_robin) ?obs ?inject main =
         match f !nslices with None -> () | Some fault -> apply_fault n fault));
     incr nslices;
     Core.slice_begin c n;
-    (try run_leaf leaf with e -> failure := Some e);
+    (try run_leaf n leaf with e -> failure := Some e);
     Core.slice_end c 1;
     pending_crash := None;
     if Option.is_some (Core.final c) || Option.is_some !failure then Core.halt c
@@ -396,15 +426,28 @@ let run ?(policy = Round_robin) ?obs ?inject main =
 let perform_sched req =
   try perform (Sched req) with Effect.Unhandled (Sched _) -> raise Not_in_scheduler
 
-let spawn f =
+let controller () =
   let x = !cur in
   x.x_labels <- x.x_labels + 1;
-  let c = { c_label = x.x_labels; c_run = x.x_run; c_result = None } in
-  perform_sched (Rspawn (c, f))
+  { c_label = x.x_labels; c_run = x.x_run; c_result = None }
+
+let spawn f =
+  let c = controller () in
+  perform_sched (Rspawn (c, Spawned (c, f)))
 
 let control c body = perform_sched (Rcontrol (c, body))
 
 let resume pk v = perform_sched (Rgraft (pk, v))
+
+type branch = leaf
+
+let fiber body = Start body
+
+let step f x = Step (f, x)
+
+let spawn_branches f =
+  let c = controller () in
+  perform_sched (Rspawn (c, Forking (c, f)))
 
 (* One result array for all branches: a branch's cell holds only its
    value, never its thunk, so nothing else of a finished branch stays

@@ -226,6 +226,58 @@ val wake : Waitset.t -> unit
     waitset is empty (and effect-free, so safe on the uncontended fast
     path). *)
 
+(** {1 Steps: leaves that are not fibers}
+
+    A process whose branches mostly park or sleep need not pay a fiber
+    for each.  A {e step} is a leaf made of a function and its
+    argument; the scheduler calls the function inside the leaf's own
+    slice, and its answer says what the leaf does next: park on a
+    waitset, sleep, or start a fiber now, in this slice.  A parked step
+    holds no closure and no stack, only the function and its argument,
+    and is stepped again when woken.  Its slices, parks and wakes are
+    those a fiber doing the same would have, event for event.
+
+    A step must not perform a scheduler operation or any other effect:
+    it runs outside every fiber, so the effect would reach the handler
+    of an enclosing {!run}, if any.  What needs one goes in the fiber it
+    answers with.  Injected crashes reach a step as they reach a fiber:
+    on its first slice the run fails, as for a fiber that has not
+    started; after a park the step is called with [Crashed e]. *)
+
+type cause =
+  | Started  (** the step's first slice *)
+  | Woken
+      (** a slice after a park or sleep: a wake (spurious ones
+          included), the timer's expiry, or a graft of the captured
+          step *)
+  | Crashed of exn  (** an injected {!Crash}, delivered after a park *)
+
+type answer =
+  | Park of Waitset.t  (** park on the waitset, as {!block} does *)
+  | Sleep of int  (** park on the timer heap, as {!sleep} does *)
+  | Fiber of (unit -> unit)
+      (** start a fiber running the body now, in this slice; the leaf
+          is that fiber from then on *)
+
+type branch
+(** A leaf for {!spawn_branches} to fork: a fiber or a step. *)
+
+val fiber : (unit -> unit) -> branch
+(** A branch that runs the body as a fiber. *)
+
+val step : ('a -> cause -> answer) -> 'a -> branch
+(** [step f x] is a branch whose every slice answers [f x cause].
+    Give a top-level [f], so the branch allocates no closure. *)
+
+val spawn_branches : ('r controller -> branch list) -> 'r
+(** Like {!spawn}, but the process's body only forks: its one slice
+    calls the function (which, like a step, performs no effect) and
+    forks the branches it returns, announced as [branch] spawns, as
+    {!pcall} would.  No fiber waits for them: the process ends when a
+    branch {!abort}s its controller, with the replacement's value (if
+    every branch returns instead, the run fails with
+    [Invalid_argument]). *)
+
 (** {1 Observability hooks for user-level abstractions}
 
     The scheduler is cooperative and single-threaded, so the innermost

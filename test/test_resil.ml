@@ -602,9 +602,9 @@ let test_parked_residency () =
     if w > bound then Alcotest.failf "%s: %.1f live words per parked fiber, bound %.0f" name w bound
   in
   pin "bare sleep" 38. (fun () -> Sched.sleep far);
-  pin "Scope.run" 165. (fun () ->
+  pin "Scope.run" 131. (fun () ->
       ignore (Resil.Scope.run (Resil.Scope.make ()) (fun () -> Sched.sleep far)));
-  pin "with_deadline" 204. (fun () ->
+  pin "with_deadline" 160. (fun () ->
       ignore (Resil.with_deadline ~at:(Sched.now () + (2 * far)) (fun () -> Sched.sleep far)))
 
 (* ---------------- summary fates ------------------------------------ *)
