@@ -178,6 +178,43 @@ let test_yield_interleaves () =
 let test_spawn_transparent () =
   Alcotest.(check int) "normal" 3 (S.run (fun () -> S.spawn (fun _c -> 3)))
 
+(* A step parks, is woken, sleeps, and then starts a fiber that aborts
+   its process with a value; it records the cause of every slice. *)
+type stepper = {
+  ws : S.Waitset.t;
+  mutable ctl : int S.controller option;
+  mutable causes : string list;
+}
+
+let stepper s (cause : S.cause) : S.answer =
+  let c = match cause with Started -> "started" | Woken -> "woken" | Crashed _ -> "crashed" in
+  s.causes <- c :: s.causes;
+  match List.length s.causes with
+  | 1 -> Park s.ws
+  | 2 -> Sleep 3
+  | _ -> Fiber (fun () -> S.abort (Option.get s.ctl) ~reason:"done" (fun () -> 42))
+
+let test_spawn_branches () =
+  let s = { ws = S.Waitset.create "test.step"; ctl = None; causes = [] } in
+  let v, () =
+    S.run (fun () ->
+        S.pcall2
+          (fun () ->
+            S.spawn_branches (fun ctl ->
+                s.ctl <- Some ctl;
+                [ S.step stepper s ]))
+          (fun () ->
+            while S.Waitset.parked s.ws = 0 do
+              S.yield ()
+            done;
+            S.wake s.ws))
+  in
+  Alcotest.(check int) "abort's value" 42 v;
+  Alcotest.(check (list string)) "causes" [ "started"; "woken"; "woken" ] (List.rev s.causes);
+  match S.run (fun () -> S.spawn_branches (fun _ -> [ S.fiber ignore ])) with
+  | () -> Alcotest.fail "every branch returned, yet the spawn returned"
+  | exception Invalid_argument _ -> ()
+
 let test_control_same_fiber () =
   let r =
     S.run (fun () -> S.spawn (fun c -> 1 + S.control c (fun k -> 10 * S.resume k 2)))
@@ -1067,6 +1104,7 @@ let () =
       ( "control",
         [
           Alcotest.test_case "spawn transparent" `Quick test_spawn_transparent;
+          Alcotest.test_case "spawn_branches and steps" `Quick test_spawn_branches;
           Alcotest.test_case "same-fiber compose" `Quick test_control_same_fiber;
           Alcotest.test_case "cross-fiber capture" `Quick test_control_cross_fiber;
           Alcotest.test_case "prunes siblings" `Quick test_control_prunes_sibling;
